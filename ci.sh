@@ -3,7 +3,8 @@
 # build, race-enabled tests, fast-path gates (zero-alloc pricing, fast-on/off
 # byte-identity, stale-table fuzz, chaos-on latency smoke), attribution gates
 # (zero-alloc off path, byte-identical traces, flight-ring race stress),
-# durability (journal/recovery + kill-and-resume byte-identity), the edgerepd daemon drill
+# durability (journal/recovery + group commit/power-loss/commit-fail drills +
+# kill-and-resume byte-identity), the edgerepd daemon drill
 # (selfdrive byte-identity + HTTP serve/kill -9/resume + live /slo and
 # /debug/flight probes + SIGTERM flight snapshot), federation gates (3-region
 # kill-the-leader drill byte-identity + multi-process kill -9 follower
@@ -72,6 +73,9 @@ echo "== durability gates (journal + recovery under -race; decode fuzz smoke)"
 go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|Rehydrate|ProcCrash|StateDump' \
     ./internal/journal ./internal/online ./internal/invariant ./internal/experiments ./internal/testbed
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 5s ./internal/journal
+# Group commit: one fsync per epoch with acks after it, every byte offset of
+# a power cut recovers every acked decision, a failed commit fails closed.
+go test -race -run 'GroupCommit|PowerLoss|CommitFail' ./internal/journal ./internal/online ./internal/server
 
 echo "== kill-and-resume gate (traced sweep killed mid-write resumes byte-identical)"
 go build -o "$tmp/edgerepsim" ./cmd/edgerepsim
@@ -100,7 +104,8 @@ cmp "$tmp/dfull.jsonl" "$tmp/dresumed.jsonl"
 for f in "$tmp/dfull-wal"/*; do cmp "$f" "$tmp/dcrash-wal/$(basename "$f")"; done
 # HTTP: bind a random port, drive real traffic, kill -9, restart with
 # -resume (the journal must replay clean), drive again, drain on SIGTERM.
-"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" -nosync \
+# On the durable journal: group commit makes the fsync affordable here.
+"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" \
     > "$tmp/dserve1.out" 2> "$tmp/dserve1.err" &
 dpid=$!
 i=0
@@ -113,7 +118,7 @@ daddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/dserve1.out")
 "$tmp/edgerepd" -drive "$daddr" -count 2000 | grep -q "drive ok: /metrics serves"
 kill -9 "$dpid"
 wait "$dpid" 2>/dev/null || true
-"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" -nosync -resume \
+"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" -resume \
     > "$tmp/dserve2.out" 2> "$tmp/dserve2.err" &
 dpid=$!
 i=0

@@ -64,7 +64,7 @@ func main() {
 		jdir      = flag.String("journal", "", "journal every admission decision to a WAL in this directory")
 		resume    = flag.Bool("resume", false, "recover state from -journal before serving (online.Recover; refuses divergent journals)")
 		snapEvery = flag.Int("snapshot-every", 20000, "snapshot engine state after every Nth journaled record (0 = WAL-only)")
-		noSync    = flag.Bool("nosync", false, "skip the per-append fsync (load tests; crash durability is reduced to the page cache)")
+		noSync    = flag.Bool("nosync", false, "skip the per-epoch journal fsync (load tests; durability is reduced to the page cache)")
 
 		traceOut = flag.String("trace", "", "write the admission trace (deterministic JSONL) to this file")
 		stats    = flag.Bool("stats", false, "print runtime counters to stderr on exit")

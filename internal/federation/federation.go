@@ -75,7 +75,7 @@ type Config struct {
 	// this size; 0 means the journal default of 1 MiB. Drills use small
 	// segments so shipping happens continuously.
 	SegmentBytes int64
-	// NoSync skips per-append fsync (drills and tests).
+	// NoSync skips the journal's per-epoch fsync (drills and tests).
 	NoSync bool
 	// EpochMaxQueries / EpochMaxWait shape the server's micro-epochs.
 	EpochMaxQueries int
@@ -230,6 +230,9 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 					return nil, fmt.Errorf("federation: mask node %d: %w", v, err)
 				}
 			}
+			if err := eng.Commit(); err != nil {
+				return nil, fmt.Errorf("federation: commit shard mask: %w", err)
+			}
 		}
 	}
 	if persisted, err := ReadTerm(dir); err != nil {
@@ -299,7 +302,7 @@ func (l *Leader) Manifest() (Manifest, error) {
 		Region:   l.cfg.Region,
 		Shard:    l.cfg.Shard,
 		Term:     l.srv.Term(),
-		LSN:      l.jn.LSN(),
+		LSN:      l.jn.DurableLSN(),
 		Segments: l.jn.SealedSegments(),
 	}, nil
 }

@@ -3,8 +3,13 @@
 // checksummed point-in-time snapshots. The online admission engine journals
 // every input it acts on (offers, crashes, restores) together with the
 // outcome it committed to, the testbed cluster journals replica placements,
-// and the experiment sweeps journal finished cells — so a process crash
-// loses at most the record being written when the power went out.
+// and the experiment sweeps journal finished cells. Durability is split in
+// two: AppendUnsynced frames a record and hands it to the OS (one write(2),
+// so it already survives a process crash), Commit is the barrier — one fsync
+// that covers everything written since the last one and advances DurableLSN.
+// Append is AppendUnsynced plus Commit per record. The admission daemon
+// commits once per micro-epoch and acknowledges only afterwards, so a power
+// cut loses at most the unacknowledged epoch.
 //
 // Record framing (one frame per record, densely packed per segment):
 //
@@ -41,7 +46,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"edgerep/internal/instrument"
 )
@@ -73,7 +77,7 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it would exceed this
 	// size; 0 means 1 MiB.
 	SegmentBytes int64
-	// NoSync skips the per-append fsync (tests and benchmarks that measure
+	// NoSync makes Commit skip its fsync (tests and benchmarks that measure
 	// framing cost rather than disk latency).
 	NoSync bool
 }
@@ -102,18 +106,27 @@ type Journal struct {
 	// shipper's manifest reads the leader's position concurrently with the
 	// single-writer append path.
 	lsn atomic.Int64
-	err error // sticky: after a write error the journal refuses appends
+	// durable is the highest LSN an fsync of its segment has covered; atomic
+	// like lsn, so a reader can tell written from durable mid-epoch.
+	durable atomic.Int64
+	// frame is AppendUnsynced's reused framing buffer: the hot path allocates
+	// nothing per record.
+	frame []byte
+	err   error // sticky: after a write error the journal refuses appends
 	// sealMu guards seals: the one piece of journal state read by other
 	// goroutines (WAL shippers list sealed segments while the owner appends).
 	sealMu sync.Mutex
 	seals  []SealInfo
-	// lastSyncNs is the duration of the most recent Append's fsync, measured
-	// via the sanctioned monotonic clock only while latency attribution is
-	// active (instrument.AttributionActive); it lets the serving layer split
-	// a decision's journal stage into marshal+write vs. disk sync without
-	// the journal reading the wall clock on the normal path.
-	lastSyncNs int64
 }
+
+// Fsyncs of the active segment and the records each one made durable: their
+// ratio is records per fsync, and journal.syncs against server.epochs is
+// fsyncs per micro-epoch (about 1 under group commit, plus rotations and
+// snapshots).
+var (
+	statSyncs         = instrument.NewCounter("journal.syncs")
+	statSyncedRecords = instrument.NewCounter("journal.synced_records")
+)
 
 // State is the recovered view of a journal directory: the newest valid
 // snapshot (nil when none) and every decodable record from LSN 1.
@@ -347,6 +360,7 @@ func Open(dir string, opt Options) (*Journal, error) {
 	if j.segIndex == 0 {
 		j.segIndex = 1
 	}
+	j.durable.Store(j.lsn.Load())
 	f, err := os.OpenFile(filepath.Join(dir, segName(j.segIndex)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open segment %d: %w", j.segIndex, err)
@@ -368,17 +382,27 @@ func Open(dir string, opt Options) (*Journal, error) {
 }
 
 // LSN returns the log sequence number of the last appended record (0 when
-// the journal is empty). Safe to read concurrently with Append.
+// the journal is empty), durable or not. Safe to read concurrently with
+// AppendUnsynced.
 func (j *Journal) LSN() int64 { return j.lsn.Load() }
+
+// DurableLSN returns the highest LSN covered by an fsync; LSN() - DurableLSN()
+// is what a power cut right now would lose. Records Open found on disk count
+// as covered: any of them a process crash left unsynced were never
+// acknowledged, and sit in the active segment the next fsync covers. Safe to
+// read concurrently with AppendUnsynced and Commit.
+func (j *Journal) DurableLSN() int64 { return j.durable.Load() }
 
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Append frames payload, writes it durably, and returns its LSN. Empty
-// payloads are rejected (a zero length frame is reserved for torn-tail
-// detection). After any write error the journal is poisoned and every later
-// Append returns that first error.
-func (j *Journal) Append(payload []byte) (int64, error) {
+// AppendUnsynced frames payload, writes it to the active segment with one
+// write(2), and returns its LSN. The record survives a process crash from
+// here on (it is in the page cache) but not a power cut: it is durable once a
+// later Commit returns. Empty payloads are rejected (a zero length frame is
+// reserved for torn-tail detection). After any write error the journal is
+// poisoned and every later AppendUnsynced or Commit returns that first error.
+func (j *Journal) AppendUnsynced(payload []byte) (int64, error) {
 	if j.err != nil {
 		return 0, j.err
 	}
@@ -388,40 +412,72 @@ func (j *Journal) Append(payload []byte) (int64, error) {
 	if len(payload) > maxRecordBytes {
 		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordBytes)
 	}
-	frame := encodeFrame(nil, payload)
-	if j.segSize > 0 && j.segSize+int64(len(frame)) > j.opt.segmentBytes() {
+	j.frame = encodeFrame(j.frame[:0], payload)
+	if j.segSize > 0 && j.segSize+int64(len(j.frame)) > j.opt.segmentBytes() {
 		if err := j.rotate(); err != nil {
 			j.err = err
 			return 0, err
 		}
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(j.frame); err != nil {
 		j.err = fmt.Errorf("journal: append: %w", err)
 		return 0, j.err
 	}
-	j.segCRC = crc32.Update(j.segCRC, crc32.IEEETable, frame)
-	j.lastSyncNs = 0
-	if !j.opt.NoSync {
-		attributed := instrument.AttributionActive()
-		var syncStart time.Duration
-		if attributed {
-			syncStart = instrument.Mono()
-		}
-		if err := j.f.Sync(); err != nil {
-			j.err = fmt.Errorf("journal: sync: %w", err)
-			return 0, j.err
-		}
-		if attributed {
-			j.lastSyncNs = int64(instrument.Mono() - syncStart)
-		}
-	}
-	j.segSize += int64(len(frame))
+	j.segCRC = crc32.Update(j.segCRC, crc32.IEEETable, j.frame)
+	j.segSize += int64(len(j.frame))
 	return j.lsn.Add(1), nil
 }
 
-// LastSyncNs returns the fsync duration of the most recent Append — nonzero
-// only while latency attribution is active and the journal syncs per append.
-func (j *Journal) LastSyncNs() int64 { return j.lastSyncNs }
+// Commit is the durability barrier: one fsync of the active segment covers
+// every record written since the last one (earlier segments were synced when
+// they rotated out), after which DurableLSN equals LSN. With nothing written
+// since the last barrier, or under Options.NoSync, it does not touch the
+// disk. A failed fsync poisons the journal: the kernel may have dropped the
+// dirty pages, so nothing written since the last barrier can be trusted.
+func (j *Journal) Commit() error {
+	if j.err != nil {
+		return j.err
+	}
+	lsn := j.lsn.Load()
+	if j.durable.Load() == lsn {
+		return nil
+	}
+	if j.opt.NoSync {
+		j.durable.Store(lsn)
+		return nil
+	}
+	if err := j.syncSegment(); err != nil {
+		j.err = fmt.Errorf("journal: sync: %w", err)
+		return j.err
+	}
+	return nil
+}
+
+// Append is AppendUnsynced followed by Commit: the record is durable when it
+// returns (unless Options.NoSync).
+func (j *Journal) Append(payload []byte) (int64, error) {
+	lsn, err := j.AppendUnsynced(payload)
+	if err != nil {
+		return 0, err
+	}
+	if err := j.Commit(); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// syncSegment fsyncs the active segment, which makes every record written so
+// far durable.
+func (j *Journal) syncSegment() error {
+	if err := j.f.Sync(); err != nil {
+		return err
+	}
+	lsn := j.lsn.Load()
+	statSyncs.Inc()
+	statSyncedRecords.Add(lsn - j.durable.Load())
+	j.durable.Store(lsn)
+	return nil
+}
 
 // rotate closes the active segment, starts the next one, and publishes a
 // durable seal for the closed segment. The seal goes last: a crash after the
@@ -429,7 +485,7 @@ func (j *Journal) LastSyncNs() int64 { return j.lastSyncNs }
 // unsealed closed segment, which the next Open backfills — shippers only
 // ever see the seal once the sealed bytes are already immutable on disk.
 func (j *Journal) rotate() error {
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncSegment(); err != nil {
 		return fmt.Errorf("journal: sync before rotate: %w", err)
 	}
 	if err := j.f.Close(); err != nil {
@@ -460,7 +516,7 @@ func (j *Journal) Snapshot(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("journal: empty snapshot")
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncSegment(); err != nil {
 		j.err = fmt.Errorf("journal: sync before snapshot: %w", err)
 		return j.err
 	}
@@ -507,23 +563,11 @@ func (j *Journal) TearTail(payload []byte) error {
 		j.err = fmt.Errorf("journal: tear tail: %w", err)
 		return j.err
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.syncSegment(); err != nil {
 		j.err = fmt.Errorf("journal: sync torn tail: %w", err)
 		return j.err
 	}
 	j.err = fmt.Errorf("journal: tail torn on purpose: %w", ErrTornTail)
-	return nil
-}
-
-// Sync flushes the active segment to disk.
-func (j *Journal) Sync() error {
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("journal: sync: %w", err)
-		return j.err
-	}
 	return nil
 }
 

@@ -710,13 +710,38 @@ func h(w io.Writer) { _ = json.NewEncoder(w).Encode(AdmitResponse{Admitted: true
 type result struct{ ok bool }
 type wal struct{}
 func (wal) Append(b []byte) (int64, error) { return 0, nil }
+func (wal) Commit() error { return nil }
 func f(j wal, ch chan result) {
 	if _, err := j.Append(nil); err != nil {
+		return
+	}
+	if err := j.Commit(); err != nil {
 		return
 	}
 	ch <- result{ok: true}
 }
 `,
+	},
+	{
+		name:     "ack after Offer but before the commit flagged",
+		analyzer: "ackorder",
+		filename: "internal/server/fix.go",
+		src: `package fix
+type result struct{ ok bool }
+type engine struct{}
+func (engine) Offer(q int) error { return nil }
+func (engine) Commit() error { return nil }
+func f(e engine, ch chan result) {
+	if err := e.Offer(1); err != nil {
+		return
+	}
+	ch <- result{ok: true}
+	if err := e.Commit(); err != nil {
+		return
+	}
+}
+`,
+		wantSub: "result send is not preceded",
 	},
 	{
 		name:     "receive-then-encode handler shape ok",

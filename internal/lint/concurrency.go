@@ -1,4 +1,4 @@
-// Concurrency analyzers: ackorder (journal-before-ack in internal/server),
+// Concurrency analyzers: ackorder (commit-before-ack in internal/server),
 // goroexit (goroutines in the serving packages must be joined or bounded),
 // and lockdiscipline (no mutex copies; Lock paired with Unlock on every
 // return path). All three approximate dominance with lexical (token.Pos)
@@ -52,16 +52,17 @@ func inspectShallow(body *ast.BlockStmt, fn func(ast.Node) bool) {
 // ackOrder is the exactly-once invariant as a static rule: in
 // internal/server, every ack — a send of a server result value to a
 // waiter, or a JSON encode of an AdmitResponse onto the HTTP response —
-// must be dominated in its function by the journal-bearing step: the
-// engine Offer (which appends the decision record before returning), a
-// direct journal Append, or the receive of an already-priced result.
-// Acking first would tell the client "admitted" before the decision is
-// durable, so a crash between ack and append double-admits on replay.
+// must be dominated in its function by the durability barrier: the engine
+// (or journal) Commit that fsyncs the epoch's records, or the receive of an
+// already-committed result. Offer and Append do not count: under group
+// commit they only write the record, and acking between the write and the
+// commit would tell the client "admitted" before the decision is durable,
+// so a power cut in between loses an acknowledged decision.
 // Dominance is lexical order within the scope, which the server's
 // straight-line handler shapes make exact.
 var ackOrder = &Analyzer{
 	Name: "ackorder",
-	Doc:  "in internal/server, ack writes (result sends, AdmitResponse encodes) must be preceded by the journal append (Offer/Append) or a priced-result receive on the same path",
+	Doc:  "in internal/server, ack writes (result sends, AdmitResponse encodes) must be preceded by the journal commit barrier (Commit) or a committed-result receive on the same path",
 	Run: func(r *Repo) []Finding {
 		var out []Finding
 		for _, f := range r.Files {
@@ -83,10 +84,10 @@ var ackOrder = &Analyzer{
 						}
 					case *ast.CallExpr:
 						switch calleeName(v) {
-						case "Offer", "Append", "dispatch":
+						case "Commit", "dispatch":
 							// dispatch blocks until every enqueued request's
-							// priced result comes back (the receive lives one
-							// call deep), so its return dominates like a
+							// committed result comes back (the receive lives
+							// one call deep), so its return dominates like a
 							// receive.
 							dominators = append(dominators, v.Pos())
 						case "Encode":
@@ -111,7 +112,7 @@ var ackOrder = &Analyzer{
 					}
 					if !dominated {
 						out = append(out, Finding{Pos: r.Fset.Position(a.pos), Analyzer: "ackorder",
-							Message: fmt.Sprintf("%s is not preceded by the journal append (Offer/Append) or a priced-result receive; acking before the decision is durable double-admits on crash replay", a.what)})
+							Message: fmt.Sprintf("%s is not preceded by the journal commit barrier (Commit) or a committed-result receive; acking before the decision is durable loses an acknowledged decision on power loss", a.what)})
 					}
 				}
 			})

@@ -25,7 +25,7 @@ var fmtPrintNames = map[string]bool{
 
 // mapOrder flags range statements over a map whose body emits to a
 // deterministic sink — a trace sink (instrument.EmitTrace / sink.Emit), a
-// journal record (Append), a table/stream writer (json Encode), or fmt
+// journal record (Append/AppendUnsynced), a table/stream writer (json Encode), or fmt
 // output — with no sort between the iteration and the emission. Go
 // randomizes map order per process, so each such loop is a replay diff
 // waiting to happen; the fix is the collect-keys → sort → emit pattern
@@ -172,8 +172,8 @@ func (r *Repo) sinkName(call *ast.CallExpr, fmtName string) (string, bool) {
 			return "fmt." + o.Name(), true
 		case p == instrumentImportPath && (o.Name() == "EmitTrace" || o.Name() == "Emit"):
 			return "trace " + o.Name(), true
-		case p == modulePath+"/internal/journal" && o.Name() == "Append":
-			return "journal Append", true
+		case p == modulePath+"/internal/journal" && (o.Name() == "Append" || o.Name() == "AppendUnsynced"):
+			return "journal " + o.Name(), true
 		case p == "encoding/json" && o.Name() == "Encode":
 			return "json Encode", true
 		}

@@ -7,7 +7,7 @@
 // dropped errors, package-level instrument metric registration, and the
 // determinism/concurrency contracts: no unsorted map iteration feeding
 // deterministic output (maporder), no wall-clock reads in model-time
-// packages (wallclock), journal-before-ack in internal/server (ackorder),
+// packages (wallclock), commit-before-ack in internal/server (ackorder),
 // joined/bounded goroutines (goroexit), lock/unlock discipline
 // (lockdiscipline), and term fencing before admission intake in the
 // federation handlers (termfence).

@@ -231,8 +231,10 @@ func (e *Engine) SnapshotNow() error {
 	return e.jn.Snapshot(snap)
 }
 
-// appendRecord journals one record and takes a snapshot when the cadence
-// says so. No-op while replaying or without a journal.
+// appendRecord writes one record to the journal and takes a snapshot when
+// the cadence says so. The record is durable at the next Commit (or at that
+// snapshot, which syncs the WAL first). No-op while replaying or without a
+// journal.
 func (e *Engine) appendRecord(rec *JournalRecord) error {
 	if e.jn == nil || e.replaying {
 		return nil
@@ -241,7 +243,7 @@ func (e *Engine) appendRecord(rec *JournalRecord) error {
 	if err != nil {
 		return fmt.Errorf("online: marshal journal record: %w", err)
 	}
-	if _, err := e.jn.Append(data); err != nil {
+	if _, err := e.jn.AppendUnsynced(data); err != nil {
 		return err
 	}
 	if e.snapEvery > 0 && e.jn.LSN()%int64(e.snapEvery) == 0 {
@@ -254,6 +256,17 @@ func (e *Engine) appendRecord(rec *JournalRecord) error {
 		}
 	}
 	return nil
+}
+
+// Commit is the engine's durability barrier: every Offer, Crash and Restore
+// journaled since the last one is on disk when it returns (one fsync, see
+// journal.Commit). The caller acknowledges nothing before it does. No-op
+// without a journal.
+func (e *Engine) Commit() error {
+	if e.jn == nil {
+		return nil
+	}
+	return e.jn.Commit()
 }
 
 // journalOffer records one offer with its committed decision in trace-event

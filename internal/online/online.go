@@ -55,8 +55,9 @@ type Options struct {
 	// the ext-chaos experiment compares repair against.
 	NoRepair bool
 	// Journal, when non-nil, makes the engine durable: every Offer, Crash,
-	// and Restore is appended to the WAL with its committed outcome before
-	// the call returns (durable.go; recover with online.Recover).
+	// and Restore is written to the WAL with its committed outcome before
+	// the call returns, and is on disk once the next Engine.Commit returns
+	// (durable.go; recover with online.Recover).
 	Journal *journal.Journal
 	// SnapshotEvery takes a full EngineState snapshot after every Nth
 	// journaled record, bounding replay length; zero means WAL-only.
@@ -189,12 +190,11 @@ type Engine struct {
 	// timeline for the arrival currently being offered (the epoch loop is
 	// single-writer, so a plain pointer suffices); emitAdmit/emitReject copy
 	// the prefix known at decision time into the trace event's StageNs while
-	// attribution is active. lastJournalNs/lastSyncNs record the duration of
-	// the last Offer's journal append and its fsync share, measured via the
-	// sanctioned monotonic clock only while attribution is active.
+	// attribution is active. lastJournalNs records the duration of the last
+	// Offer's journal write (marshal + write(2)), measured via the sanctioned
+	// monotonic clock only while attribution is active.
 	stages        *instrument.StageTimeline
 	lastJournalNs int64
-	lastSyncNs    int64
 	// lastLookupNs records the last Offer's epoch-fence duration (the
 	// fast-path staleness check plus any mirror refresh), zero unless
 	// attribution was active.
@@ -419,22 +419,12 @@ func (e *Engine) Offer(a Arrival) (Decision, error) {
 	}
 	e.res.Decisions = append(e.res.Decisions, dec)
 	if !instrument.AttributionActive() {
-		if err := e.journalOffer(a, dec); err != nil {
-			return dec, err
-		}
-		return dec, nil
+		return dec, e.journalOffer(a, dec)
 	}
 	jStart := instrument.Mono()
 	err := e.journalOffer(a, dec)
 	e.lastJournalNs = int64(instrument.Mono() - jStart)
-	e.lastSyncNs = 0
-	if e.jn != nil && !e.replaying {
-		e.lastSyncNs = e.jn.LastSyncNs()
-	}
-	if err != nil {
-		return dec, err
-	}
-	return dec, nil
+	return dec, err
 }
 
 // AttachStages points the engine at the serving layer's in-progress stage
@@ -443,13 +433,10 @@ func (e *Engine) Offer(a Arrival) (Decision, error) {
 // prefix, so a traced decision links to its critical path.
 func (e *Engine) AttachStages(t *instrument.StageTimeline) { e.stages = t }
 
-// LastOfferJournalNs returns the journal-append duration of the most recent
-// Offer and the fsync share within it — both zero unless attribution was
-// active during the call. The serving layer uses the pair to split a
-// decision's journal stage from its fsync stage.
-func (e *Engine) LastOfferJournalNs() (journalNs, syncNs int64) {
-	return e.lastJournalNs, e.lastSyncNs
-}
+// LastOfferJournalNs returns the journal-write duration of the most recent
+// Offer — zero unless attribution was active during the call. The fsync is
+// not in it: that is the epoch's Commit, which the serving layer times.
+func (e *Engine) LastOfferJournalNs() int64 { return e.lastJournalNs }
 
 // LastOfferLookupNs returns the duration of the most recent Offer's table
 // lookup fence — zero unless attribution was active (or the engine runs

@@ -10,11 +10,12 @@
 // reject.
 //
 // Durability and observability are inherited rather than reinvented: the
-// engine journals every offer with its committed outcome before the response
-// leaves the server (internal/journal; restart with online.Recover is
-// byte-identical), every decision is a typed trace event replayable by
-// invariant.CheckTrace, and the per-epoch/per-decision metrics registered
-// below surface on /metrics next to internal/ops' pprof handlers.
+// engine journals every offer with its committed outcome and the epoch loop
+// commits the journal — one fsync per micro-epoch — before any response of
+// that epoch leaves the server (internal/journal; restart with
+// online.Recover is byte-identical), every decision is a typed trace event
+// replayable by invariant.CheckTrace, and the per-epoch/per-decision metrics
+// registered below surface on /metrics next to internal/ops' pprof handlers.
 //
 // Ordering contract: requests are processed in enqueue order (one FIFO
 // channel, one epoch loop), so a single-submitter stream with deterministic
@@ -212,8 +213,8 @@ type Server struct {
 	offers int64
 
 	// crashAfter/crashFn inject a deterministic mid-serving fault: after the
-	// Nth offer is journaled, fn runs with the epoch lock held (it tears the
-	// WAL tail and kills the process in the chaos drill).
+	// Nth offer is written to the journal, fn runs with the epoch lock held
+	// (it tears the WAL tail and kills the process in the chaos drill).
 	crashAfter int64
 	crashFn    func()
 
@@ -267,7 +268,8 @@ func New(p *placement.Problem, eng *online.Engine, cfg Config) *Server {
 }
 
 // CrashAfter arms the deterministic fault: after n offers have been decided
-// (and journaled), fn is invoked from the epoch loop. Call before traffic.
+// (and written to the journal, their epoch not yet committed), fn is invoked
+// from the epoch loop. Call before traffic.
 func (s *Server) CrashAfter(n int64, fn func()) {
 	s.crashAfter = n
 	s.crashFn = fn
@@ -376,18 +378,23 @@ type epochSlot struct {
 // responses behind the rest of the batch's pricing on one processor
 // (TestAckConvoyRegression pins GOMAXPROCS=1 and checks the attributed
 // stage sums still track the client-observed end-to-end latency). Batch
-// order — and therefore the deterministic journal and trace — is untouched;
-// every decision is journaled in phase 1 before any response leaves in
-// phase 2, which preserves the exactly-once direction: no ack without a
-// durable record.
+// order — and therefore the deterministic journal and trace — is untouched.
+//
+// Group commit: phase 1 writes every decision's record and ends with exactly
+// one engine Commit — one fsync for the whole epoch — before phase 2 lets any
+// response out, which preserves the exactly-once direction: no ack without a
+// durable record. If the commit fails, every waiter of the epoch gets the
+// error and nobody is acked; the journal stays poisoned, so later epochs fail
+// the same way until an operator restarts from the durable prefix.
 //
 // While latency attribution is active every decision gets a stage timeline:
 // queue and coalesce split at the batch-close stamp taken once per epoch,
-// lookup is the fast path's table fence, journal and fsync come from the
-// engine's journal measurement, pricing is the Offer duration net of fence
-// and journal, and ack spans pricing end to delivery — seven stages that
-// exactly partition the enqueue→response interval on one clock (see
-// instrument.StageTimeline).
+// lookup is the fast path's table fence, journal is the engine's measurement
+// of its record write, pricing is the Offer duration net of fence and
+// journal, fsync is the epoch's commit (shared by every member: each waited
+// for all of it), and ack is the rest — own pricing end to commit start plus
+// commit end to delivery — seven stages that exactly partition the
+// enqueue→response interval on one clock (see instrument.StageTimeline).
 func (s *Server) processEpoch(batch []*pending) {
 	if len(batch) == 0 {
 		return
@@ -401,9 +408,9 @@ func (s *Server) processEpoch(batch []*pending) {
 	slots := s.slots[:len(batch)]
 	var tl instrument.StageTimeline
 	var stageArena []int64
-	var batchClose time.Duration
+	var batchClose, commitStart, commitEnd time.Duration
 
-	// Phase 1: price and journal under the epoch lock.
+	// Phase 1: price, journal and commit under the epoch lock.
 	s.mu.Lock()
 	s.epochs++
 	epoch := s.epochs
@@ -479,17 +486,14 @@ func (s *Server) processEpoch(batch []*pending) {
 		s.offers++
 		sl.id = s.offers
 		if attributed {
-			jNs, syncNs := s.eng.LastOfferJournalNs()
-			if syncNs > jNs {
-				syncNs = jNs
-			}
+			jNs := s.eng.LastOfferJournalNs()
 			lookupNs := s.eng.LastOfferLookupNs()
-			tl[instrument.StageJournal] = clampNs(jNs - syncNs)
-			tl[instrument.StageFsync] = clampNs(syncNs)
+			tl[instrument.StageJournal] = clampNs(jNs)
 			tl[instrument.StageLookup] = clampNs(lookupNs)
 			tl[instrument.StagePricing] = clampNs(int64(sl.t1-t0) - jNs - lookupNs)
-			// Ack is stamped at delivery in phase 2; the arena slot is
-			// rewritten there through the aliasing StageNs sub-slice.
+			// Fsync and ack are stamped in phase 2, once the epoch's commit
+			// and the delivery have happened; the arena slots are rewritten
+			// there through the aliasing StageNs sub-slice.
 			k := len(stageArena)
 			stageArena = append(stageArena, tl[:]...)
 			sl.resp.StageNs = stageArena[k:len(stageArena):len(stageArena)]
@@ -497,9 +501,10 @@ func (s *Server) processEpoch(batch []*pending) {
 		}
 		if s.crashAfter > 0 && s.offers == s.crashAfter && s.crashFn != nil {
 			// The chaos fault fires with the decision journaled but its
-			// response undelivered — exactly the window the recovery drill
-			// must tolerate (journaled-but-unacked replays identically; the
-			// client saw no ack, so nothing double-admits).
+			// epoch uncommitted and its response undelivered — exactly the
+			// window the recovery drill must tolerate (journaled-but-unacked
+			// replays identically; the client saw no ack, so nothing
+			// double-admits).
 			if fr != nil {
 				fr.Record(instrument.FlightEntry{Kind: instrument.EventChaos})
 			}
@@ -508,13 +513,26 @@ func (s *Server) processEpoch(batch []*pending) {
 	}
 	if attributed {
 		s.eng.AttachStages(nil)
+		commitStart = instrument.Mono()
+	}
+	// The epoch's one durability barrier. It stays under the lock because the
+	// journal is single-writer and Crash/Restore write to it too.
+	commitErr := s.eng.Commit()
+	if attributed {
+		commitEnd = instrument.Mono()
 	}
 	s.mu.Unlock()
 
 	// Phase 2: deliver in batch order with the engine lock free.
+	commitNs := clampNs(int64(commitEnd - commitStart))
 	for i := range slots {
 		sl := &slots[i]
 		pd := batch[i]
+		if commitErr != nil {
+			// Fail closed: what this epoch decided may not be on disk.
+			pd.resp <- result{err: commitErr}
+			continue
+		}
 		if sl.err != nil {
 			pd.resp <- result{err: sl.err}
 			continue
@@ -523,8 +541,10 @@ func (s *Server) processEpoch(batch []*pending) {
 		var end time.Duration
 		if attributed {
 			end = instrument.Mono()
-			ack := clampNs(int64(end - sl.t1))
+			ack := clampNs(int64(commitStart-sl.t1)) + clampNs(int64(end-commitEnd))
+			sl.tl[instrument.StageFsync] = commitNs
 			sl.tl[instrument.StageAck] = ack
+			sl.resp.StageNs[instrument.StageFsync] = commitNs
 			sl.resp.StageNs[instrument.StageAck] = ack
 			for j := range s.stageBatch {
 				s.stageBatch[j].Observe(float64(sl.tl[j])*1e-9, sl.id)
@@ -643,6 +663,7 @@ func (s *Server) CheckTerm(reqTerm int64) error {
 // path's epoch fence observes — the next offer refreshes its mirror before
 // consulting any table, so no decision admits onto the crashed node through
 // stale state (TestFastPathStaleTableFuzz races exactly this interleaving).
+// The crash record is committed before Crash returns.
 func (s *Server) Crash(v graph.NodeID) (online.CrashReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -650,14 +671,22 @@ func (s *Server) Crash(v graph.NodeID) (online.CrashReport, error) {
 	if floor := s.eng.Now(); at < floor {
 		at = floor
 	}
-	return s.eng.Crash(at, v)
+	rep, err := s.eng.Crash(at, v)
+	if err != nil {
+		return rep, err
+	}
+	return rep, s.eng.Commit()
 }
 
-// Restore marks a crashed node alive again, between epochs.
+// Restore marks a crashed node alive again, between epochs; its record is
+// committed before Restore returns.
 func (s *Server) Restore(v graph.NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Restore(v)
+	if err := s.eng.Restore(v); err != nil {
+		return err
+	}
+	return s.eng.Commit()
 }
 
 // FastPathStats reports the engine's fast-path table and fence counters.
