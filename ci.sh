@@ -1,14 +1,15 @@
 #!/bin/sh
 # Repository gate: formatting, vet, repo-specific analyzers (edgerepvet),
-# build, race-enabled tests, fast-path gates (zero-alloc pricing, fast-on/off
-# byte-identity, stale-table fuzz, chaos-on latency smoke), attribution gates
-# (zero-alloc off path, byte-identical traces, flight-ring race stress),
+# build, race-enabled tests, pricing-table gates (zero-alloc pricing,
+# table-vs-reference-scan equivalence incl. the exact-tie case, stale-table
+# fuzz, chaos-on latency smoke), attribution gates (zero-alloc off path,
+# byte-identical traces, flight-ring race stress),
 # durability (journal/recovery + group commit/power-loss/commit-fail drills +
 # kill-and-resume byte-identity), the edgerepd daemon drill
 # (selfdrive byte-identity + HTTP serve/kill -9/resume + live /slo and
 # /debug/flight probes + SIGTERM flight snapshot), federation gates (3-region
 # kill-the-leader drill byte-identity + multi-process kill -9 follower
-# promotion), docs link check, example smoke, bench smoke.
+# promotion), docs link and edgerepd-flag checks, example smoke, bench smoke.
 # Run before every commit. See ARCHITECTURE.md, "CI".
 set -eu
 
@@ -57,9 +58,9 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== fast-path gates (zero-alloc pricing; fast-on/off byte-identity; stale-table fuzz under -race)"
+echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
-go test -run 'TestFastPathEquivalence|TestFastPathByteIdenticalJournalAndTrace' ./internal/online ./internal/server
+go test -run 'TestFastPathEquivalence' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
 go test -run 'TestFastPathChaosLatencySmoke' ./internal/server
 go test -run '^$' -bench 'BenchmarkFastPathPlan' -benchtime 1x ./internal/online
@@ -215,6 +216,34 @@ for doc in README.md ARCHITECTURE.md OPERATIONS.md EXPERIMENTS.md DESIGN.md \
             echo "$doc links to missing file: $tgt" >&2
             exit 1
         fi
+    done
+done
+
+echo "== docs flag check (every flag on a documented edgerepd command line is one the binary defines)"
+"$tmp/edgerepd" -h 2>&1 | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' > "$tmp/edgerepd.flags"
+for doc in README.md OPERATIONS.md ARCHITECTURE.md EXPERIMENTS.md \
+           examples/streaming-admission/README.md; do
+    # A command line is "edgerepd" followed by a flag (so `go build -o
+    # edgerepd ./cmd/edgerepd` is not one), with backslash continuations
+    # joined, up to the first comment, pipe, redirect or closing backtick.
+    for fl in $(awk '
+        {
+            line = $0
+            while (line ~ /\\$/ && (getline nxt) > 0) { sub(/\\$/, "", line); line = line " " nxt }
+            while (match(line, /edgerepd[ \t]+-/)) {
+                line = substr(line, RSTART + 8)
+                cmd = line
+                sub(/[`|#;>].*/, "", cmd)
+                n = split(cmd, tok, /[ \t]+/)
+                for (i = 1; i <= n; i++) if (tok[i] ~ /^-[a-z]/) {
+                    f = tok[i]; sub(/^-+/, "", f); sub(/=.*/, "", f); print f
+                }
+            }
+        }' "$doc" | sort -u); do
+        grep -qx -- "$fl" "$tmp/edgerepd.flags" || {
+            echo "$doc documents edgerepd -$fl, which the built binary does not define" >&2
+            exit 1
+        }
     done
 done
 

@@ -43,7 +43,6 @@ func (c runConfig) fedConfig() federation.Config {
 		EpochMaxQueries:    c.epochMax,
 		EpochMaxWait:       c.epochWait,
 		DeterministicClock: c.selfdrive,
-		NoFastPath:         !c.fastPath,
 	}
 }
 
@@ -106,7 +105,6 @@ func runFederationDrill(cfg runConfig) error {
 		ModelRatePerSec: cfg.modelRate,
 		MeanHoldSec:     cfg.meanHold,
 		TraceOut:        cfg.traceOut,
-		NoFastPath:      !cfg.fastPath,
 	})
 	if err != nil {
 		return err

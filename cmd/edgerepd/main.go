@@ -56,7 +56,6 @@ func main() {
 		kBound   = flag.Int("k", 3, "replica bound K per dataset")
 		expected = flag.Int("expected", 0, "expected total arrivals for the capacity price base (0: 1e6, or -count in selfdrive)")
 		maxUtil  = flag.Float64("max-util", 0, "reject admissions pushing a node above this utilization (0 = 1.0)")
-		fastPath = flag.Bool("fastpath", true, "price offers against precomputed feasibility tables (byte-identical decisions; false falls back to the full per-offer scan)")
 
 		epochMax  = flag.Int("epoch-max", 256, "micro-epoch size bound (queries)")
 		epochWait = flag.Duration("epoch-wait", 2*time.Millisecond, "micro-epoch wait bound")
@@ -105,7 +104,7 @@ func main() {
 	if err := run(runConfig{
 		httpAddr: *httpAddr,
 		instance: server.InstanceConfig{Seed: int64(*seed), Nodes: *nodes, Datasets: *datasets, Queries: *queries, F: *fBound, K: *kBound},
-		expected: *expected, maxUtil: *maxUtil, fastPath: *fastPath,
+		expected: *expected, maxUtil: *maxUtil,
 		epochMax: *epochMax, epochWait: *epochWait,
 		jdir: *jdir, resume: *resume, snapEvery: *snapEvery, noSync: *noSync,
 		traceOut: *traceOut, stats: *stats,
@@ -128,7 +127,6 @@ type runConfig struct {
 	instance    server.InstanceConfig
 	expected    int
 	maxUtil     float64
-	fastPath    bool
 	epochMax    int
 	epochWait   time.Duration
 	jdir        string
@@ -240,7 +238,7 @@ func run(cfg runConfig) error {
 		return err
 	}
 
-	opt := online.Options{MaxUtilization: cfg.maxUtil, SnapshotEvery: cfg.snapEvery, NoFastPath: !cfg.fastPath}
+	opt := online.Options{MaxUtilization: cfg.maxUtil, SnapshotEvery: cfg.snapEvery}
 	var jn *journal.Journal
 	var eng *online.Engine
 	if cfg.jdir != "" {

@@ -67,8 +67,6 @@ type DrillConfig struct {
 	// TraceOut, when non-empty, writes the post-drill verification replay
 	// as a JSONL trace (the byte-identity artifact ci.sh compares).
 	TraceOut string
-	// NoFastPath disables the precomputed admission tables in every engine.
-	NoFastPath bool
 }
 
 func (d DrillConfig) withDefaults() DrillConfig {
@@ -106,7 +104,6 @@ func (d DrillConfig) regionConfig(shard int) Config {
 		SegmentBytes:       d.SegmentBytes,
 		NoSync:             true,
 		DeterministicClock: true,
-		NoFastPath:         d.NoFastPath,
 	}
 }
 

@@ -64,8 +64,8 @@ type Config struct {
 	// mask, no forwarding).
 	Shards int
 	Shard  int
-	// ExpectedArrivals sizes the engine's price schedule (the engine's
-	// PriceBase default); every region must agree on it.
+	// ExpectedArrivals sizes the engine's price schedule (the price base
+	// is 1 + ExpectedArrivals); every region must agree on it.
 	ExpectedArrivals int
 	// MaxUtilization is the admission headroom (online.Options).
 	MaxUtilization float64
@@ -84,8 +84,6 @@ type Config struct {
 	// arrival's AtSec comes from the request — the selfdrive/drill mode
 	// whose journals are byte-reproducible.
 	DeterministicClock bool
-	// NoFastPath disables the precomputed admission tables.
-	NoFastPath bool
 }
 
 // OwnerOfNode maps a compute node to the shard that owns it: a static
@@ -174,7 +172,6 @@ func engineOptions(cfg Config) online.Options {
 	return online.Options{
 		MaxUtilization: cfg.MaxUtilization,
 		SnapshotEvery:  cfg.SnapshotEvery,
-		NoFastPath:     cfg.NoFastPath,
 	}
 }
 

@@ -58,7 +58,7 @@ func TestCheckFailoverAcceptsCleanPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := online.Options{NoFastPath: cfg.NoFastPath}
+	opt := online.Options{}
 	if err := invariant.CheckFailover(p, 300, opt, oldDir, newDir, live); err != nil {
 		t.Fatalf("clean promotion rejected: %v", err)
 	}

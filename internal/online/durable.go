@@ -205,9 +205,7 @@ func (e *Engine) loadState(st *EngineState) {
 	}
 	// A bulk load rewrote liveness and load wholesale; force the fast
 	// path's mirror to rebuild even if generations happen to line up.
-	if e.fast != nil {
-		e.fast.invalidate()
-	}
+	e.fast.invalidate()
 }
 
 // Now returns the engine's current model time: the AtSec of the latest

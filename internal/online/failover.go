@@ -59,9 +59,7 @@ type CrashReport struct {
 // tracker's generation could coincide with the old one's.
 func (e *Engine) AttachLiveness(l *cluster.Liveness) {
 	e.live = l
-	if e.fast != nil {
-		e.fast.invalidate()
-	}
+	e.fast.invalidate()
 }
 
 // AttachConsistency wires a consistency manager so failover repair accounts
@@ -274,7 +272,7 @@ func (e *Engine) pickRepairNode(q workload.QueryID, n workload.DatasetID, needsC
 			}
 			repPrice = 0.25 * size * float64(openCount+1) / float64(e.p.MaxReplicas)
 		}
-		cost := need*e.theta(w) + e.opt.delayWeight()*size*(delay/deadline) + repPrice
+		cost := need*e.theta(w) + delayPriceWeight*size*(delay/deadline) + repPrice
 		if cost < bestCost {
 			best, bestFresh, bestCost = w, !has, cost
 		}

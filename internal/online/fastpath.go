@@ -21,12 +21,16 @@
 //     used-mutation helpers, so repeated candidates of one offer pay one
 //     math.Pow each at most.
 //
-// Byte-identity contract: with the fast path on or off, every decision, its
-// journal record, and its trace event are byte-identical. The pricing
-// expressions below therefore reproduce pickNode's float arithmetic with the
-// same associativity (precomputed factors are the exact subexpressions the
-// slow path evaluates, never algebraic rearrangements), and ties resolve to
-// the lowest node ID exactly as the slow path's ascending scan does.
+// Byte-identity contract: the tables are the engine's only pricing path, and
+// every decision and rejection classification they produce equals what the
+// reference scan in reference_test.go (the original per-offer search through
+// the delay model, kept as test code) produces at the same engine state —
+// hence the same journal record and trace event. It is a tested property, not
+// a runtime mode. The pricing expressions below therefore reproduce the
+// reference's float arithmetic with the same associativity (precomputed
+// factors are the exact subexpressions the scan evaluates, never algebraic
+// rearrangements), and ties resolve to the lowest node ID exactly as the
+// reference's ascending scan does (TestFastPathEquivalence's tie case).
 package online
 
 import (
@@ -48,12 +52,12 @@ var (
 
 // fpCand is one pricing candidate: a node whose evaluation delay meets the
 // demand's deadline under the strict admission predicate (delay ≤ deadline,
-// no epsilon — exactly pickNode's gate).
+// no epsilon — exactly the reference scan's gate).
 type fpCand struct {
 	node  graph.NodeID
 	delay float64
 	// delayCost is the precomputed deadline-slack price term
-	// w·size·(delay/deadline), evaluated with the slow path's exact
+	// w·size·(delay/deadline), evaluated with the reference scan's exact
 	// expression shape.
 	delayCost float64
 	// preferred marks forecast-derived proactive sites (zero µ price).
@@ -72,7 +76,7 @@ type fpClassCand struct {
 type fpDemand struct {
 	dataset workload.DatasetID
 	// need is ComputeNeed(q, dataset); size25 seeds the replica-open price
-	// (0.25·size, the exact subexpression pickNode evaluates first).
+	// (0.25·size, the exact subexpression the reference evaluates first).
 	need   float64
 	size25 float64
 	// cands is the admission candidate set, sorted by ascending delay
@@ -90,8 +94,8 @@ type fpDemand struct {
 
 // fpScratch is the per-offer planning state, reused across offers so the
 // fast path allocates nothing (TestFastPathZeroAlloc asserts this). The
-// slices replace the slow path's tentative/tentOpen maps; bundles are small
-// (a handful of demands), so linear scans beat hashing.
+// slices replace the reference scan's tentative/tentOpen maps; bundles are
+// small (a handful of demands), so linear scans beat hashing.
 type fpScratch struct {
 	tentNode []graph.NodeID
 	tentAmt  []float64
@@ -158,7 +162,7 @@ type fastPath struct {
 
 	// capEps[v] = Capacity(v)·maxU + 1e-9, the admission headroom bound;
 	// capMaxU[v] = Capacity(v)·maxU, the classification Avail minuend.
-	// Both are the exact subexpressions the slow path computes inline.
+	// Both are the exact subexpressions the reference computes inline.
 	capEps  []float64
 	capMaxU []float64
 
@@ -182,7 +186,6 @@ type fastPath struct {
 // on /state (table sizes are immutable, counters are atomics, and the shard
 // sums read the capacity ledger's atomic bits).
 type FastPathStats struct {
-	Enabled    bool       `json:"enabled"`
 	Tables     int        `json:"tables"`
 	Candidates int        `json:"candidates"`
 	LiveGen    uint64     `json:"live_gen"`
@@ -191,21 +194,17 @@ type FastPathStats struct {
 	Shards     []ShardUse `json:"shards,omitempty"`
 }
 
-// FastPathStats reports the fast path's table and fence counters (Enabled
-// false with zeroed table fields when the engine runs the slow path). Safe
-// to call concurrently with the epoch loop.
+// FastPathStats reports the fast path's table and fence counters. Safe to
+// call concurrently with the epoch loop.
 func (e *Engine) FastPathStats() FastPathStats {
-	st := FastPathStats{Shards: e.used.shardUse()}
-	if e.fast == nil {
-		return st
+	return FastPathStats{
+		Tables:     e.fast.tables,
+		Candidates: e.fast.candidates,
+		LiveGen:    e.fast.liveGen.Load(),
+		Refreshes:  e.fast.refreshes.Load(),
+		Offers:     e.fast.offers.Load(),
+		Shards:     e.used.shardUse(),
 	}
-	st.Enabled = true
-	st.Tables = e.fast.tables
-	st.Candidates = e.fast.candidates
-	st.LiveGen = e.fast.liveGen.Load()
-	st.Refreshes = e.fast.refreshes.Load()
-	st.Offers = e.fast.offers.Load()
-	return st
 }
 
 // newFastPath materializes the tables. Candidate enumeration is seeded from
@@ -222,7 +221,6 @@ func newFastPath(e *Engine) *fastPath {
 		down:     make([]bool, n),
 	}
 	maxU := e.opt.maxUtil()
-	w := e.opt.delayWeight()
 	compute := e.p.Cloud.ComputeNodes()
 	for _, v := range compute {
 		capGHz := e.p.Cloud.Capacity(v)
@@ -258,7 +256,7 @@ func newFastPath(e *Engine) *fastPath {
 				d.cands = append(d.cands, fpCand{
 					node:      v,
 					delay:     delay,
-					delayCost: w * size * (delay / deadline),
+					delayCost: delayPriceWeight * size * (delay / deadline),
 					preferred: e.preferredSites != nil && e.preferredSites[dm.Dataset][v],
 				})
 			}
@@ -328,8 +326,8 @@ func (f *fastPath) refresh(e *Engine) {
 // happens to share a generation number, and loadState bulk-replays downs.
 func (f *fastPath) invalidate() { f.liveDirty = true }
 
-// planFast plans one arrival against the precomputed tables; it is the fast
-// twin of Offer's slow planning loop and returns bit-identical decisions.
+// planFast plans one arrival against the precomputed tables and returns
+// decisions bit-identical to the reference scan's at the same state.
 // Rejection planning allocates nothing; an admission allocates only the
 // returned assignment slice the decision keeps.
 func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
@@ -361,10 +359,11 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 	return true, as
 }
 
-// pickFast is pickNode over the demand's precomputed candidate table. Every
-// float expression mirrors the slow path's associativity exactly, and the
-// explicit lowest-node tie-break reproduces the ascending scan's strict-<
-// argmin, so the two paths select identical nodes at identical costs.
+// pickFast selects the cheapest feasible node for one demand from its
+// precomputed candidate table. Every float expression mirrors the reference
+// scan's associativity exactly, and the explicit lowest-node tie-break
+// reproduces the ascending scan's strict-< argmin (the table is in delay
+// order, not node order), so both select identical nodes at identical costs.
 func (e *Engine) pickFast(d *fpDemand, s *fpScratch) (graph.NodeID, bool) {
 	f := e.fast
 	openCount := e.sol.ReplicaCount(d.dataset) + s.openCountFor(d.dataset)

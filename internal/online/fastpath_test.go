@@ -1,92 +1,185 @@
 package online
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"edgerep/internal/cluster"
 	"edgerep/internal/graph"
+	"edgerep/internal/placement"
+	"edgerep/internal/topology"
 	"edgerep/internal/workload"
 )
 
-// TestFastPathEquivalence is the oracle check behind the byte-identity
-// contract: the same seeded arrival stream, with crash/restore churn
-// interleaved, offered to a fast-path engine and a NoFastPath engine must
-// produce identical decisions, identical rejection classifications at the
-// moment of each rejection, identical crash reports, and identical final
-// state dumps. Any divergence here means the precomputed tables drifted from
-// the pricing math they mirror.
+// offerChecked prices arr with the reference scan (reference_test.go) at the
+// exact state Offer is about to price it at — model time advanced, expired
+// holds released — then offers it and requires the table path's decision,
+// and on a rejection its classification, to equal the reference's. A
+// rejection commits nothing, so the state it is classified at is still the
+// state it was priced at.
+func offerChecked(t *testing.T, e *Engine, arr Arrival) Decision {
+	t.Helper()
+	e.now = arr.AtSec
+	e.drainReleases()
+	wantOK, wantAs := e.planSlow(arr.Query)
+	dec, err := e.Offer(arr)
+	if err != nil {
+		t.Fatalf("offer %d: %v", arr.Query, err)
+	}
+	if dec.Admitted != wantOK || !reflect.DeepEqual(dec.Assignments, wantAs) {
+		t.Fatalf("offer %d at %.3fs diverges from the reference scan:\ntables    admitted=%v %+v\nreference admitted=%v %+v",
+			arr.Query, arr.AtSec, dec.Admitted, dec.Assignments, wantOK, wantAs)
+	}
+	if !dec.Admitted {
+		r, ds, n := e.ClassifyRejection(arr.Query)
+		wr, wds, wn := e.classifyReference(arr.Query)
+		if r != wr || ds != wds || n != wn {
+			t.Fatalf("offer %d at %.3fs classification diverges: tables (%v, %d, %d) reference (%v, %d, %d)",
+				arr.Query, arr.AtSec, r, ds, n, wr, wds, wn)
+		}
+	}
+	return dec
+}
+
+// TestFastPathEquivalence is the check behind the byte-identity contract:
+// every decision and every rejection classification the precomputed tables
+// produce equals the reference scan's at the same engine state. It runs on
+// one engine — planning is side-effect free, so the reference is taken just
+// before each Offer — over seeded streams with crash/restore churn, and over
+// a hand-built symmetric instance whose candidates price identically, which
+// pins the lowest-node tie-break the table order does not give for free. Any
+// divergence means the tables drifted from the pricing math they mirror.
 func TestFastPathEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 7, 21, 42} {
-		p, w := NewTestProblem(t, seed, 80)
-		fast := NewEngine(p, len(w.Queries), Options{})
-		slow := NewEngine(p, len(w.Queries), Options{NoFastPath: true})
-		if fast.fast == nil {
-			t.Fatal("default options did not build the fast path")
+		t.Run(fmt.Sprintf("churn/seed=%d", seed), func(t *testing.T) {
+			p, w := NewTestProblem(t, seed, 80)
+			e := NewEngine(p, len(w.Queries), Options{})
+			rng := rand.New(rand.NewSource(seed))
+			compute := p.Cloud.ComputeNodes()
+			var down []graph.NodeID
+			at := 0.0
+			for i := range w.Queries {
+				at += rng.ExpFloat64()
+				hold := rng.ExpFloat64() * 50
+				if i%9 == 4 {
+					// Liveness churn: alternate crashing a random node with
+					// restoring the oldest crashed one.
+					if len(down) > 0 && rng.Intn(2) == 0 {
+						v := down[0]
+						down = down[1:]
+						if err := e.Restore(v); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						v := compute[rng.Intn(len(compute))]
+						wasDown := e.Liveness().IsDown(v)
+						if _, err := e.Crash(at, v); err != nil {
+							t.Fatalf("crash(%d): %v", v, err)
+						}
+						if !wasDown {
+							down = append(down, v)
+						}
+					}
+				}
+				offerChecked(t, e, Arrival{Query: workload.QueryID(i), AtSec: at, HoldSec: hold})
+			}
+			if res := e.Result(); res.Rejected == 0 || res.Admitted == 0 {
+				t.Fatalf("%d admitted, %d rejected; stream exercises one outcome only", res.Admitted, res.Rejected)
+			}
+		})
+	}
+	t.Run("tie", testFastPathTie)
+}
+
+// tieTopology is a star: base station 0 is every query's home, cloudlets
+// 1..4 hang off it with equal capacity, equal processing delay and equal
+// link delay, so on an idle engine all four price any demand identically.
+const tieTopology = `{"nodes": [
+ {"id": 0, "kind": "basestation"},
+ {"id": 1, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 2, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 3, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 4, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5}],
+ "links": [
+ {"from": 0, "to": 1, "delay_per_gb": 0.25},
+ {"from": 0, "to": 2, "delay_per_gb": 0.25},
+ {"from": 0, "to": 3, "delay_per_gb": 0.25},
+ {"from": 0, "to": 4, "delay_per_gb": 0.25}]}`
+
+// testFastPathTie drives exact ties through the equivalence check. The
+// candidate table is in delay order with node ID as the secondary key, but
+// pickFast's argmin must not depend on that: the reference's ascending
+// strict-< scan resolves a cost tie to the lowest node ID, and so must the
+// tables — among all four idle cloudlets, and among the survivors once the
+// winner is loaded or down. Capacity 4 against needs of 2 and 3 makes nodes
+// fill exactly (the 1e-9 headroom epsilon decides) and makes rejections tie
+// on remaining capacity (K=3) or on delay under the K bound (K=2), so the
+// classification tie-breaks are pinned the same way.
+func testFastPathTie(t *testing.T) {
+	top, err := topology.Load(strings.NewReader(tieTopology))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &workload.Workload{
+		Datasets: []workload.Dataset{{ID: 0, SizeGB: 2, Origin: 1}, {ID: 1, SizeGB: 3, Origin: 2}},
+	}
+	for i := 0; i < 8; i++ {
+		q := workload.Query{
+			ID: workload.QueryID(i), Home: 0, ComputePerGB: 1, DeadlineSec: 10,
+			Demands: []workload.Demand{{Dataset: workload.DatasetID(i % 2), Selectivity: 0.5}},
 		}
-		if slow.fast != nil {
-			t.Fatal("NoFastPath engine still built tables")
+		if i%4 == 3 {
+			q.Demands = append(q.Demands, workload.Demand{Dataset: workload.DatasetID((i + 1) % 2), Selectivity: 0.5})
 		}
-		rng := rand.New(rand.NewSource(seed))
-		compute := p.Cloud.ComputeNodes()
-		var down []graph.NodeID
-		at := 0.0
+		w.Queries = append(w.Queries, q)
+	}
+	for _, k := range []int{2, 3} {
+		p, err := placement.NewProblem(cluster.New(top), w, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(p, len(w.Queries), Options{})
+		cands := e.fast.perQuery[0][0].cands
+		if len(cands) != 4 {
+			t.Fatalf("query 0 has %d candidates, want all 4 cloudlets", len(cands))
+		}
+		for _, c := range cands[1:] {
+			if c.delay != cands[0].delay || c.delayCost != cands[0].delayCost {
+				t.Fatalf("instance is not symmetric: candidate %+v vs %+v", c, cands[0])
+			}
+		}
+		// Idle engine: a four-way tie.
+		if dec := offerChecked(t, e, Arrival{Query: 0, AtSec: 0, HoldSec: 50}); !dec.Admitted || dec.Assignments[0].Node != 1 {
+			t.Fatalf("K=%d: four-way tie resolved to %+v, want node 1", k, dec)
+		}
+		// Node 1 won every tie so far; with it down the survivors tie.
+		if _, err := e.Crash(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(w.Queries); i++ {
+			offerChecked(t, e, Arrival{Query: workload.QueryID(i), AtSec: float64(i + 1), HoldSec: 3})
+		}
+		if err := e.Restore(1); err != nil {
+			t.Fatal(err)
+		}
+		// Every hold has expired and the replicas left behind differ per
+		// node; hold-forever offers now saturate the cloud.
 		for i := range w.Queries {
-			at += rng.ExpFloat64()
-			hold := rng.ExpFloat64() * 50
-			if i%9 == 4 {
-				// Liveness churn: alternate crashing a random node with
-				// restoring the oldest crashed one, mirrored on both engines.
-				if len(down) > 0 && rng.Intn(2) == 0 {
-					v := down[0]
-					down = down[1:]
-					if err := fast.Restore(v); err != nil {
-						t.Fatal(err)
-					}
-					if err := slow.Restore(v); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					v := compute[rng.Intn(len(compute))]
-					wasDown := fast.Liveness().IsDown(v)
-					repF, errF := fast.Crash(at, v)
-					repS, errS := slow.Crash(at, v)
-					if errF != nil || errS != nil {
-						t.Fatalf("seed %d crash(%d): fast err %v, slow err %v", seed, v, errF, errS)
-					}
-					if !reflect.DeepEqual(repF, repS) {
-						t.Fatalf("seed %d crash(%d) reports diverge:\nfast %+v\nslow %+v", seed, v, repF, repS)
-					}
-					if !wasDown {
-						down = append(down, v)
-					}
-				}
-			}
-			q := workload.QueryID(i)
-			arr := Arrival{Query: q, AtSec: at, HoldSec: hold}
-			decF, errF := fast.Offer(arr)
-			decS, errS := slow.Offer(arr)
-			if errF != nil || errS != nil {
-				t.Fatalf("seed %d offer %d: fast err %v, slow err %v", seed, i, errF, errS)
-			}
-			if !reflect.DeepEqual(decF, decS) {
-				t.Fatalf("seed %d offer %d decisions diverge:\nfast %+v\nslow %+v", seed, i, decF, decS)
-			}
-			if !decF.Admitted {
-				rF, dsF, nF := fast.ClassifyRejection(q)
-				rS, dsS, nS := slow.ClassifyRejection(q)
-				if rF != rS || dsF != dsS || nF != nS {
-					t.Fatalf("seed %d offer %d classifications diverge: fast (%v, %d, %d) slow (%v, %d, %d)",
-						seed, i, rF, dsF, nF, rS, dsS, nS)
-				}
+			offerChecked(t, e, Arrival{Query: workload.QueryID(i), AtSec: float64(100 + i)})
+		}
+		if e.Result().Rejected == 0 {
+			t.Fatalf("K=%d: saturation rejected nothing; no classification was compared", k)
+		}
+		// All four down: every deadline-feasible node is a crashed one.
+		for v := graph.NodeID(4); v >= 1; v-- {
+			if _, err := e.Crash(200, v); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if !reflect.DeepEqual(fast.Result(), slow.Result()) {
-			t.Fatalf("seed %d results diverge:\nfast %+v\nslow %+v", seed, fast.Result(), slow.Result())
-		}
-		if !reflect.DeepEqual(fast.StateDump(), slow.StateDump()) {
-			t.Fatalf("seed %d state dumps diverge", seed)
-		}
+		offerChecked(t, e, Arrival{Query: 0, AtSec: 201})
 	}
 }
 
@@ -143,17 +236,17 @@ func TestFastPathZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkFastPathPlan prices one saturated-engine offer per op, table scan
-// against the full per-offer search it replaced. The fast side is the
-// ci.sh-gated zero-alloc path; the slow side is the oracle the equivalence
-// tests compare against.
+// against the full per-offer search it replaced, on the same engine state.
+// The fast side is the ci.sh-gated zero-alloc path; the slow side is the
+// reference scan the equivalence test compares against.
 func BenchmarkFastPathPlan(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		noFast bool
-	}{{"fast", false}, {"slow", true}} {
+		name string
+		plan func(*Engine, workload.QueryID) (bool, []placement.Assignment)
+	}{{"fast", (*Engine).planFast}, {"slow", (*Engine).planSlow}} {
 		b.Run(mode.name, func(b *testing.B) {
 			p, w := NewTestProblem(b, 5, 120)
-			e := NewEngine(p, len(w.Queries), Options{NoFastPath: mode.noFast})
+			e := NewEngine(p, len(w.Queries), Options{})
 			var rejQ workload.QueryID = -1
 			for i := range w.Queries {
 				dec, err := e.Offer(Arrival{Query: workload.QueryID(i), AtSec: float64(i)})
@@ -170,25 +263,20 @@ func BenchmarkFastPathPlan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if mode.noFast {
-					e.planSlow(rejQ)
-				} else {
-					e.planFast(rejQ)
-				}
+				mode.plan(e, rejQ)
 			}
 		})
 	}
 }
 
-// TestFastPathStats covers the /state payload source: a fast engine reports
-// its table sizes and moving counters, a NoFastPath engine reports disabled
-// with the capacity shards still present.
+// TestFastPathStats covers the /state payload source: an engine reports its
+// table sizes, capacity shards and moving counters.
 func TestFastPathStats(t *testing.T) {
 	p, w := NewTestProblem(t, 6, 30)
 	e := NewEngine(p, len(w.Queries), Options{})
 	st := e.FastPathStats()
-	if !st.Enabled || st.Tables == 0 || st.Candidates == 0 {
-		t.Fatalf("fast engine stats %+v, want enabled with non-empty tables", st)
+	if st.Tables == 0 || st.Candidates == 0 {
+		t.Fatalf("engine stats %+v, want non-empty tables", st)
 	}
 	if len(st.Shards) == 0 {
 		t.Fatal("no capacity shards reported")
@@ -210,14 +298,5 @@ func TestFastPathStats(t *testing.T) {
 	st = e.FastPathStats()
 	if st.LiveGen == 0 || st.Refreshes == 0 {
 		t.Fatalf("crash did not move the fence: %+v", st)
-	}
-
-	off := NewEngine(p, len(w.Queries), Options{NoFastPath: true})
-	st = off.FastPathStats()
-	if st.Enabled || st.Tables != 0 {
-		t.Fatalf("NoFastPath stats %+v, want disabled", st)
-	}
-	if len(st.Shards) == 0 {
-		t.Fatal("NoFastPath engine lost its capacity shards")
 	}
 }

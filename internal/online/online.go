@@ -7,10 +7,10 @@
 // prices as internal/core, evaluated against the *instantaneous* load.
 //
 // This is the classic online primal-dual packing setting, where the
-// exponential capacity price θ(u) = (c^u − 1)/(c − 1) with c = 1 + T (T =
-// expected number of arrivals) yields the known O(log T) competitiveness
-// for packing; the engine exposes the price base so the ablation bench can
-// sweep it.
+// exponential capacity price θ(u) = (c^u − 1)/(c − 1) with c = 1 + T yields
+// the known O(log T) competitiveness for packing. T is NewEngine's
+// expectedArrivals argument and nothing else: the base is not an option
+// (the price-base ablation sweeps core.Options on the offline algorithm).
 package online
 
 import (
@@ -38,11 +38,6 @@ type Arrival struct {
 
 // Options tunes the online engine.
 type Options struct {
-	// PriceBase is c in the capacity price; zero means 1 + number of
-	// arrivals.
-	PriceBase float64
-	// DelayPriceWeight scales the deadline-slack price; zero means 0.15.
-	DelayPriceWeight float64
 	// Forecast, when non-nil, is the workload used to pre-place preferred
 	// replica sites (the proactive phase run on a forecast instead of the
 	// actual arrivals). Nil means fully lazy replication.
@@ -62,27 +57,11 @@ type Options struct {
 	// SnapshotEvery takes a full EngineState snapshot after every Nth
 	// journaled record, bounding replay length; zero means WAL-only.
 	SnapshotEvery int
-	// NoFastPath disables the precomputed admission tables (fastpath.go)
-	// and plans every offer with the original scan over the delay model.
-	// The zero value — fast path on — is the production configuration; the
-	// slow path exists as the byte-identity oracle the equivalence tests
-	// and the -fastpath=false escape hatch exercise.
-	NoFastPath bool
 }
 
-func (o Options) priceBase(n int) float64 {
-	if o.PriceBase > 0 {
-		return o.PriceBase
-	}
-	return 1 + float64(n)
-}
-
-func (o Options) delayWeight() float64 {
-	if o.DelayPriceWeight > 0 {
-		return o.DelayPriceWeight
-	}
-	return 0.15
-}
+// delayPriceWeight scales the deadline-slack term w·size·(delay/deadline)
+// of a candidate's price, in admission and in failover repair alike.
+const delayPriceWeight float64 = 0.15
 
 func (o Options) maxUtil() float64 {
 	if o.MaxUtilization > 0 {
@@ -156,8 +135,8 @@ type Engine struct {
 	thetaVal   []float64
 	thetaFresh []bool
 
-	// fast holds the precomputed admission tables (fastpath.go); nil when
-	// Options.NoFastPath selects the original planning scan.
+	// fast holds the precomputed admission tables (fastpath.go), built once
+	// by NewEngine and never nil afterwards.
 	fast *fastPath
 
 	sol  *placement.Solution
@@ -209,7 +188,7 @@ func NewEngine(p *placement.Problem, expectedArrivals int, opt Options) *Engine 
 	e := &Engine{
 		p:          p,
 		opt:        opt,
-		base:       opt.priceBase(expectedArrivals),
+		base:       1 + float64(expectedArrivals),
 		used:       newCapLedger(top),
 		thetaVal:   make([]float64, top.Graph.NumNodes()),
 		thetaFresh: make([]bool, top.Graph.NumNodes()),
@@ -222,9 +201,7 @@ func NewEngine(p *placement.Problem, expectedArrivals int, opt Options) *Engine 
 	}
 	// Tables are built after prePlace: the preferred-site set they bake in
 	// is frozen from here on.
-	if !opt.NoFastPath {
-		e.fast = newFastPath(e)
-	}
+	e.fast = newFastPath(e)
 	e.beginTrace()
 	return e
 }
@@ -245,10 +222,9 @@ func (e *Engine) prePlace(forecast []workload.Query) {
 			perDataset[dm.Dataset] = append(perDataset[dm.Dataset], demandRef{qi, di, need})
 		}
 	}
-	feasible := func(d demandRef, ds workload.DatasetID, v graph.NodeID) bool {
+	feasible := func(d demandRef, v graph.NodeID) bool {
 		q := &forecast[d.qi]
-		delay, ok := e.evalDelayForecast(q, q.Demands[d.di], v)
-		return ok && delay <= q.DeadlineSec
+		return e.evalDelayForecast(q, q.Demands[d.di], v) <= q.DeadlineSec
 	}
 	claimed := make(map[graph.NodeID]float64)
 	e.preferredSites = make(map[workload.DatasetID]map[graph.NodeID]bool)
@@ -268,7 +244,7 @@ func (e *Engine) prePlace(forecast []workload.Query) {
 				}
 				cover := 0.0
 				for i, d := range demands {
-					if !covered[i] && feasible(d, ds, v) {
+					if !covered[i] && feasible(d, v) {
 						cover += d.need
 					}
 				}
@@ -290,7 +266,7 @@ func (e *Engine) prePlace(forecast []workload.Query) {
 			budget := e.p.Cloud.Capacity(bestNode) - claimed[bestNode]
 			marked := 0.0
 			for i, d := range demands {
-				if covered[i] || !feasible(d, ds, bestNode) {
+				if covered[i] || !feasible(d, bestNode) {
 					continue
 				}
 				if marked+d.need > budget && marked > 0 {
@@ -306,11 +282,11 @@ func (e *Engine) prePlace(forecast []workload.Query) {
 
 // evalDelayForecast evaluates the model delay for a forecast query that may
 // not be part of the problem's query list.
-func (e *Engine) evalDelayForecast(q *workload.Query, dm workload.Demand, v graph.NodeID) (float64, bool) {
+func (e *Engine) evalDelayForecast(q *workload.Query, dm workload.Demand, v graph.NodeID) float64 {
 	size := e.p.Datasets[dm.Dataset].SizeGB
 	proc := size * e.p.Cloud.ProcDelayPerGB(v)
 	trans := size * dm.Selectivity * e.p.Cloud.TransferDelayPerGB(v, q.Home)
-	return proc + trans, true
+	return proc + trans
 }
 
 // theta prices node v at the current instantaneous utilization. The value
@@ -378,18 +354,12 @@ func (e *Engine) Offer(a Arrival) (Decision, error) {
 	// invalidation forced — timed only while attribution is active, like
 	// the journal stages.
 	e.lastLookupNs = 0
-	var admitted bool
-	var as []placement.Assignment
-	if e.fast != nil {
-		if instrument.AttributionActive() {
-			lt := instrument.Mono()
-			e.fast.refresh(e)
-			e.lastLookupNs = int64(instrument.Mono() - lt)
-		}
-		admitted, as = e.planFast(a.Query)
-	} else {
-		admitted, as = e.planSlow(a.Query)
+	if instrument.AttributionActive() {
+		lt := instrument.Mono()
+		e.fast.refresh(e)
+		e.lastLookupNs = int64(instrument.Mono() - lt)
 	}
+	admitted, as := e.planFast(a.Query)
 
 	dec := Decision{Query: a.Query, Admitted: admitted}
 	if admitted {
@@ -439,81 +409,8 @@ func (e *Engine) AttachStages(t *instrument.StageTimeline) { e.stages = t }
 func (e *Engine) LastOfferJournalNs() int64 { return e.lastJournalNs }
 
 // LastOfferLookupNs returns the duration of the most recent Offer's table
-// lookup fence — zero unless attribution was active (or the engine runs
-// the slow path, which has no tables to fence).
+// lookup fence — zero unless attribution was active.
 func (e *Engine) LastOfferLookupNs() int64 { return e.lastLookupNs }
-
-// planSlow is the original planning loop — a full scan over the compute
-// nodes through the delay model, per demand. It is kept verbatim as the
-// fast path's oracle: the equivalence and byte-identity tests run both
-// paths over identical streams and require identical decisions.
-func (e *Engine) planSlow(qid workload.QueryID) (bool, []placement.Assignment) {
-	q := &e.p.Queries[qid]
-	tentative := make(map[graph.NodeID]float64)
-	tentOpen := make(map[workload.DatasetID]map[graph.NodeID]bool)
-	var as []placement.Assignment
-	for _, dm := range q.Demands {
-		v, ok := e.pickNode(qid, dm, tentative, tentOpen)
-		if !ok {
-			return false, nil
-		}
-		need := e.p.ComputeNeed(qid, dm.Dataset)
-		tentative[v] += need
-		if !e.sol.HasReplica(dm.Dataset, v) {
-			m := tentOpen[dm.Dataset]
-			if m == nil {
-				m = make(map[graph.NodeID]bool)
-				tentOpen[dm.Dataset] = m
-			}
-			m[v] = true
-		}
-		as = append(as, placement.Assignment{Query: qid, Dataset: dm.Dataset, Node: v})
-	}
-	return true, as
-}
-
-// pickNode selects the cheapest feasible node for one demand under the
-// instantaneous dual prices.
-func (e *Engine) pickNode(q workload.QueryID, dm workload.Demand,
-	tentative map[graph.NodeID]float64, tentOpen map[workload.DatasetID]map[graph.NodeID]bool) (graph.NodeID, bool) {
-
-	need := e.p.ComputeNeed(q, dm.Dataset)
-	size := e.p.Datasets[dm.Dataset].SizeGB
-	deadline := e.p.Queries[q].DeadlineSec
-	openCount := e.sol.ReplicaCount(dm.Dataset) + len(tentOpen[dm.Dataset])
-	maxU := e.opt.maxUtil()
-
-	var best graph.NodeID = -1
-	bestCost := math.Inf(1)
-	for _, v := range e.p.Cloud.ComputeNodes() {
-		if e.live != nil && e.live.IsDown(v) {
-			continue
-		}
-		delay, ok := e.p.EvalDelay(q, dm.Dataset, v)
-		if !ok || delay > deadline {
-			continue
-		}
-		capGHz := e.p.Cloud.Capacity(v)
-		if e.usedGHz(v)+tentative[v]+need > capGHz*maxU+1e-9 {
-			continue
-		}
-		has := e.sol.HasReplica(dm.Dataset, v) || tentOpen[dm.Dataset][v]
-		rep := 0.0
-		if !has {
-			if openCount >= e.p.MaxReplicas {
-				continue
-			}
-			if e.preferredSites == nil || !e.preferredSites[dm.Dataset][v] {
-				rep = 0.25 * size * float64(openCount+1) / float64(e.p.MaxReplicas)
-			}
-		}
-		cost := need*e.theta(v) + e.opt.delayWeight()*size*(delay/deadline) + rep
-		if cost < bestCost {
-			best, bestCost = v, cost
-		}
-	}
-	return best, best != -1
-}
 
 // drainReleases gives back every allocation whose hold expired by e.now.
 func (e *Engine) drainReleases() {

@@ -81,21 +81,12 @@ func (e *Engine) attachStageNs(ev *instrument.TraceEvent) {
 // with every rejected response; emitReject uses the same classification for
 // the trace, so the reason an operator sees over HTTP is byte-for-byte the
 // reason invariant.CheckTrace replays.
+//
+// The answer comes from the precomputed classification tables: same reason,
+// same locus as placement.ClassifyRejection over this state, which
+// TestFastPathEquivalence checks at every rejection of its churn stream.
 func (e *Engine) ClassifyRejection(q workload.QueryID) (instrument.Reason, workload.DatasetID, graph.NodeID) {
-	if e.fast != nil {
-		// The precomputed classification tables: same reason, same locus,
-		// proven equivalent by TestFastPathEquivalence.
-		return e.classifyFast(q)
-	}
-	maxU := e.opt.maxUtil()
-	return placement.ClassifyRejection(e.p, q, placement.RejectionState{
-		Avail: func(v graph.NodeID) float64 {
-			return e.p.Cloud.Capacity(v)*maxU - e.usedGHz(v)
-		},
-		HasReplica:   e.sol.HasReplica,
-		ReplicaCount: e.sol.ReplicaCount,
-		Down:         e.downPredicate(),
-	})
+	return e.classifyFast(q)
 }
 
 // emitReject classifies the rejected arrival against the instantaneous load
@@ -113,15 +104,6 @@ func (e *Engine) emitReject(a Arrival) {
 	ev.Node = int64(node)
 	e.attachStageNs(&ev)
 	instrument.EmitTrace(&ev)
-}
-
-// downPredicate exposes liveness to rejection classification; nil (the
-// pre-failover contract) when no node has ever crashed.
-func (e *Engine) downPredicate() func(graph.NodeID) bool {
-	if e.live == nil {
-		return nil
-	}
-	return e.live.IsDown
 }
 
 // emitCrash records a node failure: Node is the crashed node, Volume the
