@@ -6,10 +6,11 @@
 # byte-identical traces, flight-ring race stress),
 # durability (journal/recovery + group commit/power-loss/commit-fail drills +
 # kill-and-resume byte-identity), the edgerepd daemon drill
-# (selfdrive byte-identity + HTTP serve/kill -9/resume + live /slo and
-# /debug/flight probes + SIGTERM flight snapshot), federation gates (3-region
-# kill-the-leader drill byte-identity + multi-process kill -9 follower
-# promotion), docs link and edgerepd-flag checks, example smoke, bench smoke.
+# (selfdrive byte-identity + HTTP serve/kill -9/same-command-line restart +
+# live /slo and /debug/flight probes + SIGTERM flight snapshot), federation
+# gates (3-region kill-the-leader drill byte-identity + multi-process kill -9
+# follower promotion, with the same probes and snapshot), docs link and
+# edgerepd mode-and-flag checks, example smoke, bench smoke.
 # Run before every commit. See ARCHITECTURE.md, "CI".
 set -eu
 
@@ -89,24 +90,26 @@ go build -o "$tmp/edgerepsim" ./cmd/edgerepsim
 cmp "$tmp/full.csv" "$tmp/resumed.csv"
 cmp "$tmp/full.jsonl" "$tmp/resumed.jsonl"
 
-echo "== daemon gate (edgerepd: selfdrive SIGKILL-and-resume byte-identity; HTTP drive / kill -9 / -resume / drain)"
+echo "== daemon gate (edgerepd: selfdrive SIGKILL-and-rerun byte-identity; HTTP drive / kill -9 / same command line again / drain)"
 go build -o "$tmp/edgerepd" ./cmd/edgerepd
 # Deterministic selfdrive: an uninterrupted run vs one SIGKILLed (torn WAL
-# tail) at decision 6000 and resumed. WAL-only journaling so the resumed
-# trace replays the whole history; journal and trace must match byte for byte.
-"$tmp/edgerepd" -selfdrive -count 10000 -nosync -snapshot-every 0 \
+# tail) at decision 6000 and run again. WAL-only journaling so the second
+# run's trace replays the whole history; journal and trace must match byte
+# for byte.
+"$tmp/edgerepd" selfdrive -count 10000 -nosync -snapshot-every 0 \
     -journal "$tmp/dfull-wal" -trace "$tmp/dfull.jsonl" > /dev/null
-"$tmp/edgerepd" -selfdrive -count 10000 -nosync -snapshot-every 0 \
+"$tmp/edgerepd" selfdrive -count 10000 -nosync -snapshot-every 0 \
     -journal "$tmp/dcrash-wal" -trace "$tmp/ddead.jsonl" -proc-crash-after 6000 > /dev/null 2>&1 && {
     echo "edgerepd proc-crash run was not killed" >&2; exit 1; } || true
-"$tmp/edgerepd" -selfdrive -count 10000 -nosync -snapshot-every 0 \
-    -journal "$tmp/dcrash-wal" -trace "$tmp/dresumed.jsonl" -resume > /dev/null
+"$tmp/edgerepd" selfdrive -count 10000 -nosync -snapshot-every 0 \
+    -journal "$tmp/dcrash-wal" -trace "$tmp/dresumed.jsonl" > /dev/null
 cmp "$tmp/dfull.jsonl" "$tmp/dresumed.jsonl"
 for f in "$tmp/dfull-wal"/*; do cmp "$f" "$tmp/dcrash-wal/$(basename "$f")"; done
-# HTTP: bind a random port, drive real traffic, kill -9, restart with
-# -resume (the journal must replay clean), drive again, drain on SIGTERM.
-# On the durable journal: group commit makes the fsync affordable here.
-"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" \
+# HTTP: bind a random port, drive real traffic, kill -9, start again with
+# the SAME command line (recovery is worked out from the journal, which must
+# replay clean), drive again, drain on SIGTERM. On the durable journal:
+# group commit makes the fsync affordable here.
+"$tmp/edgerepd" serve -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" \
     > "$tmp/dserve1.out" 2> "$tmp/dserve1.err" &
 dpid=$!
 i=0
@@ -116,21 +119,21 @@ until grep -q "serving on" "$tmp/dserve1.out" 2>/dev/null; do
     sleep 0.1
 done
 daddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/dserve1.out")
-"$tmp/edgerepd" -drive "$daddr" -count 2000 | grep -q "drive ok: /metrics serves"
+"$tmp/edgerepd" drive -count 2000 "$daddr" | grep -q "drive ok: /metrics serves"
 kill -9 "$dpid"
 wait "$dpid" 2>/dev/null || true
-"$tmp/edgerepd" -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" -resume \
+"$tmp/edgerepd" serve -http 127.0.0.1:0 -journal "$tmp/dhttp-wal" \
     > "$tmp/dserve2.out" 2> "$tmp/dserve2.err" &
 dpid=$!
 i=0
 until grep -q "serving on" "$tmp/dserve2.out" 2>/dev/null; do
     i=$((i+1))
-    if [ "$i" -gt 100 ]; then echo "edgerepd did not resume" >&2; cat "$tmp/dserve2.err" >&2; exit 1; fi
+    if [ "$i" -gt 100 ]; then echo "edgerepd did not restart" >&2; cat "$tmp/dserve2.err" >&2; exit 1; fi
     sleep 0.1
 done
 grep -q "recovered 2000 decisions" "$tmp/dserve2.err"
 daddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/dserve2.out")
-"$tmp/edgerepd" -drive "$daddr" -count 500 > "$tmp/ddrive2.out"
+"$tmp/edgerepd" drive -count 500 "$daddr" > "$tmp/ddrive2.out"
 grep -q "drive ok: /metrics serves" "$tmp/ddrive2.out"
 # The observability endpoints must serve live data under drive traffic.
 grep -q "drive ok: /slo serves live data" "$tmp/ddrive2.out"
@@ -152,7 +155,7 @@ go test -race -run 'Ship|Standby|Drill|Failover|Term|Owner' ./internal/federatio
 # verification trace AND every WAL byte must be identical across runs.
 for run in 1 2; do
     mkdir "$tmp/fed$run"
-    "$tmp/edgerepd" -selfdrive -regions 3 -count 600 -journal "$tmp/fed$run" \
+    "$tmp/edgerepd" drill -regions 3 -count 600 -journal "$tmp/fed$run" \
         -trace "$tmp/fedtrace$run.jsonl" > "$tmp/feddrill$run.out"
     grep -q "drill ok: 600/600 acked exactly-once" "$tmp/feddrill$run.out"
 done
@@ -165,8 +168,10 @@ awk "BEGIN { exit !($gap > 0 && $gap < 2) }" || {
     echo "promotion gap ${gap}s of model time; budget is (0, 2)" >&2; exit 1; }
 # Multi-process: a real leader daemon, a warm follower shipping its WAL over
 # HTTP, kill -9 the leader mid-load, and require the follower to promote
-# itself and serve admissions at the bumped term.
-"$tmp/edgerepd" -region r0 -journal "$tmp/fedlead-wal" -http 127.0.0.1:0 \
+# itself and serve admissions at the bumped term. Both are leaders like the
+# daemon gate's, so both must serve live /slo and /debug/flight, and the
+# promoted one must leave its flight snapshot on SIGTERM.
+"$tmp/edgerepd" serve -region r0 -journal "$tmp/fedlead-wal" -http 127.0.0.1:0 \
     -segment-bytes 4096 -nosync > "$tmp/fedlead.out" 2> "$tmp/fedlead.err" &
 fpid=$!
 i=0
@@ -176,8 +181,8 @@ until grep -q "serving on" "$tmp/fedlead.out" 2>/dev/null; do
     sleep 0.1
 done
 faddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/fedlead.out")
-"$tmp/edgerepd" -follow "$faddr" -takeover "$tmp/fedlead-wal" -journal "$tmp/fedpromo-wal" \
-    -http 127.0.0.1:0 -heartbeat 100ms -failover-after 3 -nosync \
+"$tmp/edgerepd" follow -takeover "$tmp/fedlead-wal" -journal "$tmp/fedpromo-wal" \
+    -http 127.0.0.1:0 -heartbeat 100ms -failover-after 3 -nosync "$faddr" \
     > "$tmp/fedfollow.out" 2> "$tmp/fedfollow.err" &
 wpid=$!
 i=0
@@ -186,7 +191,10 @@ until grep -q "serving on" "$tmp/fedfollow.out" 2>/dev/null; do
     if [ "$i" -gt 100 ]; then echo "follower did not bind" >&2; cat "$tmp/fedfollow.err" >&2; exit 1; fi
     sleep 0.1
 done
-"$tmp/edgerepd" -drive "$faddr" -count 1000 | grep -q "drive ok: /metrics serves"
+"$tmp/edgerepd" drive -count 1000 "$faddr" > "$tmp/feddrive1.out"
+grep -q "drive ok: /metrics serves" "$tmp/feddrive1.out"
+grep -q "drive ok: /slo serves live data" "$tmp/feddrive1.out"
+grep -q "drive ok: /debug/flight serves live data" "$tmp/feddrive1.out"
 sleep 0.5  # let the follower ship the sealed prefix
 kill -9 "$fpid"
 wait "$fpid" 2>/dev/null || true
@@ -197,10 +205,16 @@ until grep -q "promoted to term 2" "$tmp/fedfollow.out" 2>/dev/null; do
     sleep 0.1
 done
 waddr=$(sed -n 's/^edgerepd: serving on //p' "$tmp/fedfollow.out")
-"$tmp/edgerepd" -drive "$waddr" -count 500 | grep -q "drive ok: /metrics serves"
+"$tmp/edgerepd" drive -count 500 "$waddr" > "$tmp/feddrive2.out"
+grep -q "drive ok: /metrics serves" "$tmp/feddrive2.out"
+grep -q "drive ok: /slo serves live data" "$tmp/feddrive2.out"
+grep -q "drive ok: /debug/flight serves live data" "$tmp/feddrive2.out"
 kill -TERM "$wpid"
 wait "$wpid"
 grep -q "drained at term 2" "$tmp/fedfollow.err"
+[ -s "$tmp/fedpromo-wal/flight-snapshot.json" ] || {
+    echo "the promoted follower's SIGTERM drain left no flight-snapshot.json next to its journal" >&2; exit 1; }
+grep -q '"entries"' "$tmp/fedpromo-wal/flight-snapshot.json"
 
 echo "== docs link check (files referenced from the operator docs exist)"
 for doc in README.md ARCHITECTURE.md OPERATIONS.md EXPERIMENTS.md DESIGN.md \
@@ -219,32 +233,55 @@ for doc in README.md ARCHITECTURE.md OPERATIONS.md EXPERIMENTS.md DESIGN.md \
     done
 done
 
-echo "== docs flag check (every flag on a documented edgerepd command line is one the binary defines)"
-"$tmp/edgerepd" -h 2>&1 | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' > "$tmp/edgerepd.flags"
-for doc in README.md OPERATIONS.md ARCHITECTURE.md EXPERIMENTS.md \
-           examples/streaming-admission/README.md; do
-    # A command line is "edgerepd" followed by a flag (so `go build -o
-    # edgerepd ./cmd/edgerepd` is not one), with backslash continuations
-    # joined, up to the first comment, pipe, redirect or closing backtick.
-    for fl in $(awk '
-        {
-            line = $0
-            while (line ~ /\\$/ && (getline nxt) > 0) { sub(/\\$/, "", line); line = line " " nxt }
-            while (match(line, /edgerepd[ \t]+-/)) {
-                line = substr(line, RSTART + 8)
-                cmd = line
-                sub(/[`|#;>].*/, "", cmd)
-                n = split(cmd, tok, /[ \t]+/)
-                for (i = 1; i <= n; i++) if (tok[i] ~ /^-[a-z]/) {
-                    f = tok[i]; sub(/^-+/, "", f); sub(/=.*/, "", f); print f
-                }
+echo "== docs mode-and-flag check (every documented \`edgerepd <mode> -flag ...\` line names a real mode and only flags that mode defines)"
+modes=$("$tmp/edgerepd" 2>&1 | sed -n 's/^  \([a-z]*\) .*/\1/p')
+for m in $modes; do
+    "$tmp/edgerepd" "$m" -h 2>&1 | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' > "$tmp/edgerepd.flags.$m"
+done
+# A command line is "edgerepd", a mode, then a flag (so `go build -o edgerepd
+# ./cmd/edgerepd` is not one, and the retired flat form `edgerepd -flag` is
+# one with no mode), with backslash continuations joined, up to the first
+# comment, pipe, redirect or closing backtick.
+check_doc_flags() {
+    awk '
+    {
+        line = $0
+        while (line ~ /\\$/ && (getline nxt) > 0) { sub(/\\$/, "", line); line = line " " nxt }
+        while (match(line, /edgerepd[ \t]+(-|[a-z]+[ \t]+-)/)) {
+            line = substr(line, RSTART + 8)
+            cmd = line
+            sub(/[`|#;>].*/, "", cmd)
+            n = split(cmd, tok, /[ \t]+/)
+            mode = ""
+            for (i = 1; i <= n; i++) {
+                if (mode == "" && tok[i] ~ /^[a-z]/) { mode = tok[i]; continue }
+                if (tok[i] !~ /^-[a-z]/) continue
+                if (mode == "") mode = "(none)"
+                f = tok[i]; sub(/^-+/, "", f); sub(/=.*/, "", f); print mode, f
             }
-        }' "$doc" | sort -u); do
-        grep -qx -- "$fl" "$tmp/edgerepd.flags" || {
-            echo "$doc documents edgerepd -$fl, which the built binary does not define" >&2
+        }
+    }' "$1" | sort -u | while read -r mode fl; do
+        [ -f "$tmp/edgerepd.flags.$mode" ] || {
+            echo "$1 documents an edgerepd command line (flag -$fl) whose mode is $mode; the modes are:" $modes >&2
+            exit 1
+        }
+        grep -qx -- "$fl" "$tmp/edgerepd.flags.$mode" || {
+            echo "$1 documents edgerepd $mode -$fl, which edgerepd $mode -h does not list" >&2
             exit 1
         }
     done
+}
+for doc in README.md OPERATIONS.md ARCHITECTURE.md EXPERIMENTS.md \
+           examples/streaming-admission/README.md .claude/skills/verify/SKILL.md; do
+    check_doc_flags "$doc" || exit 1
+done
+# Negative control: the check must refuse a deleted flag and the flat form.
+for bad in 'edgerepd serve -resume' 'edgerepd -selfdrive -count 5' 'edgerepd resume -journal wal/'; do
+    echo "$bad" > "$tmp/bad.md"
+    if check_doc_flags "$tmp/bad.md" 2> /dev/null; then
+        echo "docs mode-and-flag check accepted: $bad" >&2
+        exit 1
+    fi
 done
 
 echo "== example smoke (streaming-admission daemon walkthrough)"

@@ -165,7 +165,19 @@ type Leader struct {
 	jn   *journal.Journal
 	srv  *server.Server
 	dir  string
+	rec  Recovery
 	dead chan struct{} // closed by Kill
+}
+
+// Recovery is what StartLeader found in its journal directory.
+type Recovery struct {
+	// Replayed is set when the journal held records or a snapshot and the
+	// engine was recovered from them; Decisions counts what it recovered.
+	Replayed  bool
+	Decisions int
+	// Torn is set when a half-written final record was dropped. It was
+	// never acknowledged to any client.
+	Torn bool
 }
 
 func engineOptions(cfg Config) online.Options {
@@ -190,8 +202,14 @@ func serverConfig(cfg Config) server.Config {
 // serving leader at the given term. A fresh journal is branded with the
 // shard mask — every compute node the shard does not own is crashed at model
 // time zero, journaled like any other crash, so recovery and standby replay
-// reproduce the mask with no extra state. A non-empty journal is recovered
-// instead (the mask is already in it).
+// reproduce the mask with no extra state. A journal that holds records or a
+// snapshot is recovered instead (the mask is already in it): a restart needs
+// no flag to say so, and a trace sink attached before the call sees the
+// replayed offers re-emit their events.
+//
+// An empty dir is the load-test configuration: no journal and no persisted
+// term, so nothing to ship — such a leader's Handler, Manifest and Kill must
+// not be used.
 func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 	if cfg.Shards > 1 && (cfg.Shard < 0 || cfg.Shard >= cfg.Shards) {
 		return nil, fmt.Errorf("federation: shard %d of %d", cfg.Shard, cfg.Shards)
@@ -200,22 +218,35 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := journal.Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	jn, err := journal.Open(dir, journal.Options{SegmentBytes: cfg.SegmentBytes, NoSync: cfg.NoSync})
-	if err != nil {
-		return nil, err
+	st := &journal.State{}
+	var jn *journal.Journal
+	if dir != "" {
+		// Load first (tolerating a torn tail), then Open (which truncates
+		// it), so the engine recovers exactly the acknowledged prefix and
+		// appends from there.
+		if st, err = journal.Load(dir); err != nil {
+			return nil, err
+		}
+		jn, err = journal.Open(dir, journal.Options{SegmentBytes: cfg.SegmentBytes, NoSync: cfg.NoSync})
+		if err != nil {
+			return nil, err
+		}
+		if persisted, err := ReadTerm(dir); err != nil {
+			return nil, err
+		} else if term < persisted {
+			return nil, fmt.Errorf("federation: term %d behind persisted term %d", term, persisted)
+		}
 	}
 	opt := engineOptions(cfg)
 	opt.Journal = jn
+	rec := Recovery{Torn: st.Torn}
 	var eng *online.Engine
 	if len(st.Records) > 0 || st.Snapshot != nil {
 		eng, err = online.Recover(p, cfg.ExpectedArrivals, opt, st)
 		if err != nil {
 			return nil, err
 		}
+		rec.Replayed, rec.Decisions = true, len(eng.Result().Decisions)
 	} else {
 		eng = online.NewEngine(p, cfg.ExpectedArrivals, opt)
 		if cfg.Shards > 1 {
@@ -232,18 +263,31 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 			}
 		}
 	}
-	if persisted, err := ReadTerm(dir); err != nil {
+	l, err := lead(cfg, p, eng, jn, dir, term)
+	if err != nil {
 		return nil, err
-	} else if term < persisted {
-		return nil, fmt.Errorf("federation: term %d behind persisted term %d", term, persisted)
 	}
-	if err := WriteTerm(dir, term); err != nil {
-		return nil, err
+	l.rec = rec
+	return l, nil
+}
+
+// lead persists the term next to the journal and starts the admission
+// server fenced under it — the last step of StartLeader and of
+// Standby.Promote.
+func lead(cfg Config, p *placement.Problem, eng *online.Engine, jn *journal.Journal, dir string, term int64) (*Leader, error) {
+	if jn != nil {
+		if err := WriteTerm(dir, term); err != nil {
+			return nil, err
+		}
 	}
 	srv := server.New(p, eng, serverConfig(cfg))
 	srv.SetTerm(term)
 	return &Leader{cfg: cfg, p: p, jn: jn, srv: srv, dir: dir, dead: make(chan struct{})}, nil
 }
+
+// Recovery reports what StartLeader found in the journal (the zero value
+// for a promoted standby, which starts a fresh WAL).
+func (l *Leader) Recovery() Recovery { return l.rec }
 
 // Server returns the leader's admission server.
 func (l *Leader) Server() *server.Server { return l.srv }
@@ -318,6 +362,12 @@ func (l *Leader) Kill() error {
 	return l.jn.TearTail([]byte(`{"kind":"offer","query":0}`))
 }
 
-// Drain gracefully stops the admission pipeline and snapshots the engine —
-// the clean-shutdown path (never used by the chaos drill's victim).
-func (l *Leader) Drain() error { return l.srv.Drain() }
+// Drain gracefully stops the admission pipeline, snapshots the engine and
+// closes the journal — the clean-shutdown path (never used by the chaos
+// drill's victim).
+func (l *Leader) Drain() error {
+	if err := l.srv.Drain(); err != nil || l.jn == nil {
+		return err
+	}
+	return l.jn.Close()
+}

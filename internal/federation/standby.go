@@ -57,14 +57,6 @@ func NewStandby(cfg Config, tr Transport) (*Standby, error) {
 	return &Standby{cfg: cfg, p: p, tr: tr, reh: reh}, nil
 }
 
-// SetTransport repoints the standby at a different leader endpoint (an
-// operator moving a follower after a network change).
-func (s *Standby) SetTransport(tr Transport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tr = tr
-}
-
 // SyncOnce performs one heartbeat: poll the manifest, pull and replay every
 // newly sealed segment in order, update the replication-lag gauge. A
 // transport error (retries already exhausted inside the transport) counts a
@@ -236,14 +228,13 @@ func (s *Standby) Promote(takeoverDir, newDir string) (*Leader, error) {
 	if err := eng.SnapshotNow(); err != nil {
 		return nil, fmt.Errorf("federation: handoff snapshot: %w", err)
 	}
-	if err := WriteTerm(newDir, term); err != nil {
+	l, err := lead(s.cfg, s.p, eng, jn, newDir, term)
+	if err != nil {
 		return nil, err
 	}
-	srv := server.New(s.p, eng, serverConfig(s.cfg))
-	srv.SetTerm(term)
 	s.promoted = true
 	statFailovers.Inc()
-	return &Leader{cfg: s.cfg, p: s.p, jn: jn, srv: srv, dir: newDir, dead: make(chan struct{})}, nil
+	return l, nil
 }
 
 // Status is the follower's /federation payload.

@@ -52,16 +52,6 @@ type CrashReport struct {
 	ResyncCostGBSec float64
 }
 
-// AttachLiveness shares a liveness tracker with the engine (drivers that
-// coordinate several components pass one tracker around). Without it the
-// engine lazily creates its own on the first crash. Swapping trackers
-// invalidates the fast path's liveness mirror unconditionally: the new
-// tracker's generation could coincide with the old one's.
-func (e *Engine) AttachLiveness(l *cluster.Liveness) {
-	e.live = l
-	e.fast.invalidate()
-}
-
 // AttachConsistency wires a consistency manager so failover repair accounts
 // full re-replication traffic for every replica it opens.
 func (e *Engine) AttachConsistency(m *consistency.Manager) { e.cons = m }

@@ -322,8 +322,7 @@ func (f *fastPath) refresh(e *Engine) {
 }
 
 // invalidate forces the next refresh to rebuild the mirror even on a
-// matching generation — AttachLiveness can swap in a different tracker that
-// happens to share a generation number, and loadState bulk-replays downs.
+// matching generation — loadState bulk-replays downs into the tracker.
 func (f *fastPath) invalidate() { f.liveDirty = true }
 
 // planFast plans one arrival against the precomputed tables and returns

@@ -151,9 +151,9 @@ type Engine struct {
 	// (trace.go).
 	traceRun int64
 
-	// live tracks crashed nodes (failover.go); nil until the first crash
-	// or AttachLiveness, so fault-free runs take zero extra branches per
-	// candidate beyond one nil check.
+	// live tracks crashed nodes (failover.go); nil until the first crash,
+	// so fault-free runs take zero extra branches per candidate beyond one
+	// nil check.
 	live *cluster.Liveness
 	// cons, when attached, accounts re-replication traffic for repairs.
 	cons *consistency.Manager

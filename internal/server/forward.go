@@ -48,10 +48,6 @@ func (rt *Router) client() *http.Client {
 // loaded, new requests see the new one.
 func (s *Server) SetRouter(rt *Router) { s.router.Store(rt) }
 
-// RouterInfo returns the installed router (nil when unfederated) for status
-// endpoints.
-func (s *Server) RouterInfo() *Router { return s.router.Load() }
-
 // Forward proxies a batch of admissions to the shard's leader and returns
 // the decisions in request order. The forwarded hop strips the client's
 // term: fencing is between a client and the leader it targeted, and the

@@ -92,9 +92,6 @@ type Config struct {
 	// EpochMaxWait bounds how long the first query of an epoch waits for
 	// company before the batch is priced; 0 means 2ms.
 	EpochMaxWait time.Duration
-	// QueueDepth bounds the admission queue (enqueue blocks when full,
-	// giving natural backpressure); 0 means 4096.
-	QueueDepth int
 	// Clock supplies the model time stamped on arrivals that do not carry
 	// their own AtSec. Nil means a monotonic wall clock anchored at the
 	// engine's recovered model time, so holds expire in real time. A
@@ -117,12 +114,9 @@ func (c Config) epochWait() time.Duration {
 	return 2 * time.Millisecond
 }
 
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 4096
-}
+// queueDepth bounds the admission queue: enqueue blocks when it is full,
+// giving natural backpressure.
+const queueDepth = 4096
 
 // AdmitRequest is one query offered to the daemon.
 type AdmitRequest struct {
@@ -254,7 +248,7 @@ func New(p *placement.Problem, eng *online.Engine, cfg Config) *Server {
 		cfg:   cfg,
 		p:     p,
 		eng:   eng,
-		reqs:  make(chan *pending, cfg.queueDepth()),
+		reqs:  make(chan *pending, queueDepth),
 		done:  make(chan struct{}),
 		start: time.Now(),
 		base:  eng.Now(),
