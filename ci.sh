@@ -2,15 +2,18 @@
 # Repository gate: formatting, vet, repo-specific analyzers (edgerepvet),
 # build, race-enabled tests, pricing-table gates (zero-alloc pricing,
 # table-vs-reference-scan equivalence incl. the exact-tie case, stale-table
-# fuzz, chaos-on latency smoke), attribution gates (zero-alloc off path,
-# byte-identical traces, flight-ring race stress),
-# durability (journal/recovery + group commit/power-loss/commit-fail drills +
+# fuzz, chaos-on latency smoke, one allocation per admitted offer),
+# attribution gates (zero-alloc off path, byte-identical traces, flight-ring
+# race stress), durability (journal/recovery incl. bit-exact through a
+# snapshot + the solution layer against its sort-per-admit reference + group
+# commit/power-loss/commit-fail drills +
 # kill-and-resume byte-identity), the edgerepd daemon drill
 # (selfdrive byte-identity + HTTP serve/kill -9/same-command-line restart +
 # live /slo and /debug/flight probes + SIGTERM flight snapshot), federation
 # gates (3-region kill-the-leader drill byte-identity + multi-process kill -9
 # follower promotion, with the same probes and snapshot), docs link and
-# edgerepd mode-and-flag checks, example smoke, bench smoke.
+# edgerepd mode-and-flag checks, example smoke, bench smoke (incl. admit cost
+# flat in history).
 # Run before every commit. See ARCHITECTURE.md, "CI".
 set -eu
 
@@ -59,21 +62,29 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race)"
+echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race; one allocation per admit)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
 go test -run 'TestFastPathEquivalence' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
 go test -run 'TestFastPathChaosLatencySmoke' ./internal/server
 go test -run '^$' -bench 'BenchmarkFastPathPlan' -benchtime 1x ./internal/online
+# The commit step after pricing: an admitted offer allocates its decision's
+# assignment slice and nothing else (typed release heap, no sort in Admit).
+go test -run 'TestAdmitPathAllocs' ./internal/online
 
 echo "== chaos gates (seeded crash sweep replays clean; failover paths race-clean; wall-clock smoke)"
 go test -run 'TestExtChaosTraceDeterministicAndValid' ./internal/experiments
 go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./internal/sim ./internal/testbed ./internal/invariant
 go run ./cmd/edgereptestbed -chaos
 
-echo "== durability gates (journal + recovery under -race; decode fuzz smoke)"
+echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot; solution-layer oracle; decode fuzz smoke)"
 go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|Rehydrate|ProcCrash|StateDump' \
     ./internal/journal ./internal/online ./internal/invariant ./internal/experiments ./internal/testbed
+# Recovery through a snapshot is bit-exact (tied expiries pop in one order
+# however the heap was built), and the solution layer under it agrees with its
+# sort-per-admit reference, repeated query IDs included.
+go test -race -run 'TestRecoverThroughSnapshotBitExact' ./internal/online
+go test -race -run 'TestSolutionMatchesReference' ./internal/placement
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 5s ./internal/journal
 # Group commit: one fsync per epoch with acks after it, every byte offset of
 # a power cut recovers every acked decision, a failed commit fails closed.
@@ -291,5 +302,8 @@ echo "== bench smoke"
 go test -run '^$' -bench 'BenchmarkAlgorithmsHeadToHead' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkTraceEmissionInactive' -benchtime 1x ./internal/instrument
 go test -run '^$' -bench 'BenchmarkApproGTraceInactive' -benchtime 1x ./internal/core
+# Times 4096 admits per repeat itself (best of 3) and fails if an admit on a
+# 32k history costs more than 2x one on a 1k history.
+go test -run '^$' -bench 'BenchmarkSolutionAdmit' -benchtime 3x ./internal/placement
 
 echo "ci.sh: all green"

@@ -84,7 +84,7 @@ func main() {
 		{Kind: analytics.HourlyHistogram},
 		{Kind: analytics.AppUsagePattern, AppID: 0},
 	}
-	for i, q := range res.Solution.Admitted {
+	for i, q := range res.Solution.Admitted() {
 		plan := testbed.QueryPlan{HomeIndex: int(prob.Queries[q].Home), Query: kinds[i%len(kinds)]}
 		for _, a := range perQuery[q] {
 			plan.Targets = append(plan.Targets, struct {

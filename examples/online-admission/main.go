@@ -77,5 +77,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-20s admitted %2d/%d  volume %6.1f GB  (offline, allocations never released)\n",
-		"offline Appro-G", len(res.Solution.Admitted), len(w.Queries), res.Solution.Volume(p))
+		"offline Appro-G", len(res.Solution.Admitted()), len(w.Queries), res.Solution.Volume(p))
 }

@@ -56,7 +56,7 @@ func TestAllBaselinesFeasibleGeneral(t *testing.T) {
 			if err := invariant.CheckSolution(p, sol, sol.Volume(p)); err != nil {
 				t.Fatalf("%s-G violates paper invariants: %v", a.name, err)
 			}
-			if len(sol.Admitted) == 0 {
+			if len(sol.Admitted()) == 0 {
 				t.Fatalf("%s-G admitted nothing on routine instance", a.name)
 			}
 		})
@@ -111,7 +111,7 @@ func TestBaselinesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s1.Volume(p1) != s2.Volume(p2) || len(s1.Admitted) != len(s2.Admitted) {
+		if s1.Volume(p1) != s2.Volume(p2) || len(s1.Admitted()) != len(s2.Admitted()) {
 			t.Fatalf("%s-G non-deterministic", a.name)
 		}
 	}

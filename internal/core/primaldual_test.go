@@ -74,11 +74,11 @@ func TestApproSFeasibleAndAdmitsSomething(t *testing.T) {
 	if err := invariant.CheckSolution(p, res.Solution, res.Solution.Volume(p)); err != nil {
 		t.Fatalf("ApproS violates paper invariants: %v", err)
 	}
-	if len(res.Solution.Admitted) == 0 {
+	if len(res.Solution.Admitted()) == 0 {
 		t.Fatal("ApproS admitted nothing on a routine instance")
 	}
-	if res.Rounds != len(res.Solution.Admitted) {
-		t.Fatalf("rounds %d != admitted %d", res.Rounds, len(res.Solution.Admitted))
+	if res.Rounds != len(res.Solution.Admitted()) {
+		t.Fatalf("rounds %d != admitted %d", res.Rounds, len(res.Solution.Admitted()))
 	}
 	if res.Rounds+res.Rejected != len(p.Queries) {
 		t.Fatalf("rounds %d + rejected %d != queries %d",
@@ -98,7 +98,7 @@ func TestApproGFeasibleAndAdmitsSomething(t *testing.T) {
 	if err := invariant.CheckSolution(p, res.Solution, res.Solution.Volume(p)); err != nil {
 		t.Fatalf("ApproG violates paper invariants: %v", err)
 	}
-	if len(res.Solution.Admitted) == 0 {
+	if len(res.Solution.Admitted()) == 0 {
 		t.Fatal("ApproG admitted nothing on a routine instance")
 	}
 }
@@ -118,11 +118,11 @@ func TestApproGDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic volume: %v vs %v",
 			r1.Solution.Volume(p1), r2.Solution.Volume(p2))
 	}
-	if len(r1.Solution.Admitted) != len(r2.Solution.Admitted) {
+	if len(r1.Solution.Admitted()) != len(r2.Solution.Admitted()) {
 		t.Fatal("non-deterministic admission set size")
 	}
-	for i := range r1.Solution.Admitted {
-		if r1.Solution.Admitted[i] != r2.Solution.Admitted[i] {
+	for i := range r1.Solution.Admitted() {
+		if r1.Solution.Admitted()[i] != r2.Solution.Admitted()[i] {
 			t.Fatal("non-deterministic admission set")
 		}
 	}
@@ -176,7 +176,7 @@ func TestApproGAllOrNothing(t *testing.T) {
 	for _, a := range res.Solution.Assignments {
 		count[a.Query]++
 	}
-	for _, q := range res.Solution.Admitted {
+	for _, q := range res.Solution.Admitted() {
 		if count[q] != len(p.Queries[q].Demands) {
 			t.Fatalf("query %d admitted with %d/%d demands", q, count[q], len(p.Queries[q].Demands))
 		}
@@ -415,11 +415,11 @@ func TestParallelismBitIdentical(t *testing.T) {
 				t.Fatalf("seed %d workers %d: volume differs: %v vs %v",
 					seed, workers, seq.Solution.Volume(pSeq), par.Solution.Volume(pPar))
 			}
-			if len(seq.Solution.Admitted) != len(par.Solution.Admitted) {
+			if len(seq.Solution.Admitted()) != len(par.Solution.Admitted()) {
 				t.Fatalf("seed %d workers %d: admission count differs", seed, workers)
 			}
-			for i := range seq.Solution.Admitted {
-				if seq.Solution.Admitted[i] != par.Solution.Admitted[i] {
+			for i := range seq.Solution.Admitted() {
+				if seq.Solution.Admitted()[i] != par.Solution.Admitted()[i] {
 					t.Fatalf("seed %d workers %d: admission set differs", seed, workers)
 				}
 			}

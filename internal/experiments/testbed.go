@@ -440,8 +440,9 @@ func executeOnCluster(tc *testbed.Cluster, p *placement.Problem, sol *placement.
 		workers = 1
 	}
 	sem := make(chan struct{}, workers)
-	results := make(chan outcome, len(sol.Admitted))
-	for i, q := range sol.Admitted {
+	admitted := sol.Admitted()
+	results := make(chan outcome, len(admitted))
+	for i, q := range admitted {
 		plan := testbed.QueryPlan{
 			HomeIndex: int(p.Queries[q].Home),
 			Query:     queryKinds[i%len(queryKinds)],
@@ -466,7 +467,7 @@ func executeOnCluster(tc *testbed.Cluster, p *placement.Problem, sol *placement.
 			results <- outcome{latency: ev.Latency, violated: ev.Latency > deadline}
 		}(plan, wallDeadline)
 	}
-	for range sol.Admitted {
+	for range admitted {
 		r := <-results
 		if r.err != nil {
 			return ExecStats{}, r.err

@@ -101,17 +101,19 @@ func Check(p *placement.Problem, s *placement.Solution, opt Options) []Violation
 		}
 	}
 
-	// Admission-list structure: ascending, unique, in range.
-	admitted := make(map[workload.QueryID]bool, len(s.Admitted))
+	// Admission-list structure: unique and in range (Admitted() is ascending
+	// by construction, so a repeat is adjacent).
+	admittedList := s.Admitted()
+	admitted := make(map[workload.QueryID]bool, len(admittedList))
 	indexable := true // false once Admitted holds IDs Solution.Volume would panic on
-	for i, q := range s.Admitted {
+	for i, q := range admittedList {
 		if int(q) < 0 || int(q) >= len(p.Queries) {
 			add("structure", "admitted unknown query %d", q)
 			indexable = false
 			continue
 		}
-		if i > 0 && s.Admitted[i-1] >= q {
-			add("structure", "admitted list not sorted/unique at index %d (query %d)", i, q)
+		if i > 0 && admittedList[i-1] >= q {
+			add("structure", "query %d admitted more than once (admitted list index %d)", q, i)
 		}
 		admitted[q] = true
 	}
@@ -141,7 +143,7 @@ func Check(p *placement.Problem, s *placement.Solution, opt Options) []Violation
 
 	load := make(map[graph.NodeID]float64)
 	recomputedVolume := 0.0
-	for _, q := range s.Admitted {
+	for _, q := range admittedList {
 		if int(q) < 0 || int(q) >= len(p.Queries) {
 			continue // reported above
 		}

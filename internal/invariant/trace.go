@@ -185,7 +185,7 @@ func CheckTrace(p *placement.Problem, events []instrument.TraceEvent, opt TraceO
 					ev.Seq, q, ds, v)
 			}
 			addReplica(ev.Seq, ds, v)
-			if !sol.Reassign(q, ds, v) {
+			if sol.Reassign(placement.Assignment{Query: q, Dataset: ds, Node: v}) == 0 {
 				add("repair", "event %d: repair of query %d dataset %d, but the replay has no such assignment",
 					ev.Seq, q, ds)
 			}
@@ -211,7 +211,7 @@ func CheckTrace(p *placement.Problem, events []instrument.TraceEvent, opt TraceO
 
 		case instrument.EventEnd:
 			ended = true
-			if ev.Volume != 0 || len(sol.Admitted) > 0 {
+			if ev.Volume != 0 || len(sol.Admitted()) > 0 {
 				if vol := sol.Volume(p); math.Abs(ev.Volume-vol) > volumeEps {
 					add("objective", "event %d: end records volume %.6f, replayed solution has %.6f",
 						ev.Seq, ev.Volume, vol)
@@ -344,15 +344,14 @@ func compareSolutions(p *placement.Problem, replayed, final *placement.Solution,
 			}
 		}
 	}
-	if len(replayed.Admitted) != len(final.Admitted) {
-		add("replay", "replay admits %d queries, solution admits %d",
-			len(replayed.Admitted), len(final.Admitted))
+	ra, fa := replayed.Admitted(), final.Admitted()
+	if len(ra) != len(fa) {
+		add("replay", "replay admits %d queries, solution admits %d", len(ra), len(fa))
 		return
 	}
-	for i := range replayed.Admitted {
-		if replayed.Admitted[i] != final.Admitted[i] {
-			add("replay", "admitted query mismatch at position %d (replay %d, solution %d)",
-				i, replayed.Admitted[i], final.Admitted[i])
+	for i := range ra {
+		if ra[i] != fa[i] {
+			add("replay", "admitted query mismatch at position %d (replay %d, solution %d)", i, ra[i], fa[i])
 			return
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"edgerep/internal/graph"
@@ -127,29 +128,20 @@ func (e *Engine) StateDump() *EngineState {
 			st.Used = append(st.Used, NodeUse{Node: v, GHz: amt})
 		}
 	}
-	for _, r := range e.releases {
-		rs := ReleaseState{At: r.at, Node: r.node, GHz: r.amt, Query: r.query, Dataset: r.dataset}
-		if math.IsInf(r.at, 1) {
-			rs.At, rs.Forever = 0, true
-		}
-		st.Releases = append(st.Releases, rs)
+	// Listed in the heap's own order, hold-forever releases first: their At
+	// encodes as 0, and that is where the dump has always put them.
+	pending := slices.Clone(e.releases)
+	slices.SortFunc(pending, release.compare)
+	forever := len(pending)
+	for forever > 0 && math.IsInf(pending[forever-1].at, 1) {
+		forever--
 	}
-	sort.Slice(st.Releases, func(i, j int) bool {
-		a, b := st.Releases[i], st.Releases[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Forever != b.Forever {
-			return !a.Forever
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		return a.Dataset < b.Dataset
-	})
+	for _, r := range pending[forever:] {
+		st.Releases = append(st.Releases, ReleaseState{Forever: true, Node: r.node, GHz: r.amt, Query: r.query, Dataset: r.dataset})
+	}
+	for _, r := range pending[:forever] {
+		st.Releases = append(st.Releases, ReleaseState{At: r.at, Node: r.node, GHz: r.amt, Query: r.query, Dataset: r.dataset})
+	}
 	for n, nodes := range e.sol.Replicas {
 		if len(nodes) == 0 {
 			continue
@@ -158,7 +150,7 @@ func (e *Engine) StateDump() *EngineState {
 	}
 	sort.Slice(st.Replicas, func(i, j int) bool { return st.Replicas[i].Dataset < st.Replicas[j].Dataset })
 	st.Assignments = append([]placement.Assignment(nil), e.sol.Assignments...)
-	st.AdmittedQueries = append([]workload.QueryID(nil), e.sol.Admitted...)
+	st.AdmittedQueries = e.sol.Admitted()
 	st.Decisions = append([]Decision(nil), e.res.Decisions...)
 	if e.live != nil {
 		// Normalized to nil when no node is down so a dump survives a JSON
@@ -193,13 +185,15 @@ func (e *Engine) loadState(st *EngineState) {
 		}
 		e.releases = append(e.releases, release{at: at, node: r.Node, amt: r.GHz, query: r.Query, dataset: r.Dataset})
 	}
-	e.reheapReleases()
+	e.releases.init()
 	e.sol = placement.NewSolution()
 	for _, rs := range st.Replicas {
 		e.sol.Replicas[rs.Dataset] = append([]graph.NodeID(nil), rs.Nodes...)
 	}
+	for _, q := range st.AdmittedQueries {
+		e.sol.Admit(q, nil)
+	}
 	e.sol.Assignments = append([]placement.Assignment(nil), st.Assignments...)
-	e.sol.Admitted = append([]workload.QueryID(nil), st.AdmittedQueries...)
 	for _, v := range st.Down {
 		e.Liveness().MarkDown(v)
 	}

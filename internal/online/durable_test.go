@@ -9,6 +9,7 @@ import (
 	"edgerep/internal/invariant"
 	"edgerep/internal/journal"
 	"edgerep/internal/online"
+	"edgerep/internal/server"
 	"edgerep/internal/workload"
 )
 
@@ -299,5 +300,68 @@ func TestStateDumpRoundTrip(t *testing.T) {
 	e2.TestLoadState(dump)
 	if err := invariant.CheckRecovered(e2.StateDump(), e.StateDump()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRecoverThroughSnapshotBitExact(t *testing.T) {
+	// The bench's wire-durable arrival shape at its seed 2: 60 queries drawn
+	// again and again with holds of half a second, so two demands of one
+	// query served from one node expire at the same instant all the time. A
+	// heap rebuilt from a snapshot is laid out differently from one grown by
+	// pushes; if tied expiries popped in layout order, the two engines would
+	// subtract from that node's load in different orders and differ in its
+	// last bit until the node next drains to zero. So the standby loaded from
+	// the snapshot is walked through the WAL suffix in step with the engine
+	// that never stopped, and compared — exactly — all along the way.
+	const cut, offers, every = 4500, 8999, 50 // one snapshot, at LSN cut
+	p, err := server.BuildInstance(server.DefaultInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := online.NewEngine(p, offers, online.Options{Journal: j, SnapshotEvery: cut})
+	var liveAt []*online.EngineState // after offer cut+every, cut+2·every, …
+	for i, a := range server.Arrivals(len(p.Queries), server.DriveConfig{Count: offers, Seed: 2, MeanHoldSec: 0.5}) {
+		if _, err := live.Offer(online.Arrival{Query: a.Query, AtSec: a.AtSec, HoldSec: a.HoldSec}); err != nil {
+			t.Fatal(err)
+		}
+		if n := i + 1; n > cut && (n-cut)%every == 0 {
+			liveAt = append(liveAt, live.StateDump())
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := journal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshot == nil || st.SnapshotLSN != cut || len(st.Records) != offers {
+		t.Fatalf("journal has %d records and a snapshot at LSN %d, want %d and %d", len(st.Records), st.SnapshotLSN, offers, cut)
+	}
+	suffix := st.Records[cut:]
+	st.Records = st.Records[:cut]
+	p2, err := server.BuildInstance(server.DefaultInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby, err := online.NewRehydrator(p2, offers, online.Options{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range suffix {
+		if err := standby.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+		if n := i + 1; n%every == 0 {
+			if err := invariant.CheckRecovered(standby.Engine().StateDump(), liveAt[n/every-1]); err != nil {
+				t.Fatalf("%d records past the snapshot at LSN %d: %v", n, cut, err)
+			}
+		}
 	}
 }

@@ -13,12 +13,13 @@ package online
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"edgerep/internal/cluster"
 	"edgerep/internal/consistency"
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
+	"edgerep/internal/placement"
 	"edgerep/internal/workload"
 )
 
@@ -98,7 +99,7 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 			lost = append(lost, n)
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
+	slices.Sort(lost)
 	for _, n := range lost {
 		e.sol.RemoveReplica(n, v)
 		if e.cons != nil {
@@ -110,12 +111,7 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 	// Its in-flight allocations are gone too; remember which (query,
 	// dataset) holds were live so repair can move them.
 	activeHold := make(map[workload.QueryID]map[workload.DatasetID]float64) // expiry times
-	kept := e.releases[:0]
-	for _, r := range e.releases {
-		if r.node != v {
-			kept = append(kept, r)
-			continue
-		}
+	for _, r := range e.releases.extract(func(r release) bool { return r.node == v }) {
 		rep.ReleasedGHz += r.amt
 		m := activeHold[r.query]
 		if m == nil {
@@ -124,8 +120,6 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 		}
 		m[r.dataset] = r.at
 	}
-	e.releases = kept
-	e.reheapReleases()
 	e.setUsed(v, 0)
 
 	// Every assignment served by v is stranded — including those of queries
@@ -141,7 +135,7 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 	for q := range byQuery {
 		affected = append(affected, q)
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(affected)
 	rep.AffectedQueries = affected
 
 	volLost := 0.0
@@ -150,21 +144,29 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 	}
 	e.emitCrash(v, volLost)
 
+	// Repairs re-point assignments in one pass over the solution once every
+	// affected query is planned, not one scan per repaired assignment. An
+	// eviction in between removes only its own query's assignments, so the
+	// order of the two does not matter.
+	var moves []placement.Assignment
 	for _, q := range affected {
-		e.repairQuery(q, byQuery[q], activeHold[q], &rep)
+		moves = e.repairQuery(q, byQuery[q], activeHold[q], &rep, moves)
 	}
+	e.sol.Reassign(moves...)
 	return rep, e.journalCrash(atSec, v, rep, volLost)
 }
 
-// repairQuery re-serves query q's stranded datasets, or evicts it.
+// repairQuery re-serves query q's stranded datasets, or evicts it. The
+// solution's assignments are not touched here: each repair is appended to
+// reassign, which is returned for Crash to apply.
 func (e *Engine) repairQuery(q workload.QueryID, datasets []workload.DatasetID,
-	holds map[workload.DatasetID]float64, rep *CrashReport) {
+	holds map[workload.DatasetID]float64, rep *CrashReport, reassign []placement.Assignment) []placement.Assignment {
 
 	if e.opt.NoRepair {
 		e.evict(q, rep)
-		return
+		return reassign
 	}
-	sort.Slice(datasets, func(i, j int) bool { return datasets[i] < datasets[j] })
+	slices.Sort(datasets)
 	type move struct {
 		dataset workload.DatasetID
 		node    graph.NodeID
@@ -183,7 +185,7 @@ func (e *Engine) repairQuery(q workload.QueryID, datasets []workload.DatasetID,
 		w, fresh, ok := e.pickRepairNode(q, n, active, tentative, tentOpen)
 		if !ok {
 			e.evict(q, rep)
-			return
+			return reassign
 		}
 		if active {
 			tentative[w] += e.p.ComputeNeed(q, n)
@@ -210,18 +212,19 @@ func (e *Engine) repairQuery(q workload.QueryID, datasets []workload.DatasetID,
 			}
 			statResyncs.Inc()
 		}
-		e.sol.Reassign(q, mv.dataset, mv.node)
+		reassign = append(reassign, placement.Assignment{Query: q, Dataset: mv.dataset, Node: mv.node})
 		if mv.active {
 			need := e.p.ComputeNeed(q, mv.dataset)
 			if u := e.addUsed(mv.node, need) / e.p.Cloud.Capacity(mv.node); u > e.peak {
 				e.peak = u
 			}
-			e.pushRelease(release{at: mv.expiry, node: mv.node, amt: need, query: q, dataset: mv.dataset})
+			e.releases.push(release{at: mv.expiry, node: mv.node, amt: need, query: q, dataset: mv.dataset})
 		}
 		rep.Repaired++
 		statRepairs.Inc()
 		e.emitRepair(q, mv.dataset, mv.node)
 	}
+	return reassign
 }
 
 // pickRepairNode selects the cheapest live node that can take over one
@@ -273,18 +276,9 @@ func (e *Engine) pickRepairNode(q workload.QueryID, n workload.DatasetID, needsC
 // evict undoes query q's admission: its remaining allocations are released,
 // its assignments removed, its volume given back.
 func (e *Engine) evict(q workload.QueryID, rep *CrashReport) {
-	kept := e.releases[:0]
-	for _, r := range e.releases {
-		if r.query == q {
-			if e.addUsed(r.node, -r.amt) < 0 {
-				e.setUsed(r.node, 0)
-			}
-			continue
-		}
-		kept = append(kept, r)
+	for _, r := range e.releases.extract(func(r release) bool { return r.query == q }) {
+		e.giveBack(r)
 	}
-	e.releases = kept
-	e.reheapReleases()
 	vol := e.p.Queries[q].DemandedVolume(e.p.Datasets)
 	e.sol.Unadmit(q)
 	e.res.VolumeAdmitted -= vol

@@ -43,7 +43,7 @@ func busiestNode(e *online.Engine) graph.NodeID {
 
 func admittedVolume(e *online.Engine) float64 {
 	vol := 0.0
-	for _, q := range e.Solution().Admitted {
+	for _, q := range e.Solution().Admitted() {
 		vol += e.TestProblem().Queries[q].DemandedVolume(e.TestProblem().Datasets)
 	}
 	return vol
@@ -126,10 +126,10 @@ func TestCrashRepairKeepsPaperInvariants(t *testing.T) {
 
 func TestCrashEvictsWhenNoSurvivorCanServe(t *testing.T) {
 	e, _ := runAll(t, 13, 30, 0)
-	if len(e.Solution().Admitted) == 0 {
+	if len(e.Solution().Admitted()) == 0 {
 		t.Fatal("nothing admitted")
 	}
-	q := e.Solution().Admitted[0]
+	q := e.Solution().Admitted()[0]
 	// Crash every node that could feasibly serve any of q's demands; the
 	// final crash must evict it.
 	feasible := make(map[graph.NodeID]bool)

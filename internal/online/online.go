@@ -14,9 +14,10 @@
 package online
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"edgerep/internal/cluster"
 	"edgerep/internal/consistency"
@@ -104,17 +105,104 @@ type release struct {
 	dataset workload.DatasetID
 }
 
+// compare orders releases by expiry, then node, query and dataset. It is the
+// engine's only ordering of releases — the heap pops by it, failover gives
+// back what a crash or an eviction removed by it, StateDump lists by it — and
+// it reads nothing but the releases' contents, so none of those depends on
+// how the heap happens to be laid out: an engine whose heap was rebuilt from
+// a snapshot subtracts tied expiries from a node's load in the same order as
+// one whose heap grew push by push, and float subtraction does not commute.
+// Releases it calls equal are interchangeable: amt is a function of (query,
+// dataset).
+func (r release) compare(o release) int {
+	// Expiries are never NaN, and almost always decide.
+	if r.at != o.at {
+		if r.at < o.at {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(r.node, o.node); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(r.query, o.query); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.dataset, o.dataset)
+}
+
+// releaseHeap is a binary min-heap of releases under release.compare. Typed
+// rather than container/heap, whose interface{} Push and Pop each box the
+// 48-byte release: two allocations per assignment on a path whose pricing
+// makes none.
 type releaseHeap []release
 
-func (h releaseHeap) Len() int            { return len(h) }
-func (h releaseHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h releaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x interface{}) { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() interface{} {
+func (h *releaseHeap) push(r release) {
+	*h = append(*h, r)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest release; the heap must not be empty.
+func (h *releaseHeap) pop() release {
 	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	*h = old[:n]
+	h.down(0)
+	return old[n]
+}
+
+// extract removes every release that match selects and returns them in
+// compare order.
+func (h *releaseHeap) extract(match func(release) bool) []release {
+	var out []release
+	kept := (*h)[:0]
+	for _, r := range *h {
+		if match(r) {
+			out = append(out, r)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	*h = kept
+	h.init()
+	slices.SortFunc(out, release.compare)
+	return out
+}
+
+// init establishes heap order over an arbitrary slice.
+func (h *releaseHeap) init() {
+	for i := len(*h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h releaseHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if h[j].compare(h[i]) >= 0 {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h releaseHeap) down(i int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].compare(h[j]) < 0 {
+			j = r
+		}
+		if h[j].compare(h[i]) >= 0 {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Engine processes arrivals one at a time.
@@ -377,7 +465,7 @@ func (e *Engine) Offer(a Arrival) (Decision, error) {
 			if a.HoldSec > 0 {
 				expiry = a.AtSec + a.HoldSec
 			}
-			e.pushRelease(release{at: expiry, node: asg.Node, amt: need, query: a.Query, dataset: asg.Dataset})
+			e.releases.push(release{at: expiry, node: asg.Node, amt: need, query: a.Query, dataset: asg.Dataset})
 		}
 		e.sol.Admit(a.Query, as)
 		e.res.Admitted++
@@ -415,19 +503,16 @@ func (e *Engine) LastOfferLookupNs() int64 { return e.lastLookupNs }
 // drainReleases gives back every allocation whose hold expired by e.now.
 func (e *Engine) drainReleases() {
 	for len(e.releases) > 0 && e.releases[0].at <= e.now {
-		r := heap.Pop(&e.releases).(release)
-		if e.addUsed(r.node, -r.amt) < 0 {
-			e.setUsed(r.node, 0)
-		}
+		e.giveBack(e.releases.pop())
 	}
 }
 
-// pushRelease schedules a capacity release.
-func (e *Engine) pushRelease(r release) { heap.Push(&e.releases, r) }
-
-// reheapReleases restores heap order after failover filtered the slice
-// in place.
-func (e *Engine) reheapReleases() { heap.Init(&e.releases) }
+// giveBack returns one release's allocation to its node.
+func (e *Engine) giveBack(r release) {
+	if e.addUsed(r.node, -r.amt) < 0 {
+		e.setUsed(r.node, 0)
+	}
+}
 
 // Result returns the accumulated run summary.
 func (e *Engine) Result() Result {

@@ -249,3 +249,43 @@ func BenchmarkOnlineOffer(b *testing.B) {
 		}
 	}
 }
+
+// TestAdmitPathAllocs pins what committing an admission allocates: on an
+// admitted Offer with a hold — no journal, no trace — nothing but the
+// assignment slice the decision keeps. Each run pushes the query's releases
+// and, its hold being shorter than the spacing, pops the previous run's; the
+// release heap is typed, so neither boxes, and Solution.Admit does not sort.
+// The appends to the decision and assignment histories are amortized away
+// over the runs.
+func TestAdmitPathAllocs(t *testing.T) {
+	p, w := online.NewTestProblem(t, 5, 120)
+	e := online.NewEngine(p, len(w.Queries), online.Options{})
+	q, at := workload.QueryID(-1), 0.0
+	for i := range w.Queries {
+		at++
+		dec, err := e.Offer(online.Arrival{Query: workload.QueryID(i), AtSec: at, HoldSec: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Admitted && len(dec.Assignments) > 1 {
+			q = dec.Query
+			break
+		}
+	}
+	if q == -1 {
+		t.Fatal("no query with two demands admitted on an idle engine; scenario too weak")
+	}
+	rejected := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		at++
+		if dec, _ := e.Offer(online.Arrival{Query: q, AtSec: at, HoldSec: 0.5}); !dec.Admitted {
+			rejected++
+		}
+	})
+	if rejected > 0 {
+		t.Fatalf("%d of the measured offers were rejected; the gate measures admits", rejected)
+	}
+	if allocs != 1 {
+		t.Errorf("an admitted Offer allocates %.0f objects, want exactly 1 (the decision's assignments)", allocs)
+	}
+}

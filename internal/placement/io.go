@@ -45,7 +45,7 @@ func (s *Solution) Save(w io.Writer) error {
 		}
 		return out.Assignments[i].Dataset < out.Assignments[j].Dataset
 	})
-	for _, q := range s.Admitted {
+	for _, q := range s.Admitted() {
 		out.Admitted = append(out.Admitted, int(q))
 	}
 	enc := json.NewEncoder(w)
@@ -91,9 +91,8 @@ func Load(r io.Reader) (*Solution, error) {
 		if q < 0 {
 			return nil, fmt.Errorf("placement: negative admitted query id %d", q)
 		}
-		s.Admitted = append(s.Admitted, workload.QueryID(q))
+		s.Admit(workload.QueryID(q), nil)
 	}
-	sort.Slice(s.Admitted, func(i, j int) bool { return s.Admitted[i] < s.Admitted[j] })
 	return s, nil
 }
 

@@ -20,7 +20,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := got.Validate(p); err != nil {
 		t.Fatalf("round-tripped solution invalid: %v", err)
 	}
-	if got.Volume(p) != s.Volume(p) || len(got.Admitted) != len(s.Admitted) {
+	if got.Volume(p) != s.Volume(p) || len(got.Admitted()) != len(s.Admitted()) {
 		t.Fatal("round trip changed the solution")
 	}
 	if got.TotalReplicas() != s.TotalReplicas() {
@@ -65,8 +65,8 @@ func TestLoadSortsAdmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Admitted[0] != 1 || s.Admitted[1] != 3 || s.Admitted[2] != 5 {
-		t.Fatalf("admitted not sorted: %v", s.Admitted)
+	if s.Admitted()[0] != 1 || s.Admitted()[1] != 3 || s.Admitted()[2] != 5 {
+		t.Fatalf("admitted not sorted: %v", s.Admitted())
 	}
 }
 

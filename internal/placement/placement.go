@@ -9,7 +9,7 @@ package placement
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"edgerep/internal/cluster"
 	"edgerep/internal/graph"
@@ -98,15 +98,24 @@ type Solution struct {
 	// Replicas maps each dataset to the nodes holding a replica
 	// (ascending, at most K).
 	Replicas map[workload.DatasetID][]graph.NodeID
-	// Assignments lists one entry per (admitted query, demanded dataset).
+	// Assignments lists one entry per (admitted query, demanded dataset), in
+	// admission order.
 	Assignments []Assignment
-	// Admitted lists admitted queries in ascending ID order.
-	Admitted []workload.QueryID
+	// admitted is the multiset of admitted queries: query → how many times
+	// it is admitted. The offline algorithms admit a query at most once; the
+	// online engine admits the same query ID on every arrival that names it.
+	// Counts, not a sorted list, so that Admit does no work proportional to
+	// what was admitted before it; Admitted enumerates them in order.
+	admitted    map[workload.QueryID]int
+	numAdmitted int
 }
 
 // NewSolution returns an empty solution ready for incremental construction.
 func NewSolution() *Solution {
-	return &Solution{Replicas: make(map[workload.DatasetID][]graph.NodeID)}
+	return &Solution{
+		Replicas: make(map[workload.DatasetID][]graph.NodeID),
+		admitted: make(map[workload.QueryID]int),
+	}
 }
 
 // HasReplica reports whether dataset n has a replica at node v.
@@ -122,12 +131,10 @@ func (s *Solution) HasReplica(n workload.DatasetID, v graph.NodeID) bool {
 // AddReplica records a replica of dataset n at node v; it is a no-op when the
 // replica already exists. Nodes are kept sorted.
 func (s *Solution) AddReplica(n workload.DatasetID, v graph.NodeID) {
-	if s.HasReplica(n, v) {
-		return
-	}
-	s.Replicas[n] = append(s.Replicas[n], v)
 	nodes := s.Replicas[n]
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	if i, found := slices.BinarySearch(nodes, v); !found {
+		s.Replicas[n] = slices.Insert(nodes, i, v)
+	}
 }
 
 // RemoveReplica drops the replica of dataset n at node v (a crashed node's
@@ -149,53 +156,80 @@ func (s *Solution) RemoveReplica(n workload.DatasetID, v graph.NodeID) {
 func (s *Solution) ReplicaCount(n workload.DatasetID) int { return len(s.Replicas[n]) }
 
 // Admit records query q as admitted with the given per-dataset assignments.
+// Its cost does not depend on how many queries were admitted before.
 func (s *Solution) Admit(q workload.QueryID, assignments []Assignment) {
-	s.Admitted = append(s.Admitted, q)
-	sort.Slice(s.Admitted, func(i, j int) bool { return s.Admitted[i] < s.Admitted[j] })
+	s.admitted[q]++
+	s.numAdmitted++
 	s.Assignments = append(s.Assignments, assignments...)
 }
 
-// Unadmit evicts query q from the solution — its admission and every one of
-// its assignments are removed (failover gives back the volume of queries a
-// crash stranded). No-op when q was never admitted.
-func (s *Solution) Unadmit(q workload.QueryID) {
-	i := sort.Search(len(s.Admitted), func(i int) bool { return s.Admitted[i] >= q })
-	if i >= len(s.Admitted) || s.Admitted[i] != q {
-		return
+// Admitted returns the admitted queries in ascending ID order, a query
+// admitted k times appearing k times. The slice is the caller's.
+func (s *Solution) Admitted() []workload.QueryID {
+	if s.numAdmitted == 0 {
+		return nil
 	}
-	s.Admitted = append(s.Admitted[:i], s.Admitted[i+1:]...)
-	kept := s.Assignments[:0]
-	for _, a := range s.Assignments {
-		if a.Query != q {
-			kept = append(kept, a)
+	distinct := make([]workload.QueryID, 0, len(s.admitted))
+	for q := range s.admitted {
+		distinct = append(distinct, q)
+	}
+	slices.Sort(distinct)
+	out := make([]workload.QueryID, 0, s.numAdmitted)
+	for _, q := range distinct {
+		for c := s.admitted[q]; c > 0; c-- {
+			out = append(out, q)
 		}
 	}
-	s.Assignments = kept
+	return out
 }
 
-// Reassign points query q's assignment for dataset n at node v (failover
-// repair); it reports whether such an assignment existed.
-func (s *Solution) Reassign(q workload.QueryID, n workload.DatasetID, v graph.NodeID) bool {
-	for i := range s.Assignments {
-		if s.Assignments[i].Query == q && s.Assignments[i].Dataset == n {
-			s.Assignments[i].Node = v
-			return true
+// Unadmit evicts query q from the solution — one admission of it and every
+// one of its assignments are removed (failover gives back the volume of
+// queries a crash stranded). No-op when q is not admitted.
+func (s *Solution) Unadmit(q workload.QueryID) {
+	if s.admitted[q] == 0 {
+		return
+	}
+	if s.admitted[q]--; s.admitted[q] == 0 {
+		delete(s.admitted, q)
+	}
+	s.numAdmitted--
+	s.Assignments = slices.DeleteFunc(s.Assignments, func(a Assignment) bool { return a.Query == q })
+}
+
+// Reassign points, for each move in order, the first assignment of
+// move.Query for move.Dataset at move.Node (failover repair), in one pass
+// over Assignments however many moves there are. It returns how many
+// distinct (query, dataset) pairs among the moves had an assignment.
+func (s *Solution) Reassign(moves ...Assignment) int {
+	type pair struct {
+		q workload.QueryID
+		n workload.DatasetID
+	}
+	// Every move for a pair lands on the same first match, so the last wins.
+	target := make(map[pair]graph.NodeID, len(moves))
+	for _, m := range moves {
+		target[pair{m.Query, m.Dataset}] = m.Node
+	}
+	pairs := len(target)
+	for i := 0; i < len(s.Assignments) && len(target) > 0; i++ {
+		a := &s.Assignments[i]
+		if v, ok := target[pair{a.Query, a.Dataset}]; ok {
+			a.Node = v
+			delete(target, pair{a.Query, a.Dataset})
 		}
 	}
-	return false
+	return pairs - len(target)
 }
 
 // IsAdmitted reports whether query q was admitted.
-func (s *Solution) IsAdmitted(q workload.QueryID) bool {
-	i := sort.Search(len(s.Admitted), func(i int) bool { return s.Admitted[i] >= q })
-	return i < len(s.Admitted) && s.Admitted[i] == q
-}
+func (s *Solution) IsAdmitted(q workload.QueryID) bool { return s.admitted[q] > 0 }
 
 // Volume returns the paper's objective (1): the total volume of datasets
 // demanded by admitted queries.
 func (s *Solution) Volume(p *Problem) float64 {
 	v := 0.0
-	for _, q := range s.Admitted {
+	for _, q := range s.Admitted() {
 		v += p.Queries[q].DemandedVolume(p.Datasets)
 	}
 	return v
@@ -207,7 +241,7 @@ func (s *Solution) Throughput(p *Problem) float64 {
 	if len(p.Queries) == 0 {
 		return 0
 	}
-	return float64(len(s.Admitted)) / float64(len(p.Queries))
+	return float64(s.numAdmitted) / float64(len(p.Queries))
 }
 
 // TotalReplicas returns the number of replicas placed across all datasets.
@@ -269,12 +303,8 @@ func (s *Solution) Validate(p *Problem) error {
 		m[a.Dataset] = a.Node
 	}
 
-	admitted := make(map[workload.QueryID]bool, len(s.Admitted))
-	for _, q := range s.Admitted {
-		admitted[q] = true
-	}
 	for q := range perQuery {
-		if !admitted[q] {
+		if !s.IsAdmitted(q) {
 			return fmt.Errorf("placement: assignments exist for non-admitted query %d", q)
 		}
 	}
@@ -282,7 +312,7 @@ func (s *Solution) Validate(p *Problem) error {
 	// Per-node load for constraint (2).
 	load := make(map[graph.NodeID]float64)
 
-	for _, q := range s.Admitted {
+	for _, q := range s.Admitted() {
 		if int(q) < 0 || int(q) >= len(p.Queries) {
 			return fmt.Errorf("placement: admitted unknown query %d", q)
 		}
@@ -383,7 +413,7 @@ func (s *Solution) Summarize(p *Problem) Stats {
 	return Stats{
 		Volume:        s.Volume(p),
 		Throughput:    s.Throughput(p),
-		Admitted:      len(s.Admitted),
+		Admitted:      s.numAdmitted,
 		TotalQueries:  len(p.Queries),
 		TotalReplicas: s.TotalReplicas(),
 		MaxUtil:       s.MaxUtilization(p),

@@ -213,7 +213,7 @@ func buildFeasibleSolution(p *Problem) *Solution {
 func TestValidateAcceptsFeasible(t *testing.T) {
 	p := tiny(t, 3)
 	s := buildFeasibleSolution(p)
-	if len(s.Admitted) == 0 {
+	if len(s.Admitted()) == 0 {
 		t.Fatal("greedy admitted nothing — test instance degenerate")
 	}
 	if err := s.Validate(p); err != nil {
@@ -390,7 +390,7 @@ func TestSummarizeAndString(t *testing.T) {
 	p := tiny(t, 3)
 	s := buildFeasibleSolution(p)
 	st := s.Summarize(p)
-	if st.TotalQueries != len(p.Queries) || st.Admitted != len(s.Admitted) {
+	if st.TotalQueries != len(p.Queries) || st.Admitted != len(s.Admitted()) {
 		t.Fatalf("bad stats %+v", st)
 	}
 	if st.Volume <= 0 || st.Throughput <= 0 {

@@ -34,7 +34,7 @@ func TestReactiveAdmitsAndAccounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Solution.Admitted) == 0 {
+	if len(res.Solution.Admitted()) == 0 {
 		t.Fatal("reactive engine admitted nothing")
 	}
 	if res.Hits == 0 {
@@ -45,7 +45,7 @@ func TestReactiveAdmitsAndAccounts(t *testing.T) {
 	for _, a := range res.Solution.Assignments {
 		count[a.Query]++
 	}
-	for _, q := range res.Solution.Admitted {
+	for _, q := range res.Solution.Admitted() {
 		if count[q] != len(p.Queries[q].Demands) {
 			t.Fatalf("query %d served %d/%d demands", q, count[q], len(p.Queries[q].Demands))
 		}

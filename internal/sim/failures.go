@@ -132,7 +132,7 @@ func (fs *failureSim) scheduleArrivals() error {
 	}
 	rng := rand.New(rand.NewSource(fs.cfg.Seed))
 	t := 0.0
-	for _, q := range fs.sol.Admitted {
+	for _, q := range fs.sol.Admitted() {
 		if fs.cfg.ArrivalRate > 0 {
 			t += rng.ExpFloat64() / fs.cfg.ArrivalRate
 		}
@@ -323,7 +323,7 @@ func (fs *failureSim) run() (*FailureReport, error) {
 		}
 	}
 
-	for _, q := range fs.sol.Admitted {
+	for _, q := range fs.sol.Admitted() {
 		qs := fs.queries[q]
 		done, ok := fs.completed[q]
 		if !ok {

@@ -83,9 +83,9 @@ func TestMidFlightFailureRedispatchesOrFails(t *testing.T) {
 	}
 	// Accounting must close: every admitted query either completed or
 	// failed.
-	if len(rep.Queries)+len(rep.FailedQueries) != len(sol.Admitted) {
+	if len(rep.Queries)+len(rep.FailedQueries) != len(sol.Admitted()) {
 		t.Fatalf("%d completed + %d failed != %d admitted",
-			len(rep.Queries), len(rep.FailedQueries), len(sol.Admitted))
+			len(rep.Queries), len(rep.FailedQueries), len(sol.Admitted()))
 	}
 }
 
@@ -137,7 +137,7 @@ func TestDoubleFailureIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Queries)+len(rep.FailedQueries) != len(sol.Admitted) {
+	if len(rep.Queries)+len(rep.FailedQueries) != len(sol.Admitted()) {
 		t.Fatal("double failure broke accounting")
 	}
 }
@@ -183,7 +183,7 @@ func TestLateFailureAfterCompletionIsHarmless(t *testing.T) {
 	if len(rep.FailedQueries) != 0 || rep.Aborted != 0 {
 		t.Fatalf("failure after makespan affected queries: %+v", rep)
 	}
-	if len(rep.Queries) != len(sol.Admitted) {
+	if len(rep.Queries) != len(sol.Admitted()) {
 		t.Fatal("late failure lost queries")
 	}
 }
@@ -195,7 +195,7 @@ func TestSimultaneousAllNodeCrashCountsExactlyOnce(t *testing.T) {
 	// counted as reassigned — the old push-time counting tallied such
 	// tasks as both reassigned and failed.
 	p, sol := solvedInstance(t, 9)
-	if len(sol.Admitted) == 0 {
+	if len(sol.Admitted()) == 0 {
 		t.Skip("nothing admitted")
 	}
 	var failures []NodeFailure
@@ -212,8 +212,8 @@ func TestSimultaneousAllNodeCrashCountsExactlyOnce(t *testing.T) {
 	if len(rep.Queries) != 0 {
 		t.Fatalf("%d queries completed after a full-cluster crash at t≈0", len(rep.Queries))
 	}
-	if len(rep.FailedQueries) != len(sol.Admitted) {
-		t.Fatalf("%d failed != %d admitted", len(rep.FailedQueries), len(sol.Admitted))
+	if len(rep.FailedQueries) != len(sol.Admitted()) {
+		t.Fatalf("%d failed != %d admitted", len(rep.FailedQueries), len(sol.Admitted()))
 	}
 	// All tasks arrived at t=0, so each was queued or running — aborted
 	// exactly once each.
@@ -236,7 +236,7 @@ func TestCrashAtTimeZeroBeforeAnyArrival(t *testing.T) {
 	// arrive. Nothing ever starts: zero aborts, zero reassignments, every
 	// query fails exactly once, and the run must not wedge or panic.
 	p, sol := solvedInstance(t, 10)
-	if len(sol.Admitted) == 0 {
+	if len(sol.Admitted()) == 0 {
 		t.Skip("nothing admitted")
 	}
 	var failures []NodeFailure
@@ -253,9 +253,9 @@ func TestCrashAtTimeZeroBeforeAnyArrival(t *testing.T) {
 	if rep.Reassigned != 0 {
 		t.Fatalf("reassigned %d tasks with every node down from t=0", rep.Reassigned)
 	}
-	if len(rep.Queries) != 0 || len(rep.FailedQueries) != len(sol.Admitted) {
+	if len(rep.Queries) != 0 || len(rep.FailedQueries) != len(sol.Admitted()) {
 		t.Fatalf("accounting: %d completed, %d failed, %d admitted",
-			len(rep.Queries), len(rep.FailedQueries), len(sol.Admitted))
+			len(rep.Queries), len(rep.FailedQueries), len(sol.Admitted()))
 	}
 	seen := map[workload.QueryID]bool{}
 	for _, q := range rep.FailedQueries {
@@ -311,9 +311,9 @@ func TestSimultaneousReplicaSetCrashDoesNotOvercountReassigned(t *testing.T) {
 			t.Fatalf("query %d demands dataset %d whose whole replica set crashed, yet did not fail", q, ds)
 		}
 	}
-	if len(rep.Queries)+len(rep.FailedQueries) != len(sol.Admitted) {
+	if len(rep.Queries)+len(rep.FailedQueries) != len(sol.Admitted()) {
 		t.Fatalf("accounting: %d completed + %d failed != %d admitted",
-			len(rep.Queries), len(rep.FailedQueries), len(sol.Admitted))
+			len(rep.Queries), len(rep.FailedQueries), len(sol.Admitted()))
 	}
 }
 

@@ -155,7 +155,7 @@ func Run(p *placement.Problem, sol *placement.Solution, cfg Config) (*Report, er
 
 	// Schedule arrivals in admitted order.
 	t := 0.0
-	for _, q := range sol.Admitted {
+	for _, q := range sol.Admitted() {
 		if cfg.ArrivalRate > 0 {
 			t += rng.ExpFloat64() / cfg.ArrivalRate
 		}
@@ -232,7 +232,7 @@ func Run(p *placement.Problem, sol *placement.Solution, cfg Config) (*Report, er
 	}
 
 	// Build metrics in admitted order.
-	for _, q := range sol.Admitted {
+	for _, q := range sol.Admitted() {
 		qs := queries[q]
 		done, ok := completed[q]
 		if !ok {

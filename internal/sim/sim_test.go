@@ -39,8 +39,8 @@ func TestSimultaneousArrivalsMatchAnalyticDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Queries) != len(sol.Admitted) {
-		t.Fatalf("report covers %d of %d admitted queries", len(rep.Queries), len(sol.Admitted))
+	if len(rep.Queries) != len(sol.Admitted()) {
+		t.Fatalf("report covers %d of %d admitted queries", len(rep.Queries), len(sol.Admitted()))
 	}
 	// With capacity-feasible simultaneous arrivals there is no queueing:
 	// every measured latency equals the analytic EvalDelay maximum.
@@ -99,7 +99,7 @@ func TestPoissonArrivalsStillComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Queries) != len(sol.Admitted) {
+	if len(rep.Queries) != len(sol.Admitted()) {
 		t.Fatal("not all queries completed under Poisson arrivals")
 	}
 	// Arrivals must be strictly increasing in admitted order with rate>0.
@@ -108,7 +108,7 @@ func TestPoissonArrivalsStillComplete(t *testing.T) {
 	for _, m := range rep.Queries {
 		arrivalByQuery[m.Query] = m.ArrivalSec
 	}
-	for _, q := range sol.Admitted {
+	for _, q := range sol.Admitted() {
 		a := arrivalByQuery[q]
 		if a <= prev {
 			t.Fatalf("arrivals not increasing: %v after %v", a, prev)
