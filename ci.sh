@@ -2,7 +2,8 @@
 # Repository gate: formatting, vet, repo-specific analyzers (edgerepvet),
 # build, race-enabled tests, pricing-table gates (zero-alloc pricing,
 # table-vs-reference-scan equivalence incl. the exact-tie case, stale-table
-# fuzz, chaos-on latency smoke, one allocation per admitted offer),
+# fuzz, chaos-on latency smoke, one allocation per admitted offer, the
+# Dijkstra / matrix / table-build oracles),
 # attribution gates (zero-alloc off path, byte-identical traces, flight-ring
 # race stress), durability (journal/recovery incl. bit-exact through a
 # snapshot + the solution layer against its sort-per-admit reference + group
@@ -13,7 +14,7 @@
 # gates (3-region kill-the-leader drill byte-identity + multi-process kill -9
 # follower promotion, with the same probes and snapshot), docs link and
 # edgerepd mode-and-flag checks, example smoke, bench smoke (incl. admit cost
-# flat in history).
+# flat in history, pinned allocations of the cold-start kernels).
 # Run before every commit. See ARCHITECTURE.md, "CI".
 set -eu
 
@@ -62,7 +63,7 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race; one allocation per admit)"
+echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race; one allocation per admit; kernel, matrix and table-build oracles under -race)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
 go test -run 'TestFastPathEquivalence' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
@@ -71,6 +72,12 @@ go test -run '^$' -bench 'BenchmarkFastPathPlan' -benchtime 1x ./internal/online
 # The commit step after pricing: an admitted offer allocates its decision's
 # assignment slice and nothing else (typed release heap, no sort in Admit).
 go test -run 'TestAdmitPathAllocs' ./internal/online
+# What the tables are built from and how: the typed-heap Dijkstra against the
+# container/heap kernel it replaced (Dist bits and parents, ties included),
+# the parallel matrix against the serial all-pairs loop, the one-pass parallel
+# table build against the two-loop serial one at 1, 2 and 8 workers.
+go test -race -run 'TestDijkstraMatchesReference|TestMatrixMatchesSerial' ./internal/graph
+go test -race -run 'TestFastPathTablesMatchReference' ./internal/online
 
 echo "== chaos gates (seeded crash sweep replays clean; failover paths race-clean; wall-clock smoke)"
 go test -run 'TestExtChaosTraceDeterministicAndValid' ./internal/experiments
@@ -305,5 +312,10 @@ go test -run '^$' -bench 'BenchmarkApproGTraceInactive' -benchtime 1x ./internal
 # Times 4096 admits per repeat itself (best of 3) and fails if an admit on a
 # 32k history costs more than 2x one on a 1k history.
 go test -run '^$' -bench 'BenchmarkSolutionAdmit' -benchtime 3x ./internal/placement
+# The cold-start kernels on the bench's 500-node instance; each fails if it
+# allocates more than its pinned count (4 objects a Dijkstra run; the table
+# build its tables and nothing per candidate).
+go test -run '^$' -bench '^BenchmarkDijkstra$/v500' -benchtime 533x ./internal/graph
+go test -run '^$' -bench '^BenchmarkFastPathBuild$/v500' -benchtime 5x ./internal/online
 
 echo "ci.sh: all green"

@@ -149,16 +149,20 @@ func TestRestartWithIdenticalArguments(t *testing.T) {
 	const n, m = 300, 200
 
 	d := start(t, args...)
-	if err := run([]string{"drive", "-count", fmt.Sprint(n), d.serving(t)}); err != nil {
+	url := d.serving(t)
+	requireColdStartLine(t, read(t, d.stderr), 0)
+	if err := run([]string{"drive", "-count", fmt.Sprint(n), url}); err != nil {
 		t.Fatal(err)
 	}
 	d.kill()
 
 	d = start(t, args...)
-	url := d.serving(t)
-	if errs := read(t, d.stderr); !strings.Contains(errs, fmt.Sprintf("recovered %d decisions", n)) {
+	url = d.serving(t)
+	errs := read(t, d.stderr)
+	if !strings.Contains(errs, fmt.Sprintf("recovered %d decisions", n)) {
 		t.Fatalf("second start did not recover %d decisions:\n%s", n, errs)
 	}
+	requireColdStartLine(t, errs, n)
 	if err := run([]string{"drive", "-count", fmt.Sprint(m), url}); err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +170,11 @@ func TestRestartWithIdenticalArguments(t *testing.T) {
 
 	d = start(t, args...)
 	d.serving(t)
-	if errs := read(t, d.stderr); !strings.Contains(errs, fmt.Sprintf("recovered %d decisions", n+m)) {
+	errs = read(t, d.stderr)
+	if !strings.Contains(errs, fmt.Sprintf("recovered %d decisions", n+m)) {
 		t.Fatalf("third start did not recover %d decisions:\n%s", n+m, errs)
 	}
+	requireColdStartLine(t, errs, n+m)
 	d.kill()
 
 	// A fourth start, in process with a trace sink attached: the history the
@@ -193,6 +199,31 @@ func TestRestartWithIdenticalArguments(t *testing.T) {
 	}
 	if vs := invariant.CheckTrace(l.Problem(), sink.events, invariant.TraceOptions{Online: true}); len(vs) != 0 {
 		t.Errorf("trace violations: %v", vs)
+	}
+}
+
+// requireColdStartLine checks the start-up timeline every leader prints: it
+// is there, its three parts sum to no more than its total, and it counts the
+// records the start replayed (no snapshot here, so all of them).
+func requireColdStartLine(t *testing.T, stderr string, replayed int) {
+	t.Helper()
+	var line string
+	for _, l := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(l, "edgerepd: cold start ") {
+			line = l
+		}
+	}
+	var total, inst, jn, eng float64
+	var records int
+	if _, err := fmt.Sscanf(line, "edgerepd: cold start %fs: instance %fs, journal %fs, engine %fs (%d records replayed)",
+		&total, &inst, &jn, &eng, &records); err != nil {
+		t.Fatalf("no cold-start line (%v) in:\n%s", err, stderr)
+	}
+	if sum := inst + jn + eng; sum > total+1e-9 {
+		t.Errorf("parts sum to %.3fs, more than the total: %s", sum, line)
+	}
+	if records != replayed {
+		t.Errorf("%d records replayed, want %d: %s", records, replayed, line)
 	}
 }
 

@@ -169,15 +169,26 @@ type Leader struct {
 	dead chan struct{} // closed by Kill
 }
 
-// Recovery is what StartLeader found in its journal directory.
+// Recovery is what StartLeader found in its journal directory and what the
+// start cost.
 type Recovery struct {
 	// Replayed is set when the journal held records or a snapshot and the
-	// engine was recovered from them; Decisions counts what it recovered.
-	Replayed  bool
-	Decisions int
+	// engine was recovered from them; Decisions counts what it recovered and
+	// ReplayedRecords the journal records it re-applied past the snapshot.
+	Replayed        bool
+	Decisions       int
+	ReplayedRecords int64
 	// Torn is set when a half-written final record was dropped. It was
 	// never acknowledged to any client.
 	Torn bool
+	// The cold-start timeline, in the order StartLeader pays it: building
+	// the instance (topology, distance matrix, workload), loading and
+	// opening the journal, and building the engine (pricing tables, then
+	// snapshot load and replay when Replayed). A warm standby's promotion
+	// pays none of the three.
+	InstanceBuild time.Duration
+	JournalOpen   time.Duration
+	EngineBuild   time.Duration
 }
 
 func engineOptions(cfg Config) online.Options {
@@ -214,10 +225,12 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 	if cfg.Shards > 1 && (cfg.Shard < 0 || cfg.Shard >= cfg.Shards) {
 		return nil, fmt.Errorf("federation: shard %d of %d", cfg.Shard, cfg.Shards)
 	}
+	start := time.Now()
 	p, err := server.BuildInstance(cfg.Instance)
 	if err != nil {
 		return nil, err
 	}
+	built := time.Now()
 	st := &journal.State{}
 	var jn *journal.Journal
 	if dir != "" {
@@ -237,9 +250,10 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 			return nil, fmt.Errorf("federation: term %d behind persisted term %d", term, persisted)
 		}
 	}
+	opened := time.Now()
 	opt := engineOptions(cfg)
 	opt.Journal = jn
-	rec := Recovery{Torn: st.Torn}
+	rec := Recovery{Torn: st.Torn, InstanceBuild: built.Sub(start), JournalOpen: opened.Sub(built)}
 	var eng *online.Engine
 	if len(st.Records) > 0 || st.Snapshot != nil {
 		eng, err = online.Recover(p, cfg.ExpectedArrivals, opt, st)
@@ -247,6 +261,7 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 			return nil, err
 		}
 		rec.Replayed, rec.Decisions = true, len(eng.Result().Decisions)
+		rec.ReplayedRecords = int64(len(st.Records)) - st.SnapshotLSN
 	} else {
 		eng = online.NewEngine(p, cfg.ExpectedArrivals, opt)
 		if cfg.Shards > 1 {
@@ -263,6 +278,7 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 			}
 		}
 	}
+	rec.EngineBuild = time.Since(opened)
 	l, err := lead(cfg, p, eng, jn, dir, term)
 	if err != nil {
 		return nil, err

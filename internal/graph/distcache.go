@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"edgerep/internal/instrument"
+	"edgerep/internal/par"
 )
 
 // Instrumentation of the shortest-path hot path (enabled via
@@ -13,11 +14,11 @@ var (
 	distCacheHits   = instrument.NewCounter("graph.distcache_hits")
 	distCacheMisses = instrument.NewCounter("graph.distcache_misses")
 	distCacheMatrix = instrument.NewCounter("graph.distcache_matrix_builds")
-	allPairsBuilds  = instrument.NewCounter("graph.allpairs_builds")
 )
 
 // DistanceCache memoizes per-source Dijkstra trees over one immutable Graph
-// and lazily materializes the all-pairs DistanceMatrix from them, so that
+// and materializes the all-pairs DistanceMatrix from them (on first request,
+// all rows at once, in parallel), so that
 // every consumer of network distances — the topology's delay matrix
 // (internal/topology), explicit path routing (internal/routing), partition
 // medoids (internal/partition via the matrix), and the placement algorithms
@@ -148,8 +149,13 @@ func (c *DistanceCache) publishMatrix(m *DistanceMatrix) {
 // Matrix returns the all-pairs distance matrix, built once from the memoized
 // per-source trees (sources already computed — e.g. by routing — are not
 // recomputed) and cached for subsequent calls. The first materialization is
-// single-flight: one leader copies the V trees while concurrent callers wait
-// for the canonical matrix, so a cold race costs one build, not W.
+// single-flight: one leader builds while concurrent callers wait for the
+// canonical matrix, so a cold race costs one build, not W. The leader
+// resolves the V sources on GOMAXPROCS workers — rows are independent, each
+// goes through Shortest (so the per-source single-flight and the hit/miss
+// counts hold) and is copied into its own slice of the matrix — and the
+// result is the serial loop's bit for bit (TestMatrixMatchesSerial). The
+// matrix is complete when Matrix returns; nothing is left to a later reader.
 func (c *DistanceCache) Matrix() *DistanceMatrix {
 	for {
 		m, wait, claimed := c.claimMatrix()
@@ -164,9 +170,9 @@ func (c *DistanceCache) Matrix() *DistanceMatrix {
 		distCacheMatrix.Inc()
 		n := len(c.g.adj)
 		m = &DistanceMatrix{n: n, dist: make([]float64, n*n)}
-		for u := 0; u < n; u++ {
+		par.Do(n, func(u int) {
 			copy(m.dist[u*n:(u+1)*n], c.Shortest(NodeID(u)).Dist)
-		}
+		})
 		c.publishMatrix(m)
 		return m
 	}

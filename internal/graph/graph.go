@@ -3,9 +3,11 @@
 //
 // Graphs are undirected and edge-weighted; weights model per-unit-data
 // transmission delays on links of the two-tier edge cloud. The package
-// implements shortest paths (binary-heap Dijkstra), all-pairs shortest paths,
-// connectivity queries, and spanning-tree augmentation used to repair
-// disconnected random topologies.
+// implements shortest paths (Dijkstra on a typed binary heap: no interface
+// dispatch, nothing boxed per push), the DistanceCache that memoizes their
+// trees and builds the all-pairs DistanceMatrix from them on every core,
+// k-shortest paths, connectivity queries, and spanning-tree augmentation used
+// to repair disconnected random topologies.
 package graph
 
 import (

@@ -387,11 +387,11 @@ func BenchmarkDijkstra200(b *testing.B) {
 	}
 }
 
-func BenchmarkAllPairs100(b *testing.B) {
+func BenchmarkMatrix100(b *testing.B) {
 	g := randomConnected(100, 0.2, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.AllPairsShortestPaths()
+		NewDistanceCache(g).Matrix()
 	}
 }

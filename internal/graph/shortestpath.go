@@ -1,32 +1,67 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Infinity is the distance reported between disconnected nodes.
 var Infinity = math.Inf(1)
 
-// pqItem is one entry of the Dijkstra priority queue.
-type pqItem struct {
+// heapItem is one entry of the Dijkstra priority queue.
+type heapItem struct {
 	node NodeID
 	dist float64
 }
 
-// pq is a binary min-heap on tentative distance.
-type pq []pqItem
+// distHeap is a binary min-heap on tentative distance. It is a typed copy of
+// container/heap's sift — the same parent/child indices and the same strict
+// comparisons, moving a hole instead of swapping — so entries of equal
+// distance pop in exactly the order container/heap would pop them: the
+// parent arrays, not only the distances, match the interface-based kernel
+// kept in reference_test.go on every source (TestDijkstraMatchesReference).
+// Typed because that kernel spent most of its time calling Less and Swap
+// through an interface and boxing one heapItem per push.
+type distHeap []heapItem
 
-func (h pq) Len() int            { return len(h) }
-func (h pq) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h pq) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pq) Push(x interface{}) { *h = append(*h, x.(pqItem)) }
-func (h *pq) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *distHeap) push(it heapItem) {
+	s := append(*h, it)
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(it.dist < s[i].dist) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = it
+	*h = s
+}
+
+func (h *distHeap) pop() heapItem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	it := s[n] // the last entry moves to the root and sifts down
+	s = s[:n]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].dist < s[j].dist {
+			j = j2
+		}
+		if !(s[j].dist < it.dist) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	if n > 0 {
+		s[i] = it
+	}
+	*h = s
+	return top
 }
 
 // ShortestPaths holds single-source shortest-path distances and parents.
@@ -38,6 +73,13 @@ type ShortestPaths struct {
 
 // Dijkstra computes shortest paths from src using a binary heap; it runs in
 // O((V+E) log V). Unreachable nodes have distance Infinity.
+//
+// A run allocates its result (Dist, parent, the struct) and the heap's
+// storage, nothing per push. Improved entries are pushed again rather than
+// moved, so the heap can hold up to 2E+1 entries; it is sized for 4V, above
+// the 1.1–3.1 V the generated topologies peak at between 30 and 1000 compute
+// nodes (2E+1 would be 0.9 MB a run at 500), and append grows it on a graph
+// that needs more.
 //
 // Callers that resolve many sources over one graph should go through a
 // DistanceCache instead, which memoizes these trees.
@@ -55,9 +97,10 @@ func (g *Graph) Dijkstra(src NodeID) *ShortestPaths {
 		sp.parent[i] = -1
 	}
 	sp.Dist[src] = 0
-	h := &pq{{node: src, dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
+	h := make(distHeap, 1, min(2*g.edges+1, 4*n))
+	h[0] = heapItem{node: src, dist: 0}
+	for len(h) > 0 {
+		it := h.pop()
 		if it.dist > sp.Dist[it.node] {
 			continue // stale entry
 		}
@@ -65,7 +108,7 @@ func (g *Graph) Dijkstra(src NodeID) *ShortestPaths {
 			if d := it.dist + nb.w; d < sp.Dist[nb.to] {
 				sp.Dist[nb.to] = d
 				sp.parent[nb.to] = it.node
-				heap.Push(h, pqItem{node: nb.to, dist: d})
+				h.push(heapItem{node: nb.to, dist: d})
 			}
 		}
 	}
@@ -92,24 +135,6 @@ func (sp *ShortestPaths) PathTo(dst NodeID) []NodeID {
 type DistanceMatrix struct {
 	n    int
 	dist []float64
-}
-
-// AllPairsShortestPaths runs Dijkstra from every node. For the sparse delay
-// graphs used here this is cheaper and simpler than Floyd–Warshall at the
-// same asymptotic cost for dense graphs.
-//
-// Each call recomputes the full matrix. Long-lived consumers (topologies,
-// routers, experiments) should share a DistanceCache and call its Matrix
-// method, which builds the matrix once from memoized per-source trees.
-func (g *Graph) AllPairsShortestPaths() *DistanceMatrix {
-	allPairsBuilds.Inc()
-	n := len(g.adj)
-	m := &DistanceMatrix{n: n, dist: make([]float64, n*n)}
-	for u := 0; u < n; u++ {
-		sp := g.Dijkstra(NodeID(u))
-		copy(m.dist[u*n:(u+1)*n], sp.Dist)
-	}
-	return m
 }
 
 // NumNodes returns the node count the matrix was built for.

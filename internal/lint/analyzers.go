@@ -192,14 +192,14 @@ func usesWallClock(r *Repo, e ast.Expr, timeName string) bool {
 
 // distViaCache keeps every consumer of network distances on the PR-1 hot
 // path: per-source Dijkstra trees and the all-pairs matrix are memoized in
-// graph.DistanceCache, so calling the raw entry points elsewhere re-runs
-// shortest paths the cache already holds. With type info the rule matches
-// the actual edgerep/internal/graph methods — a same-named method on an
-// unrelated type no longer trips it; unresolved calls keep the conservative
-// name match.
+// graph.DistanceCache, so calling the raw kernel elsewhere re-runs shortest
+// paths the cache already holds (the raw all-pairs loop is gone from the
+// package; it survives as a test oracle). With type info the rule matches the
+// actual edgerep/internal/graph method — a same-named method on an unrelated
+// type no longer trips it; unresolved calls keep the conservative name match.
 var distViaCache = &Analyzer{
 	Name: "distviacache",
-	Doc:  "outside internal/graph, shortest paths must come from graph.DistanceCache, not raw Dijkstra/AllPairsShortestPaths",
+	Doc:  "outside internal/graph, shortest paths must come from graph.DistanceCache, not raw Dijkstra",
 	Run: func(r *Repo) []Finding {
 		var out []Finding
 		for _, f := range r.Files {
@@ -215,14 +215,11 @@ var distViaCache = &Analyzer{
 				if !ok {
 					return true
 				}
-				switch sel.Sel.Name {
-				case "Dijkstra", "AllPairsShortestPaths":
-					if r.calleeIn(call, graphImportPath, "Dijkstra", "AllPairsShortestPaths") == miss {
-						return true // resolved to a non-graph declaration
-					}
-					out = append(out, Finding{Pos: r.pos(call), Analyzer: "distviacache",
-						Message: fmt.Sprintf("direct %s call bypasses the shared graph.DistanceCache; use Shortest/Between/Matrix instead", sel.Sel.Name)})
+				if sel.Sel.Name != "Dijkstra" || r.calleeIn(call, graphImportPath, "Dijkstra") == miss {
+					return true // another name, or resolved to a non-graph declaration
 				}
+				out = append(out, Finding{Pos: r.pos(call), Analyzer: "distviacache",
+					Message: "direct Dijkstra call bypasses the shared graph.DistanceCache; use Shortest/Between/Matrix instead"})
 				return true
 			})
 		}

@@ -85,15 +85,6 @@ func f(g *graph.Graph) { _ = g.Dijkstra(0) }
 		wantSub: "Dijkstra",
 	},
 	{
-		name:     "typed call of the real AllPairsShortestPaths flagged",
-		analyzer: "distviacache",
-		src: `package fix
-import "edgerep/internal/graph"
-func f(g *graph.Graph) { _ = g.AllPairsShortestPaths() }
-`,
-		wantSub: "AllPairsShortestPaths",
-	},
-	{
 		name:     "unresolved Dijkstra call falls back to the name match",
 		analyzer: "distviacache",
 		src: `package fix

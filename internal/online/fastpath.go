@@ -7,6 +7,14 @@
 // node), the deadline and the replica-open price seeds are fixed per demand,
 // and the preferred-site set is frozen after prePlace.
 //
+// Building them is most of what NewEngine costs, so the build is kept to its
+// arithmetic: each (demand, node) delay is evaluated once, straight off the
+// topology's delay matrix, and feeds all three things a table keeps (the
+// admission set, the classification set, the closest finite-delay node); each
+// admission set is sorted once, by a typed comparison; and queries are built
+// on every core (newFastPath, demandTable). Every table exists when NewEngine
+// returns — the first Offer pays nothing.
+//
 // What stays dynamic is mirrored, not recomputed:
 //
 //   - instantaneous load lives in the sharded atomic ledger (capshard.go)
@@ -34,12 +42,14 @@
 package online
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
+	"edgerep/internal/par"
 	"edgerep/internal/placement"
 	"edgerep/internal/workload"
 )
@@ -207,10 +217,10 @@ func (e *Engine) FastPathStats() FastPathStats {
 	}
 }
 
-// newFastPath materializes the tables. Candidate enumeration is seeded from
-// the home node's transfer-distance ranking (graph.RankTargets through the
-// topology's shared DistanceCache, one Dijkstra per distinct home), then
-// refined to total-evaluation-delay order, which the per-offer scan walks.
+// newFastPath materializes the tables: the per-node capacity bounds, then
+// one table per (query, demand). Queries are independent and each writes only
+// its own perQuery slot, so they are built on every core; the totals are
+// summed once all are in.
 func newFastPath(e *Engine) *fastPath {
 	t := e.p.Cloud.Topology()
 	n := t.Graph.NumNodes()
@@ -222,67 +232,28 @@ func newFastPath(e *Engine) *fastPath {
 	}
 	maxU := e.opt.maxUtil()
 	compute := e.p.Cloud.ComputeNodes()
-	for _, v := range compute {
+	procDelay := make([]float64, len(compute)) // d(v), by position in compute
+	for i, v := range compute {
 		capGHz := e.p.Cloud.Capacity(v)
 		f.capMaxU[v] = capGHz * maxU
 		f.capEps[v] = capGHz*maxU + 1e-9
+		procDelay[i] = e.p.Cloud.ProcDelayPerGB(v)
 	}
-	cache := t.DistanceCache()
-	maxDemands := 0
-	for qi := range e.p.Queries {
+	par.Do(len(e.p.Queries), func(qi int) {
 		q := &e.p.Queries[qi]
-		qid := workload.QueryID(qi)
-		if len(q.Demands) > maxDemands {
-			maxDemands = len(q.Demands)
-		}
-		ranked := cache.RankTargets(q.Home, compute)
 		demands := make([]fpDemand, len(q.Demands))
 		for di, dm := range q.Demands {
-			d := fpDemand{
-				dataset:         dm.Dataset,
-				need:            e.p.ComputeNeed(qid, dm.Dataset),
-				size25:          0.25 * e.p.Datasets[dm.Dataset].SizeGB,
-				bestFinite:      -1,
-				bestFiniteDelay: math.Inf(1),
-			}
-			size := e.p.Datasets[dm.Dataset].SizeGB
-			deadline := q.DeadlineSec
-			for _, rt := range ranked {
-				v := rt.Node
-				delay, ok := e.p.EvalDelay(qid, dm.Dataset, v)
-				if !ok || delay > deadline {
-					continue
-				}
-				d.cands = append(d.cands, fpCand{
-					node:      v,
-					delay:     delay,
-					delayCost: delayPriceWeight * size * (delay / deadline),
-					preferred: e.preferredSites != nil && e.preferredSites[dm.Dataset][v],
-				})
-			}
-			sort.Slice(d.cands, func(i, j int) bool {
-				if d.cands[i].delay != d.cands[j].delay {
-					return d.cands[i].delay < d.cands[j].delay
-				}
-				return d.cands[i].node < d.cands[j].node
-			})
-			for _, v := range compute {
-				delay, ok := e.p.EvalDelay(qid, dm.Dataset, v)
-				if !ok {
-					continue
-				}
-				if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
-					d.bestFinite, d.bestFiniteDelay = v, delay
-				}
-				if e.p.MeetsDeadline(qid, dm.Dataset, v) {
-					d.class = append(d.class, fpClassCand{node: v, delay: delay})
-				}
-			}
-			demands[di] = d
-			f.tables++
-			f.candidates += len(d.cands)
+			demands[di] = e.demandTable(workload.QueryID(qi), dm.Dataset, procDelay)
 		}
 		f.perQuery[qi] = demands
+	})
+	maxDemands := 0
+	for _, demands := range f.perQuery {
+		maxDemands = max(maxDemands, len(demands))
+		f.tables += len(demands)
+		for di := range demands {
+			f.candidates += len(demands[di].cands)
+		}
 	}
 	f.scr = fpScratch{
 		tentNode: make([]graph.NodeID, 0, maxDemands),
@@ -293,6 +264,61 @@ func newFastPath(e *Engine) *fastPath {
 	}
 	statFastBuilds.Inc()
 	return f
+}
+
+// demandTable builds the table of one (query, demand) pair in one pass over
+// the compute nodes, ascending: each node's delay is evaluated once and feeds
+// the closest finite-delay node, the classification set (MeetsDeadline's
+// ε-tolerant predicate) and the admission set (the reference scan's strict
+// one). The admission set is then sorted into delay order; nodes are distinct,
+// so (delay, node) is a total order and the result does not depend on the
+// order the pass visited them in.
+func (e *Engine) demandTable(qid workload.QueryID, ds workload.DatasetID, procDelay []float64) fpDemand {
+	q := &e.p.Queries[qid]
+	dm, _ := e.p.Demand(qid, ds) // the demand EvalDelay prices ds by
+	size := e.p.Datasets[ds].SizeGB
+	deadline := q.DeadlineSec
+	delays := e.p.Cloud.Topology().Delays
+	preferred := e.preferredSites[ds]
+	d := fpDemand{
+		dataset:         ds,
+		need:            e.p.ComputeNeed(qid, ds),
+		size25:          0.25 * size,
+		bestFinite:      -1,
+		bestFiniteDelay: math.Inf(1),
+	}
+	for i, v := range e.p.Cloud.ComputeNodes() {
+		// Problem.EvalDelay with everything but the node hoisted: the same
+		// two products, associated the same way, summed in the same order.
+		proc := size * procDelay[i]
+		trans := size * dm.Selectivity * delays.Between(v, q.Home)
+		delay := proc + trans
+		if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
+			d.bestFinite, d.bestFiniteDelay = v, delay
+		}
+		if delay <= deadline+1e-12 {
+			d.class = append(d.class, fpClassCand{node: v, delay: delay})
+		}
+		if delay > deadline {
+			continue
+		}
+		d.cands = append(d.cands, fpCand{
+			node:      v,
+			delay:     delay,
+			delayCost: delayPriceWeight * size * (delay / deadline),
+			preferred: preferred[v],
+		})
+	}
+	slices.SortFunc(d.cands, func(a, b fpCand) int {
+		switch {
+		case a.delay < b.delay:
+			return -1
+		case a.delay > b.delay:
+			return 1
+		}
+		return cmp.Compare(a.node, b.node)
+	})
+	return d
 }
 
 // refresh is the epoch fence: a no-op while the liveness generation the

@@ -2,8 +2,10 @@ package online
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -299,4 +301,201 @@ func TestFastPathStats(t *testing.T) {
 	if st.LiveGen == 0 || st.Refreshes == 0 {
 		t.Fatalf("crash did not move the fence: %+v", st)
 	}
+}
+
+// benchProblem is the 500-node instance of the bench's restart and
+// batch-solve workloads, assembled as server.BuildInstance assembles it
+// (internal/server imports this package, so the test cannot call it).
+func benchProblem(tb testing.TB) *placement.Problem {
+	tb.Helper()
+	top := topology.MustGenerate(topology.ScaledConfig(500, 1))
+	wc := workload.DefaultConfig()
+	wc.Seed = 1
+	wc.NumDatasets = 40
+	wc.NumQueries = 400
+	wc.MaxDatasetsPerQuery = 5
+	p, err := placement.NewProblem(cluster.New(top), workload.MustGenerate(wc, top), 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// edgeTopology is a star around base station 0, every query's home. Cloudlets
+// 2, 3, 5 and 6 are symmetric, so they give any demand the same delay and
+// only the node ID orders them; 1 is nearer, 4 farther, and 7 has a slower
+// processor behind the near link.
+const edgeTopology = `{"nodes": [
+ {"id": 0, "kind": "basestation"},
+ {"id": 1, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 2, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 3, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 4, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 5, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 6, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5},
+ {"id": 7, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.9}],
+ "links": [
+ {"from": 0, "to": 1, "delay_per_gb": 0.125},
+ {"from": 0, "to": 2, "delay_per_gb": 0.25},
+ {"from": 0, "to": 3, "delay_per_gb": 0.25},
+ {"from": 0, "to": 4, "delay_per_gb": 0.75},
+ {"from": 0, "to": 5, "delay_per_gb": 0.25},
+ {"from": 0, "to": 6, "delay_per_gb": 0.25},
+ {"from": 0, "to": 7, "delay_per_gb": 0.125}]}`
+
+// edgeProblem puts three queries on edgeTopology: one with room for every
+// node, so the four symmetric cloudlets tie on delay inside its admission
+// table; one whose deadline is the last float below the tied delay, which
+// the strict admission predicate refuses and the classification predicate's
+// +1e-12 accepts; and one a whole 1e-9 short, which both refuse.
+func edgeProblem(t *testing.T) *placement.Problem {
+	t.Helper()
+	top, err := topology.Load(strings.NewReader(edgeTopology))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &workload.Workload{Datasets: []workload.Dataset{{ID: 0, SizeGB: 2, Origin: 1}}}
+	for i := 0; i < 3; i++ {
+		w.Queries = append(w.Queries, workload.Query{
+			ID: workload.QueryID(i), Home: 0, ComputePerGB: 1, DeadlineSec: 10,
+			Demands: []workload.Demand{{Dataset: 0, Selectivity: 0.5}},
+		})
+	}
+	p, err := placement.NewProblem(cluster.New(top), w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tied, _ := p.EvalDelay(0, 0, 2)
+	p.Queries[1].DeadlineSec = math.Nextafter(tied, 0)
+	p.Queries[2].DeadlineSec = tied - 1e-9
+	return p
+}
+
+// requireSameTables compares two builds field for field, naming the first
+// difference.
+func requireSameTables(t *testing.T, got, want *fastPath) {
+	t.Helper()
+	if got.tables != want.tables || got.candidates != want.candidates {
+		t.Fatalf("%d tables / %d candidates, reference %d / %d", got.tables, got.candidates, want.tables, want.candidates)
+	}
+	if !reflect.DeepEqual(got.capEps, want.capEps) || !reflect.DeepEqual(got.capMaxU, want.capMaxU) {
+		t.Fatal("capacity bounds differ from the reference's")
+	}
+	if len(got.perQuery) != len(want.perQuery) {
+		t.Fatalf("tables for %d queries, reference %d", len(got.perQuery), len(want.perQuery))
+	}
+	for qi := range want.perQuery {
+		if len(got.perQuery[qi]) != len(want.perQuery[qi]) {
+			t.Fatalf("query %d: %d demand tables, reference %d", qi, len(got.perQuery[qi]), len(want.perQuery[qi]))
+		}
+		for di := range want.perQuery[qi] {
+			g, w := got.perQuery[qi][di], want.perQuery[qi][di]
+			if len(g.cands) != len(w.cands) || len(g.class) != len(w.class) {
+				t.Fatalf("query %d demand %d: %d candidates / %d classification entries, reference %d / %d",
+					qi, di, len(g.cands), len(g.class), len(w.cands), len(w.class))
+			}
+			for i := range w.cands {
+				if g.cands[i] != w.cands[i] {
+					t.Fatalf("query %d demand %d: candidate %d = %+v, reference %+v", qi, di, i, g.cands[i], w.cands[i])
+				}
+			}
+			for i := range w.class {
+				if g.class[i] != w.class[i] {
+					t.Fatalf("query %d demand %d: classification entry %d = %+v, reference %+v", qi, di, i, g.class[i], w.class[i])
+				}
+			}
+			g.cands, g.class, w.cands, w.class = nil, nil, nil, nil
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("query %d demand %d: table %+v, reference %+v", qi, di, g, w)
+			}
+		}
+	}
+}
+
+func hasPreferred(f *fastPath) bool {
+	for _, demands := range f.perQuery {
+		for _, d := range demands {
+			for _, c := range d.cands {
+				if c.preferred {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestFastPathTablesMatchReference is the "dump and cmp" of the table build:
+// on every instance, at one, two and eight workers, the one-pass parallel
+// builder's tables equal the two-loop serial builder's (reference_test.go)
+// field for field — so every decision priced off them, and every WAL and
+// trace byte, is what it was.
+func TestFastPathTablesMatchReference(t *testing.T) {
+	defaultP, _ := NewTestProblem(t, 5, 120)
+	forecastP, forecastW := NewTestProblem(t, 9, 80)
+	for _, tc := range []struct {
+		name string
+		p    *placement.Problem
+		opt  Options
+	}{
+		{"default", defaultP, Options{}},
+		{"bench 500 nodes", benchProblem(t), Options{}},
+		{"forecast", forecastP, Options{Forecast: forecastW.Queries[:40], MaxUtilization: 0.8}},
+		{"ties and the classification epsilon", edgeProblem(t), Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				e := NewEngine(tc.p, len(tc.p.Queries), tc.opt)
+				requireSameTables(t, e.fast, newFastPathReference(e))
+				if tc.opt.Forecast != nil && !hasPreferred(e.fast) {
+					t.Fatal("the forecast marked no candidate preferred; the field is not exercised")
+				}
+			}
+		})
+	}
+	t.Run("what the hand-built instance pins", func(t *testing.T) {
+		f := NewEngine(edgeProblem(t), 3, Options{}).fast
+		var order []graph.NodeID
+		for _, c := range f.perQuery[0][0].cands {
+			order = append(order, c.node)
+		}
+		if want := []graph.NodeID{1, 2, 3, 5, 6, 4, 7}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("admission order %v, want %v (2, 3, 5 and 6 tie on delay)", order, want)
+		}
+		if d := f.perQuery[1][0]; len(d.cands) != 1 || len(d.class) != 5 {
+			t.Fatalf("deadline one ulp under the tie: %d candidates, %d classification entries; want 1 and 5 (the +1e-12)",
+				len(d.cands), len(d.class))
+		}
+		if d := f.perQuery[2][0]; len(d.cands) != 1 || len(d.class) != 1 {
+			t.Fatalf("deadline 1e-9 under the tie: %d candidates, %d classification entries; want 1 and 1",
+				len(d.cands), len(d.class))
+		}
+	})
+}
+
+// fastPathBuildAllocs bounds what building the bench instance's tables
+// allocates at one worker (testing.AllocsPerRun measures at GOMAXPROCS=1):
+// 12 955–12 957 measured — per (query, demand) table the doublings of its two
+// appended slices, per query its slice of tables, and a few objects for the
+// fastPath and the worker. Nothing per candidate: the two-loop builder's
+// ranking and reflection-based sort per table made it 16 834.
+const fastPathBuildAllocs = 13000
+
+// BenchmarkFastPathBuild times newFastPath on the bench's 500-node instance
+// (1 151 tables, 221 181 candidates) and fails if one build allocates more
+// than fastPathBuildAllocs objects.
+func BenchmarkFastPathBuild(b *testing.B) {
+	b.Run("v500", func(b *testing.B) {
+		e := NewEngine(benchProblem(b), 10000, Options{})
+		if got := testing.AllocsPerRun(1, func() { newFastPath(e) }); got > fastPathBuildAllocs {
+			b.Fatalf("one build allocates %v objects, want at most %d", got, fastPathBuildAllocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			newFastPath(e)
+		}
+	})
 }

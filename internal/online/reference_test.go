@@ -9,6 +9,7 @@ package online
 
 import (
 	"math"
+	"sort"
 
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
@@ -111,4 +112,116 @@ func (e *Engine) downPredicate() func(graph.NodeID) bool {
 		return nil
 	}
 	return e.live.IsDown
+}
+
+// rankedTarget and rankTargets are graph.RankTargets as newFastPathReference
+// called it: the compute nodes by ascending distance from the home node.
+type rankedTarget struct {
+	Node graph.NodeID
+	Dist float64
+}
+
+func rankTargets(c *graph.DistanceCache, src graph.NodeID, targets []graph.NodeID) []rankedTarget {
+	sp := c.Shortest(src)
+	out := make([]rankedTarget, len(targets))
+	for i, v := range targets {
+		out[i] = rankedTarget{Node: v, Dist: sp.Dist[v]}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].Node < out[j].Node
+	})
+	return out
+}
+
+// newFastPathReference is the table builder newFastPath replaced, verbatim:
+// per demand, one loop over the home's distance ranking through EvalDelay for
+// the admission set (sorted with sort.Slice), then a second loop over the
+// compute nodes through EvalDelay and MeetsDeadline for the closest
+// finite-delay node and the classification set; queries one after another.
+// TestFastPathTablesMatchReference requires the one-pass parallel builder to
+// produce the same tables field for field.
+func newFastPathReference(e *Engine) *fastPath {
+	t := e.p.Cloud.Topology()
+	n := t.Graph.NumNodes()
+	f := &fastPath{
+		perQuery: make([][]fpDemand, len(e.p.Queries)),
+		capEps:   make([]float64, n),
+		capMaxU:  make([]float64, n),
+		down:     make([]bool, n),
+	}
+	maxU := e.opt.maxUtil()
+	compute := e.p.Cloud.ComputeNodes()
+	for _, v := range compute {
+		capGHz := e.p.Cloud.Capacity(v)
+		f.capMaxU[v] = capGHz * maxU
+		f.capEps[v] = capGHz*maxU + 1e-9
+	}
+	cache := t.DistanceCache()
+	maxDemands := 0
+	for qi := range e.p.Queries {
+		q := &e.p.Queries[qi]
+		qid := workload.QueryID(qi)
+		if len(q.Demands) > maxDemands {
+			maxDemands = len(q.Demands)
+		}
+		ranked := rankTargets(cache, q.Home, compute)
+		demands := make([]fpDemand, len(q.Demands))
+		for di, dm := range q.Demands {
+			d := fpDemand{
+				dataset:         dm.Dataset,
+				need:            e.p.ComputeNeed(qid, dm.Dataset),
+				size25:          0.25 * e.p.Datasets[dm.Dataset].SizeGB,
+				bestFinite:      -1,
+				bestFiniteDelay: math.Inf(1),
+			}
+			size := e.p.Datasets[dm.Dataset].SizeGB
+			deadline := q.DeadlineSec
+			for _, rt := range ranked {
+				v := rt.Node
+				delay, ok := e.p.EvalDelay(qid, dm.Dataset, v)
+				if !ok || delay > deadline {
+					continue
+				}
+				d.cands = append(d.cands, fpCand{
+					node:      v,
+					delay:     delay,
+					delayCost: delayPriceWeight * size * (delay / deadline),
+					preferred: e.preferredSites != nil && e.preferredSites[dm.Dataset][v],
+				})
+			}
+			sort.Slice(d.cands, func(i, j int) bool {
+				if d.cands[i].delay != d.cands[j].delay {
+					return d.cands[i].delay < d.cands[j].delay
+				}
+				return d.cands[i].node < d.cands[j].node
+			})
+			for _, v := range compute {
+				delay, ok := e.p.EvalDelay(qid, dm.Dataset, v)
+				if !ok {
+					continue
+				}
+				if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
+					d.bestFinite, d.bestFiniteDelay = v, delay
+				}
+				if e.p.MeetsDeadline(qid, dm.Dataset, v) {
+					d.class = append(d.class, fpClassCand{node: v, delay: delay})
+				}
+			}
+			demands[di] = d
+			f.tables++
+			f.candidates += len(d.cands)
+		}
+		f.perQuery[qi] = demands
+	}
+	f.scr = fpScratch{
+		tentNode: make([]graph.NodeID, 0, maxDemands),
+		tentAmt:  make([]float64, 0, maxDemands),
+		openDs:   make([]workload.DatasetID, 0, maxDemands),
+		openNode: make([]graph.NodeID, 0, maxDemands),
+		assign:   make([]placement.Assignment, 0, maxDemands),
+	}
+	return f
 }

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -81,5 +83,25 @@ func TestTopologyLoadMinimalHandAuthored(t *testing.T) {
 	}
 	if d := top.TransferDelayPerGB(0, 1); d != 0.5 {
 		t.Fatalf("delay = %v, want 0.5", d)
+	}
+}
+
+// TestGenerateBytesPinned pins what Generate draws: the saved bytes of the
+// 30-, 100- and 500-node topologies are those of the generator that asked
+// Graph.HasEdge for every pair of its GT-ITM loop. Every instance the daemon,
+// the bench and the figures run on comes from these draws.
+func TestGenerateBytesPinned(t *testing.T) {
+	for n, want := range map[int]string{
+		30:  "c2c61c42058ee6a27dfdcd9a88841d4820f68e1af0124330bc4ab48725345968",
+		100: "218d735862b888f1227bbf799a63e1708c9a6ade2c5063ef50f6a7fd4f5d6bf6",
+		500: "422174b18b72252e07d03d0cefa610e7437c29f3bf04deb88029872538a00669",
+	} {
+		h := sha256.New()
+		if err := MustGenerate(ScaledConfig(n, 1)).Save(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("ScaledConfig(%d, 1) saves as sha256 %s, want %s", n, got, want)
+		}
 	}
 }

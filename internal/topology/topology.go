@@ -279,10 +279,15 @@ func Generate(c Config) (*Topology, error) {
 		g.AddEdge(graph.NodeID(bsStart+i), graph.NodeID(cl), linkDelay())
 	}
 
-	// GT-ITM random links with iid probability EdgeProb (paper §4.1).
+	// GT-ITM random links with iid probability EdgeProb (paper §4.1); a pair
+	// the spine already links draws nothing. linked marks u's neighbours
+	// while its row is drawn — g.HasEdge per pair would rescan u's growing
+	// adjacency — and the links the row itself adds go to nodes it has passed.
+	linked := make([]bool, total)
 	for u := 0; u < total; u++ {
+		g.Neighbors(graph.NodeID(u), func(v graph.NodeID, _ float64) { linked[v] = true })
 		for v := u + 1; v < total; v++ {
-			if g.HasEdge(graph.NodeID(u), graph.NodeID(v)) {
+			if linked[v] {
 				continue
 			}
 			if rng.Float64() < c.EdgeProb {
@@ -293,6 +298,7 @@ func Generate(c Config) (*Topology, error) {
 				g.AddEdge(graph.NodeID(u), graph.NodeID(v), d)
 			}
 		}
+		g.Neighbors(graph.NodeID(u), func(v graph.NodeID, _ float64) { linked[v] = false })
 	}
 
 	g.Connect(c.LinkDelayMax * c.WANDelayFactor)
