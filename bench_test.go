@@ -15,6 +15,7 @@
 package edgerep
 
 import (
+	"fmt"
 	"testing"
 
 	"edgerep/internal/baselines"
@@ -479,32 +480,43 @@ func BenchmarkAlgorithmsHeadToHead(b *testing.B) {
 }
 
 // BenchmarkScalabilityNetworkSize measures how Appro-G's runtime scales with
-// the network size |V| at fixed workload — the practical cost of the
-// O(rounds · |Q| · Σ|S(q)| · |V|) ascent.
+// the network size |V| at fixed workload: the candidate lists are
+// O(Σ|S(q)| · |V|) to build, and every bundle plan walks its own.
 func BenchmarkScalabilityNetworkSize(b *testing.B) {
 	for _, n := range []int{50, 100, 200, 400} {
-		b.Run(map[int]string{50: "V=50", 100: "V=100", 200: "V=200", 400: "V=400"}[n], func(b *testing.B) {
-			top := topology.MustGenerate(topology.ScaledConfig(n, 1))
-			wc := workload.DefaultConfig()
-			wc.NumDatasets = 15
-			wc.NumQueries = 80
-			wc.MaxDatasetsPerQuery = 5
-			w := workload.MustGenerate(wc, top)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err := placement.NewProblem(cluster.New(top), w, 3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := core.ApproG(p, core.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.Solution.Volume(p), "volume_gb")
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("V=%d", n), func(b *testing.B) { benchScalability(b, n, 15, 80) })
+	}
+}
+
+// BenchmarkScalabilityQueries measures how it scales with |Q| on the bench's
+// 500-node network, up to ten times the bench's 400 queries: the rounds grow
+// with |Q|, and so does what each round has to look at.
+func BenchmarkScalabilityQueries(b *testing.B) {
+	for _, nq := range []int{400, 1000, 2000, 4000} {
+		b.Run(fmt.Sprintf("Q=%d", nq), func(b *testing.B) { benchScalability(b, 500, 40, nq) })
+	}
+}
+
+func benchScalability(b *testing.B, nodes, datasets, queries int) {
+	top := topology.MustGenerate(topology.ScaledConfig(nodes, 1))
+	wc := workload.DefaultConfig()
+	wc.NumDatasets = datasets
+	wc.NumQueries = queries
+	wc.MaxDatasetsPerQuery = 5
+	w := workload.MustGenerate(wc, top)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := placement.NewProblem(cluster.New(top), w, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.ApproG(p, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(res.Solution.Volume(p), "volume_gb")
+		}
 	}
 }

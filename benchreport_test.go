@@ -206,8 +206,8 @@ func TestWriteBenchReport(t *testing.T) {
 	report.Entries = append(report.Entries, e)
 
 	// Single Appro-G run on the default-scale instance — the workload of
-	// BenchmarkAlgorithmsHeadToHead/ApproG; isolates the pooled ascent from
-	// the driver-level caching.
+	// BenchmarkAlgorithmsHeadToHead/ApproG; isolates the ascent from the
+	// driver-level caching.
 	approG := func(b *testing.B) {
 		p := benchProblem(b, 1, 3)
 		b.ReportAllocs()
@@ -227,8 +227,7 @@ func TestWriteBenchReport(t *testing.T) {
 		BytesPerOp:  float64(r.AllocedBytesPerOp()),
 		Counters: counters(snap,
 			"core.ascent_rounds", "core.bundles_priced",
-			"core.admitted_queries", "core.rejected_queries",
-			"core.scratch_allocs", "core.scratch_reuses"),
+			"core.admitted_queries", "core.rejected_queries"),
 		BaselineNsPerOp:     seedApproGNsPerOp,
 		BaselineAllocsPerOp: seedApproGAllocsPerOp,
 	}

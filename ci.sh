@@ -3,7 +3,7 @@
 # build, race-enabled tests, pricing-table gates (zero-alloc pricing,
 # table-vs-reference-scan equivalence incl. the exact-tie case, stale-table
 # fuzz, chaos-on latency smoke, one allocation per admitted offer, the
-# Dijkstra / matrix / table-build oracles),
+# Dijkstra / matrix / table-build / dual-ascent oracles),
 # attribution gates (zero-alloc off path, byte-identical traces, flight-ring
 # race stress), durability (journal/recovery incl. bit-exact through a
 # snapshot + the solution layer against its sort-per-admit reference + group
@@ -63,7 +63,7 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race; one allocation per admit; kernel, matrix and table-build oracles under -race)"
+echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race; one allocation per admit; kernel, matrix, table-build and dual-ascent oracles under -race)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
 go test -run 'TestFastPathEquivalence' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
@@ -78,6 +78,14 @@ go test -run 'TestAdmitPathAllocs' ./internal/online
 # table build against the two-loop serial one at 1, 2 and 8 workers.
 go test -race -run 'TestDijkstraMatchesReference|TestMatrixMatchesSerial' ./internal/graph
 go test -race -run 'TestFastPathTablesMatchReference' ./internal/online
+# The paper's solver against the plan-everything ascent it replaced (result,
+# FinalTheta bits and trace bytes, on the figures' cells, the ablation rows,
+# the bench instance and the hand-built ones), what its admission loop relies
+# on to leave a bundle unplanned, and the delay kernel both table builders
+# share against EvalDelay.
+go test -race -run 'TestAscentMatchesReference|TestAdmissionBoundsHold|TestHandBuiltInstancesReachTheirCases' ./internal/core
+go test -run 'TestAscentPlansAThird' ./internal/core
+go test -run 'TestDemandDelaysMatchEvalDelay' ./internal/placement
 
 echo "== chaos gates (seeded crash sweep replays clean; failover paths race-clean; wall-clock smoke)"
 go test -run 'TestExtChaosTraceDeterministicAndValid' ./internal/experiments
@@ -317,5 +325,8 @@ go test -run '^$' -bench 'BenchmarkSolutionAdmit' -benchtime 3x ./internal/place
 # build its tables and nothing per candidate).
 go test -run '^$' -bench '^BenchmarkDijkstra$/v500' -benchtime 533x ./internal/graph
 go test -run '^$' -bench '^BenchmarkFastPathBuild$/v500' -benchtime 5x ./internal/online
+# One Appro-G solve of the same instance; fails above its pinned objects and
+# bytes (the candidate lists and little else).
+go test -run '^$' -bench '^BenchmarkApproG$/v500' -benchtime 5x ./internal/core
 
 echo "ci.sh: all green"

@@ -8,7 +8,8 @@ import (
 
 // FuzzApproGInvariants drives Appro-G (and Appro-S on the single-dataset
 // restriction) over fuzzed instance shapes and checks every solution against
-// the independent paper-constraint recomputation in internal/invariant.
+// the independent paper-constraint recomputation in internal/invariant, and
+// result and trace against the reference ascent (reference_test.go).
 // Under plain `go test` the seed corpus runs as a regression suite; under
 // `go test -fuzz=FuzzApproGInvariants` the engine explores new shapes.
 func FuzzApproGInvariants(f *testing.F) {
@@ -26,6 +27,7 @@ func FuzzApproGInvariants(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ApproG(seed=%d nq=%d nd=%d k=%d): %v", seed, nq, nd, k, err)
 		}
+		requireMatchesReference(t, p, Options{}, "appro-g")
 		vol := res.Solution.Volume(p)
 		if err := invariant.CheckSolution(p, res.Solution, vol); err != nil {
 			t.Fatalf("ApproG(seed=%d nq=%d nd=%d k=%d) violates invariants: %v",
@@ -40,6 +42,7 @@ func FuzzApproGInvariants(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ApproS(seed=%d nq=%d nd=%d k=%d): %v", seed, nq, nd, k, err)
 		}
+		requireMatchesReference(t, sp, Options{}, "appro-s")
 		if err := invariant.CheckSolution(sp, sres.Solution, sres.Solution.Volume(sp)); err != nil {
 			t.Fatalf("ApproS(seed=%d nq=%d nd=%d k=%d) violates invariants: %v",
 				seed, nq, nd, k, err)

@@ -37,13 +37,23 @@
 //     repeats. Appro-G runs the same machinery over a query's whole demanded
 //     bundle with all-or-nothing admission (paper Algorithm 2 invokes the
 //     Appro-S machinery per demanded dataset).
+//
+// A round's winner is the minimum of cost/value over every undecided bundle,
+// each planned greedily against the prices of that round. The admission loop
+// (admission.go) finds that minimum without planning them all: it keeps, per
+// bundle, a lower bound on the ratio that commits elsewhere can only raise,
+// re-plans the bundles whose bound could still win, and re-plans ahead of
+// that exactly the bundles a commit could have made infeasible — so every
+// rejection is still found in the round, against the state, and in the order
+// the plan-everything loop finds it. That loop is kept as the oracle in
+// reference_test.go; results, traces and FinalTheta are equal bit for bit.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
@@ -59,8 +69,6 @@ var (
 	statAdmitted       = instrument.NewCounter("core.admitted_queries")
 	statRejected       = instrument.NewCounter("core.rejected_queries")
 	statProactiveSites = instrument.NewCounter("core.proactive_sites")
-	statScratchReuses  = instrument.NewCounter("core.scratch_reuses")
-	statScratchAllocs  = instrument.NewCounter("core.scratch_allocs")
 )
 
 // Options tunes the dual ascent. The zero value selects the defaults used
@@ -94,15 +102,9 @@ type Options struct {
 	// algorithm is proactive; this switch quantifies how much that phase
 	// contributes.
 	NoProactivePlacement bool
-	// Parallelism is the number of goroutines used to price query bundles
-	// within each admission round. 0 or 1 means sequential. The result is
-	// identical at any parallelism: pricing reads shared state, and the
-	// per-round winner is reduced deterministically by (ratio, query ID).
-	Parallelism int
 }
 
-func (o Options) priceBase(numQueries int) float64 {
-	_ = numQueries // the classic 1+|Q| base is selectable via PriceBase
+func (o Options) priceBase() float64 {
 	if o.PriceBase > 0 {
 		return o.PriceBase
 	}
@@ -158,19 +160,69 @@ func ApproG(p *placement.Problem, opt Options) (*Result, error) {
 	return run(p, opt, "appro-g")
 }
 
+// cand is one node a demand can be served from within its deadline
+// (constraint (4); everywhere else the η price is infinite).
+type cand struct {
+	vi    int32 // index into ascent.nodes
+	delay float64
+}
+
+// demand is what is fixed about one demanded dataset of a query.
+type demand struct {
+	ds   int // dataset index
+	size float64
+	need float64
+	// sizeW is delW·size, the left factor of the deadline-slack price.
+	sizeW float64
+	// cands lists the deadline-feasible nodes in ascending node order.
+	cands []cand
+	// earlierNeed is the sum of the needs of the bundle's earlier demands,
+	// added in the order planBundle adds them to a node's tentative load: the
+	// most of that load this demand can meet on any node. earlierSame counts
+	// the earlier demands of the same dataset: the most tentative openings of
+	// it this demand can meet.
+	earlierNeed float64
+	earlierSame int
+}
+
 // pairCost is the dual cost of serving one demanded dataset of a query at a
 // node, plus the bookkeeping needed to commit it.
 type pairCost struct {
-	node graph.NodeID
-	cost float64
-	need float64
-	open bool // a new replica must be created
+	node  graph.NodeID // -1: infeasible demand under PartialAdmission
+	vi    int
+	cost  float64
+	delay float64
+	open  bool // a new replica must be created
+}
+
+// bundle is one query: its demands' tables and its latest plan — the
+// tentative min-cost assignment of the whole bundle, and what the admission
+// loop derives from the same pass to decide when the plan is next needed.
+type bundle struct {
+	deadline float64
+	demands  []demand
+	// nodes is the union of the demands' candidates, a bitset over node index.
+	nodes []uint64
+
+	picks []pairCost // one per demand, rewritten by every planBundle
+	cost  float64
+	value float64
+	// bound ≤ cost, and no commit lowers it except one that opens a replica
+	// of a dataset the bundle demands (see planDemand).
+	bound float64
+	// secure: every demand has a node it can be served from whatever the
+	// bundle's earlier demands take, so the plan cannot fail, and no commit
+	// since the plan can have lowered bound. The admission loop clears it when
+	// a commit may have undone either.
+	secure bool
+	done   bool   // admitted or rejected
+	plans  uint32 // how many times planned; stamps the bundle's entry in ascent.bounds
 }
 
 // ascent holds the mutable state of the dual ascent. The hot-path state
-// (capacities, prices, preferred sites) is kept in dense slices indexed by
-// compute-node index — no map lookups or per-candidate allocations inside
-// the pricing loops.
+// (capacities, prices, replicas, preferred sites, candidate lists) is kept in
+// dense slices indexed by compute-node index — no map lookups or
+// per-candidate allocations inside the pricing loops.
 type ascent struct {
 	p   *placement.Problem
 	opt Options
@@ -182,14 +234,37 @@ type ascent struct {
 	base  float64
 	repW  float64
 	delW  float64
-	// delays caches EvalDelay per (query index, demand index, node index).
-	delays [][][]float64
-	nodes  []graph.NodeID
+	nodes []graph.NodeID
+	// nodeIx serves the rejection classifier, which asks by node ID.
 	nodeIx map[graph.NodeID]int
-	// thetaCache holds θ per node index for the current admission round.
-	// θ depends only on avail/caps, which change exclusively in commit, so
-	// it is refreshed once per round instead of per candidate evaluation.
-	thetaCache []float64
+	// theta holds θ per node index. θ depends only on avail/caps, which
+	// change exclusively in commit, so commit re-prices the nodes it loaded
+	// and every bundle planned before the next commit sees the same θ.
+	theta []float64
+	// sites[ds·|V|+vi] says what node vi is to dataset ds: holder of a replica
+	// (with repCount[ds], the mirror of what commit wrote into sol: the pricing
+	// loop reads the mirror; sol stays the source of truth for the rejection
+	// classifier, Validate and the result) and site chosen by the proactive
+	// replication phase. A replica only materializes (and counts toward K)
+	// when a query is actually assigned to it; preferred sites carry zero
+	// opening price in the dual cost, steering the ascent toward the
+	// coverage-optimal layout without freezing K slots on never-used copies.
+	sites    []uint8
+	repCount []int
+
+	bundles []bundle
+	sc      scratch
+	// live lists the undecided queries in ascending order; the rest is the
+	// admission loop's working state (admission.go).
+	live     []int
+	planned  []int     // bundles planned in the current round
+	bounds   boundHeap // secure bundles by bound/value
+	opened   []int     // datasets the last commit opened a replica of
+	loaded   []int     // node indices it loaded
+	assigned []placement.Assignment
+	rounds   int
+	rejected int
+
 	// algo and traceRun identify this run in emitted trace events; nodeClass,
 	// classUsed, and classCap back the per-class utilization gauges (see
 	// trace.go).
@@ -198,22 +273,21 @@ type ascent struct {
 	nodeClass []int
 	classUsed [numClasses]float64
 	classCap  [numClasses]float64
-	// preferred holds the sites chosen by the proactive replication phase,
-	// dense per (dataset, node index); nil rows mean no preferred sites. A
-	// replica only materializes (and counts toward K) when a query is
-	// actually assigned to it; preferred sites carry zero opening price in
-	// the dual cost, steering the ascent toward the coverage-optimal
-	// layout without freezing K slots on never-used copies.
-	preferred [][]bool
-	// scratchPool recycles the per-bundle pricing buffers across rounds
-	// and across the parallel pricing workers.
-	scratchPool sync.Pool
 }
 
-// scratch carries the per-bundle tentative state of planBundle/demandCost:
+const (
+	siteReplica   uint8 = 1 << iota // the dataset has a replica on the node
+	sitePreferred                   // the proactive phase chose the node for the dataset
+)
+
+// candidate reports whether node index vi serves any of the bundle's demands
+// within its deadline.
+func (b *bundle) candidate(vi int) bool { return b.nodes[vi>>6]&(1<<(vi&63)) != 0 }
+
+// scratch carries the per-bundle tentative state of planBundle/planDemand:
 // per-node tentative capacity use and per-(dataset, node) tentative replica
 // openings. Buffers are dense and reset in O(touched) via the recorded
-// touch lists, so a bundle evaluation allocates nothing after warm-up.
+// touch lists, so a bundle evaluation allocates nothing.
 type scratch struct {
 	extraUse  []float64 // tentative GHz per node index
 	usedNodes []int     // node indices with extraUse != 0
@@ -223,19 +297,6 @@ type scratch struct {
 
 	openCount    []int // tentative openings per dataset
 	openDatasets []int // datasets with openCount != 0
-}
-
-func (a *ascent) getScratch() *scratch {
-	if sc, ok := a.scratchPool.Get().(*scratch); ok && sc != nil {
-		statScratchReuses.Inc()
-		return sc
-	}
-	statScratchAllocs.Inc()
-	return &scratch{
-		extraUse:  make([]float64, len(a.nodes)),
-		extraOpen: make([]bool, len(a.p.Datasets)*len(a.nodes)),
-		openCount: make([]int, len(a.p.Datasets)),
-	}
 }
 
 // reset clears only the entries a bundle actually touched.
@@ -254,55 +315,100 @@ func (sc *scratch) reset() {
 	sc.openDatasets = sc.openDatasets[:0]
 }
 
-func (a *ascent) putScratch(sc *scratch) {
-	sc.reset()
-	a.scratchPool.Put(sc)
-}
-
 func newAscent(p *placement.Problem, opt Options) *ascent {
+	nodes := p.Cloud.ComputeNodes()
 	a := &ascent{
-		p:         p,
-		opt:       opt,
-		sol:       placement.NewSolution(),
-		base:      opt.priceBase(len(p.Queries)),
-		repW:      opt.replicaWeight(),
-		delW:      opt.delayWeight(),
-		nodes:     p.Cloud.ComputeNodes(),
-		nodeIx:    make(map[graph.NodeID]int),
-		preferred: make([][]bool, len(p.Datasets)),
+		p:        p,
+		opt:      opt,
+		sol:      placement.NewSolution(),
+		base:     opt.priceBase(),
+		repW:     opt.replicaWeight(),
+		delW:     opt.delayWeight(),
+		nodes:    nodes,
+		nodeIx:   make(map[graph.NodeID]int, len(nodes)),
+		avail:    make([]float64, len(nodes)),
+		caps:     make([]float64, len(nodes)),
+		theta:    make([]float64, len(nodes)),
+		sites:    make([]uint8, len(p.Datasets)*len(nodes)),
+		repCount: make([]int, len(p.Datasets)),
+		sc: scratch{
+			extraUse:  make([]float64, len(nodes)),
+			extraOpen: make([]bool, len(p.Datasets)*len(nodes)),
+			openCount: make([]int, len(p.Datasets)),
+		},
 	}
-	a.avail = make([]float64, len(a.nodes))
-	a.caps = make([]float64, len(a.nodes))
-	a.thetaCache = make([]float64, len(a.nodes))
-	for i, v := range a.nodes {
+	procDelay := make([]float64, len(nodes))
+	for i, v := range nodes {
 		a.nodeIx[v] = i
 		a.avail[i] = p.Cloud.Available(v)
 		a.caps[i] = p.Cloud.Capacity(v)
+		a.theta[i] = a.thetaAt(i)
+		procDelay[i] = p.Cloud.ProcDelayPerGB(v)
 	}
-	a.delays = make([][][]float64, len(p.Queries))
-	for qi := range p.Queries {
-		q := &p.Queries[qi]
-		a.delays[qi] = make([][]float64, len(q.Demands))
-		for di := range q.Demands {
-			row := make([]float64, len(a.nodes))
-			for vi, v := range a.nodes {
-				d, ok := p.EvalDelay(q.ID, q.Demands[di].Dataset, v)
-				if !ok {
-					d = math.Inf(1)
-				}
-				row[vi] = d
-			}
-			a.delays[qi][di] = row
-		}
-	}
+	a.buildBundles(procDelay)
 	a.initClasses()
 	return a
 }
 
+// buildBundles prices every (query, demand) pair at every compute node once
+// and keeps the nodes that meet the deadline. The per-pair tables are cut from
+// three slabs; only the candidate lists, whose lengths the pass finds, are
+// allocated one by one, at their exact size.
+func (a *ascent) buildBundles(procDelay []float64) {
+	p := a.p
+	numDemands := 0
+	for qi := range p.Queries {
+		numDemands += len(p.Queries[qi].Demands)
+	}
+	demands := make([]demand, numDemands)
+	picks := make([]pairCost, numDemands)
+	words := (len(a.nodes) + 63) / 64
+	nodeBits := make([]uint64, len(p.Queries)*words)
+	row := make([]cand, 0, len(a.nodes))
+	a.bundles = make([]bundle, len(p.Queries))
+	a.live = make([]int, len(p.Queries))
+	for qi := range p.Queries {
+		q := &p.Queries[qi]
+		n := len(q.Demands)
+		b := &a.bundles[qi]
+		b.deadline = q.DeadlineSec
+		b.demands, demands = demands[:n:n], demands[n:]
+		b.picks, picks = picks[:n:n], picks[n:]
+		b.nodes, nodeBits = nodeBits[:words:words], nodeBits[words:]
+		earlier := 0.0
+		for di, dm := range q.Demands {
+			size := p.Datasets[dm.Dataset].SizeGB
+			d := &b.demands[di]
+			*d = demand{
+				ds:          int(dm.Dataset),
+				size:        size,
+				need:        size * q.ComputePerGB,
+				sizeW:       a.delW * size,
+				earlierNeed: earlier,
+			}
+			for _, e := range b.demands[:di] {
+				if e.ds == d.ds {
+					d.earlierSame++
+				}
+			}
+			earlier += d.need
+			delays := p.DemandDelays(q.ID, dm.Dataset, procDelay)
+			row = row[:0]
+			for vi := range a.nodes {
+				if delay := delays.At(vi); delay <= q.DeadlineSec {
+					row = append(row, cand{vi: int32(vi), delay: delay})
+					b.nodes[vi>>6] |= 1 << (vi & 63)
+				}
+			}
+			d.cands = slices.Clone(row)
+		}
+		a.live[qi] = qi
+	}
+}
+
 // isPreferred reports whether node index vi is a proactive site of ds.
-func (a *ascent) isPreferred(ds workload.DatasetID, vi int) bool {
-	row := a.preferred[ds]
-	return row != nil && row[vi]
+func (a *ascent) isPreferred(ds, vi int) bool {
+	return a.sites[ds*len(a.nodes)+vi]&sitePreferred != 0
 }
 
 // proactivePlace runs the replication phase: volume-weighted maximum
@@ -311,60 +417,62 @@ func (a *ascent) isPreferred(ds workload.DatasetID, vi int) bool {
 // sites first. Sites selected here enter the solution's replica sets; the
 // admission phase may still open leftover slots lazily (count < K).
 func (a *ascent) proactivePlace() {
-	type demandRef struct {
-		qi, di int
-		need   float64
-	}
 	// Collect demands per dataset and total demand volumes.
-	perDataset := make(map[workload.DatasetID][]demandRef)
-	totalNeed := make(map[workload.DatasetID]float64)
-	for qi := range a.p.Queries {
-		q := &a.p.Queries[qi]
-		for di, dm := range q.Demands {
-			need := a.p.ComputeNeed(q.ID, dm.Dataset)
-			perDataset[dm.Dataset] = append(perDataset[dm.Dataset], demandRef{qi: qi, di: di, need: need})
-			totalNeed[dm.Dataset] += need
+	perDataset := make([][]*demand, len(a.p.Datasets))
+	totalNeed := make([]float64, len(a.p.Datasets))
+	most := 0
+	for qi := range a.bundles {
+		for di := range a.bundles[qi].demands {
+			d := &a.bundles[qi].demands[di]
+			perDataset[d.ds] = append(perDataset[d.ds], d)
+			totalNeed[d.ds] += d.need
+			most = max(most, len(perDataset[d.ds]))
 		}
 	}
-	order := make([]workload.DatasetID, 0, len(perDataset))
-	for n := range perDataset {
-		order = append(order, n)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if totalNeed[order[i]] != totalNeed[order[j]] {
-			return totalNeed[order[i]] > totalNeed[order[j]]
+	order := make([]int, 0, len(perDataset))
+	for ds, demands := range perDataset {
+		if len(demands) > 0 {
+			order = append(order, ds)
 		}
-		return order[i] < order[j]
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		if totalNeed[x] != totalNeed[y] {
+			return cmp.Compare(totalNeed[y], totalNeed[x])
+		}
+		return cmp.Compare(x, y)
 	})
 
 	// claimed tracks expected capacity committed to already-chosen sites so
 	// replicas of different datasets spread instead of stacking on one
 	// popular cloudlet.
 	claimed := make([]float64, len(a.nodes))
+	cover := make([]float64, len(a.nodes))
+	coveredBuf := make([]bool, most)
+	feasible := make([]int, 0, most)
 
 	for _, n := range order {
 		demands := perDataset[n]
-		covered := make([]bool, len(demands))
+		covered := coveredBuf[:len(demands)]
+		clear(covered)
 		for slot := 0; slot < a.p.MaxReplicas; slot++ {
+			// cover[vi]: the uncovered demand volume node vi can serve in
+			// time, each node's sum taken in demand order.
+			clear(cover)
+			for i, d := range demands {
+				if covered[i] {
+					continue
+				}
+				for _, c := range d.cands {
+					cover[c.vi] += d.need
+				}
+			}
 			bestIx := -1
 			bestEff := 0.0
 			for vi, v := range a.nodes {
-				if a.isPreferred(n, vi) {
+				if a.isPreferred(n, vi) || cover[vi] <= 0 {
 					continue
 				}
-				cover := 0.0
-				for i, d := range demands {
-					if covered[i] {
-						continue
-					}
-					if a.delays[d.qi][d.di][vi] <= a.p.Queries[d.qi].DeadlineSec {
-						cover += d.need
-					}
-				}
-				if cover <= 0 {
-					continue
-				}
-				eff := math.Min(cover, a.caps[vi]-claimed[vi])
+				eff := math.Min(cover[vi], a.caps[vi]-claimed[vi])
 				if eff > bestEff || (eff == bestEff && bestIx != -1 && v < a.nodes[bestIx]) {
 					bestIx, bestEff = vi, eff
 				}
@@ -372,27 +480,29 @@ func (a *ascent) proactivePlace() {
 			if bestIx == -1 || bestEff <= 0 {
 				break // no remaining useful site for this dataset
 			}
-			if a.preferred[n] == nil {
-				a.preferred[n] = make([]bool, len(a.nodes))
-			}
-			a.preferred[n][bestIx] = true
+			a.sites[n*len(a.nodes)+bestIx] |= sitePreferred
 			statProactiveSites.Inc()
 			// Mark demands covered only up to the node's remaining
 			// capacity budget, smallest-need first (serves the most
 			// queries per GHz); the rest stay uncovered so later slots
 			// are spent where capacity actually exists.
 			budget := a.caps[bestIx] - claimed[bestIx]
-			var feasible []int
+			feasible = feasible[:0]
 			for i, d := range demands {
-				if !covered[i] && a.delays[d.qi][d.di][bestIx] <= a.p.Queries[d.qi].DeadlineSec {
+				if covered[i] {
+					continue
+				}
+				if _, ok := slices.BinarySearchFunc(d.cands, int32(bestIx), func(c cand, vi int32) int {
+					return cmp.Compare(c.vi, vi)
+				}); ok {
 					feasible = append(feasible, i)
 				}
 			}
-			sort.Slice(feasible, func(x, y int) bool {
-				if demands[feasible[x]].need != demands[feasible[y]].need {
-					return demands[feasible[x]].need < demands[feasible[y]].need
+			slices.SortFunc(feasible, func(x, y int) int {
+				if demands[x].need != demands[y].need {
+					return cmp.Compare(demands[x].need, demands[y].need)
 				}
-				return feasible[x] < feasible[y]
+				return cmp.Compare(x, y)
 			})
 			marked := 0.0
 			for _, i := range feasible {
@@ -418,142 +528,203 @@ func (a *ascent) thetaAt(vi int) float64 {
 	return (math.Pow(a.base, u) - 1) / (a.base - 1)
 }
 
-// refreshTheta fills thetaCache for the current admission round. avail/caps
-// change only in commit, so every bundle priced within one round sees the
-// same θ whether it reads the cache or recomputes.
-func (a *ascent) refreshTheta() {
-	for vi := range a.nodes {
-		a.thetaCache[vi] = a.thetaAt(vi)
-	}
-}
-
-// demandCost prices serving demand di of query qi at every node and returns
+// planDemand prices serving demand d at each of its candidates and returns
 // the cheapest feasible option. sc carries tentative per-node load and
-// tentative replica openings from other demands of the same bundle.
-func (a *ascent) demandCost(qi, di int, sc *scratch) (pairCost, bool) {
-	q := &a.p.Queries[qi]
-	dm := q.Demands[di]
-	size := a.p.Datasets[dm.Dataset].SizeGB
-	need := size * q.ComputePerGB
-	deadline := q.DeadlineSec
+// tentative replica openings from the bundle's earlier demands.
+//
+// The same pass yields what the admission loop steers by. bound is the
+// cheapest option with the bundle's earlier demands taken out of the picture:
+// every node with room for d alone, opening priced off the committed replica
+// count (not at all where an earlier demand of the same dataset might have
+// opened the replica). That set contains the pick's and prices nothing above
+// what the pick paid, so bound ≤ the pick's cost; and since θ only rises,
+// room only shrinks and the replica count only grows, a later pass returns a
+// bound no lower — unless a replica of the dataset was opened in between,
+// which zeroes the opening price where it landed. The pick's own cost is no
+// such bound: a price rise that moves an earlier demand off a node frees it
+// for this one. (All of this leans on θ rising with use: math.Pow is monotone
+// in its exponent over the steps a commit takes, which move a node's
+// utilization by a need over a capacity, not by an ulp.) secure reports a
+// candidate that stays feasible whatever the earlier demands take: room for
+// all their needs on top of d's, and a replica there or slots left after
+// every earlier opening.
+func (a *ascent) planDemand(deadline float64, d *demand, sc *scratch) (best pairCost, bound float64, secure, found bool) {
+	need := d.need
+	maxRep := a.p.MaxReplicas
+	sites := a.sites[d.ds*len(a.nodes):][:len(a.nodes)]
+	extraOpen := sc.extraOpen[d.ds*len(a.nodes):][:len(a.nodes)]
+	repCount := a.repCount[d.ds]
+	openCount := repCount + sc.openCount[d.ds]
+	// The opening price off the committed count and off the tentative one.
+	openPrice := a.repW * d.size * float64(repCount+1) / float64(maxRep)
+	tentPrice := a.repW * d.size * float64(openCount+1) / float64(maxRep)
+	if d.earlierSame > 0 {
+		openPrice = 0
+	}
+	canOpenAnyway := repCount+d.earlierSame < maxRep
 
-	best := pairCost{cost: math.Inf(1)}
-	found := false
-
-	flatBase := int(dm.Dataset) * len(a.nodes)
-	openCount := a.sol.ReplicaCount(dm.Dataset) + sc.openCount[dm.Dataset]
-	delays := a.delays[qi][di]
-	for vi, v := range a.nodes {
-		delay := delays[vi]
-		if delay > deadline { // constraint (4): η price infinite
+	inf := math.Inf(1)
+	best = pairCost{cost: inf}
+	bound = inf
+	for _, c := range d.cands {
+		vi := int(c.vi)
+		priced := need*a.theta[vi] + d.sizeW*(c.delay/deadline)
+		site := sites[vi]
+		loose := priced
+		if site&siteReplica == 0 {
+			if repCount >= maxRep { // constraint (5): µ infinite
+				continue
+			}
+			if site == 0 {
+				loose += openPrice
+			}
+		}
+		room := a.avail[vi]
+		if need > room+1e-9 { // constraint (2), nothing tentative
 			continue
 		}
-		if need > a.avail[vi]-sc.extraUse[vi]+1e-9 { // constraint (2)
+		if loose < bound {
+			bound = loose
+		}
+		// θ = +Inf on a zero-capacity node, and 0·Inf is NaN: neither is ever
+		// the pick, so neither secures the demand.
+		if !secure && priced < inf && (site&siteReplica != 0 || canOpenAnyway) && need <= room-d.earlierNeed+1e-9 {
+			secure = true
+		}
+
+		if need > room-sc.extraUse[vi]+1e-9 { // constraint (2)
 			continue
 		}
-		hasReplica := a.sol.HasReplica(dm.Dataset, v) || sc.extraOpen[flatBase+vi]
 		open := false
 		repPrice := 0.0
-		if !hasReplica {
-			if openCount >= a.p.MaxReplicas { // constraint (5): µ infinite
+		if site&siteReplica == 0 && !extraOpen[vi] {
+			if openCount >= maxRep { // constraint (5): µ infinite
 				continue
 			}
 			open = true
-			if !a.isPreferred(dm.Dataset, vi) {
-				repPrice = a.repW * size * float64(openCount+1) / float64(a.p.MaxReplicas)
+			if site == 0 {
+				repPrice = tentPrice
 			}
 		}
-		cost := need*a.thetaCache[vi] + a.delW*size*(delay/deadline) + repPrice
+		cost := priced + repPrice
+		v := a.nodes[vi]
 		if cost < best.cost || (cost == best.cost && found && v < best.node) {
-			best = pairCost{node: v, cost: cost, need: need, open: open}
+			best = pairCost{node: v, vi: vi, cost: cost, delay: c.delay, open: open}
 			found = true
 		}
 	}
-	return best, found
+	return best, bound, secure, found
 }
 
-// bundlePlan is the tentative min-cost assignment of a whole query bundle.
-type bundlePlan struct {
-	qi      int
-	cost    float64
-	value   float64
-	picks   []pairCost
-	partial bool // some demands infeasible (only kept under PartialAdmission)
-}
-
-// planBundle prices query qi's full bundle. Demands are placed one at a time
-// against tentative capacity (tracked in sc) so that two demands of the same
-// query cannot both count the same free capacity. sc is reset on entry, so a
-// pooled scratch can be reused across bundles without cross-talk.
-func (a *ascent) planBundle(qi int, sc *scratch) (bundlePlan, bool) {
+// planBundle prices query qi's full bundle into its bundle record. Demands
+// are placed one at a time against tentative capacity (tracked in a.sc) so
+// that two demands of the same query cannot both count the same free
+// capacity. It reports whether the bundle can be placed.
+func (a *ascent) planBundle(qi int) bool {
 	statBundlesPriced.Inc()
+	sc := &a.sc
 	sc.reset()
-	q := &a.p.Queries[qi]
-	plan := bundlePlan{qi: qi, picks: make([]pairCost, 0, len(q.Demands))}
-	for di := range q.Demands {
-		pick, ok := a.demandCost(qi, di, sc)
+	b := &a.bundles[qi]
+	b.plans++
+	b.cost, b.value, b.bound = 0, 0, 0
+	// cost/value has a monotone bound only while value is fixed; a partial
+	// plan's value shrinks with feasibility, so under PartialAdmission no
+	// bundle is ever secure and the admission loop plans them all every round.
+	b.secure = !a.opt.PartialAdmission
+	for di := range b.demands {
+		d := &b.demands[di]
+		pick, bound, secure, ok := a.planDemand(b.deadline, d, sc)
 		if !ok {
 			if !a.opt.PartialAdmission {
-				return bundlePlan{}, false
+				return false
 			}
-			plan.partial = true
-			plan.picks = append(plan.picks, pairCost{node: -1})
+			b.picks[di] = pairCost{node: -1}
 			continue
 		}
-		plan.cost += pick.cost
-		plan.value += a.p.Datasets[q.Demands[di].Dataset].SizeGB
-		plan.picks = append(plan.picks, pick)
-		vi := a.nodeIx[pick.node]
+		b.cost += pick.cost
+		b.value += d.size
+		b.bound += bound
+		b.secure = b.secure && secure
+		b.picks[di] = pick
+		vi := pick.vi
 		if sc.extraUse[vi] == 0 {
 			sc.usedNodes = append(sc.usedNodes, vi)
 		}
-		sc.extraUse[vi] += pick.need
+		sc.extraUse[vi] += d.need
 		if pick.open {
-			ds := int(q.Demands[di].Dataset)
-			fi := ds*len(a.nodes) + vi
+			fi := d.ds*len(a.nodes) + vi
 			if !sc.extraOpen[fi] {
 				sc.extraOpen[fi] = true
 				sc.openFlat = append(sc.openFlat, fi)
-				sc.openCount[ds]++
-				if sc.openCount[ds] == 1 {
-					sc.openDatasets = append(sc.openDatasets, ds)
+				sc.openCount[d.ds]++
+				if sc.openCount[d.ds] == 1 {
+					sc.openDatasets = append(sc.openDatasets, d.ds)
 				}
 			}
 		}
 	}
-	if plan.value == 0 {
-		return bundlePlan{}, false // nothing placeable even partially
-	}
-	return plan, true
+	return b.value != 0 // nothing placeable even partially
 }
 
-// commit applies a plan: allocates capacity, opens replicas, records the
+// commit applies query qi's plan: allocates capacity, re-prices the nodes it
+// loaded, opens replicas (in the solution and in the mirror), records the
 // admission.
-func (a *ascent) commit(plan bundlePlan) {
-	q := &a.p.Queries[plan.qi]
-	var as []placement.Assignment
-	for di, pick := range plan.picks {
+func (a *ascent) commit(qi int) {
+	q := &a.p.Queries[qi]
+	b := &a.bundles[qi]
+	b.done = true
+	as := a.assigned[:0]
+	a.opened, a.loaded = a.opened[:0], a.loaded[:0]
+	for di, pick := range b.picks {
 		if pick.node < 0 {
 			continue // infeasible demand under PartialAdmission
 		}
-		ds := q.Demands[di].Dataset
-		vi := a.nodeIx[pick.node]
-		a.avail[vi] -= pick.need
+		ds, need := b.demands[di].ds, b.demands[di].need
+		vi := pick.vi
+		a.loaded = append(a.loaded, vi)
+		a.avail[vi] -= need
 		if a.avail[vi] < 0 {
 			a.avail[vi] = 0
 		}
-		a.noteUse(vi, pick.need)
-		a.sol.AddReplica(ds, pick.node)
-		as = append(as, placement.Assignment{Query: q.ID, Dataset: ds, Node: pick.node})
+		a.theta[vi] = a.thetaAt(vi)
+		a.noteUse(vi, need)
+		if fi := ds*len(a.nodes) + vi; a.sites[fi]&siteReplica == 0 {
+			a.sites[fi] |= siteReplica
+			a.repCount[ds]++
+			a.opened = append(a.opened, ds)
+			a.sol.AddReplica(workload.DatasetID(ds), pick.node)
+		}
+		as = append(as, placement.Assignment{Query: q.ID, Dataset: workload.DatasetID(ds), Node: pick.node})
 	}
+	a.assigned = as
 	a.sol.Admit(q.ID, as)
+	a.rounds++
 	statAdmitted.Inc()
 	a.publishUtil()
-	a.observeCommit(plan)
+	a.observeCommit(b)
+	a.emitAdmit(qi)
 }
 
-// run executes the dual ascent to exhaustion.
+// reject records query qi as permanently infeasible.
+func (a *ascent) reject(qi int) {
+	a.bundles[qi].done = true
+	a.rejected++
+	statRejected.Inc()
+	a.emitReject(qi, a.rounds+1)
+}
+
+// run executes the dual ascent to exhaustion and checks what it produced.
 func run(p *placement.Problem, opt Options, algo string) (*Result, error) {
+	res := ascend(p, opt, algo)
+	if !opt.PartialAdmission {
+		if err := res.Solution.Validate(p); err != nil {
+			return nil, fmt.Errorf("core: produced infeasible solution: %w", err)
+		}
+	}
+	return res, nil
+}
+
+func ascend(p *placement.Problem, opt Options, algo string) *Result {
 	a := newAscent(p, opt)
 	a.beginTrace(algo)
 	if !opt.NoProactivePlacement {
@@ -564,152 +735,35 @@ func run(p *placement.Problem, opt Options, algo string) (*Result, error) {
 		a.emitPhase("proactive", elapsed)
 	}
 	ascentStart := instrument.Mono()
-	remaining := make([]int, len(p.Queries))
-	for i := range remaining {
-		remaining[i] = i
+	if opt.ArbitraryOrder {
+		a.admitInOrder()
+	} else {
+		for a.admitRound() {
+		}
 	}
-	res := &Result{}
-
-	workers := opt.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	seqScratch := a.getScratch()
-	defer a.putScratch(seqScratch)
-
-	for len(remaining) > 0 {
-		statRounds.Inc()
-		a.refreshTheta()
-		bestIdx := -1
-		var best bundlePlan
-		bestRatio := math.Inf(1)
-		next := make([]int, 0, len(remaining))
-		if workers > 1 && !opt.ArbitraryOrder && len(remaining) > 1 {
-			// Price all remaining bundles concurrently. planBundle only
-			// reads ascent state (each worker carries its own scratch), so
-			// the workers share it safely; the reduction below is
-			// deterministic regardless of completion order.
-			type priced struct {
-				plan bundlePlan
-				ok   bool
-			}
-			plans := make([]priced, len(remaining))
-			var wg sync.WaitGroup
-			chunk := (len(remaining) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= len(remaining) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(remaining) {
-					hi = len(remaining)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					sc := a.getScratch()
-					defer a.putScratch(sc)
-					for i := lo; i < hi; i++ {
-						plan, ok := a.planBundle(remaining[i], sc)
-						plans[i] = priced{plan: plan, ok: ok}
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-			for i, qi := range remaining {
-				if !plans[i].ok {
-					res.Rejected++
-					statRejected.Inc()
-					a.emitReject(qi, res.Rounds+1)
-					continue
-				}
-				next = append(next, qi)
-				ratio := plans[i].plan.cost / plans[i].plan.value
-				if bestIdx == -1 || ratio < bestRatio {
-					bestIdx, best, bestRatio = qi, plans[i].plan, ratio
-				}
-			}
-		} else {
-			for _, qi := range remaining {
-				plan, ok := a.planBundle(qi, seqScratch)
-				if !ok {
-					// Capacity only shrinks and frozen replica sets only
-					// freeze harder, so infeasibility is permanent.
-					res.Rejected++
-					statRejected.Inc()
-					a.emitReject(qi, res.Rounds+1)
-					continue
-				}
-				next = append(next, qi)
-				ratio := plan.cost / plan.value
-				if bestIdx == -1 || ratio < bestRatio {
-					bestIdx, best, bestRatio = qi, plan, ratio
-				}
-				if opt.ArbitraryOrder && bestIdx != -1 {
-					break // take the first feasible query in ID order
-				}
-			}
-		}
-		if opt.ArbitraryOrder {
-			// Preserve the untried tail of the remaining list.
-			seen := false
-			for _, qi := range remaining {
-				if qi == bestIdx {
-					seen = true
-					continue
-				}
-				if seen {
-					next = append(next, qi)
-				}
-			}
-		}
-		if bestIdx == -1 {
-			break
-		}
-		a.commit(best)
-		res.Rounds++
-		a.emitAdmit(best, res.Rounds)
-		// Drop the admitted query from the remaining set.
-		out := next[:0]
-		for _, qi := range next {
-			if qi != bestIdx {
-				out = append(out, qi)
-			}
-		}
-		remaining = out
-	}
-
 	ascentElapsed := instrument.Mono() - ascentStart
 	timerAdmission.Observe(ascentElapsed)
 	a.emitPhase("admission", ascentElapsed)
-	histAscentRounds.Observe(float64(res.Rounds))
+	histAscentRounds.Observe(float64(a.rounds))
 	a.endTrace()
 
-	res.Solution = a.sol
-	res.FinalTheta = make(map[graph.NodeID]float64, len(a.nodes))
-	for vi, v := range a.nodes {
-		res.FinalTheta[v] = a.thetaAt(vi)
+	res := &Result{
+		Solution:       a.sol,
+		Rounds:         a.rounds,
+		Rejected:       a.rejected,
+		FinalTheta:     make(map[graph.NodeID]float64, len(a.nodes)),
+		PreferredSites: make(map[workload.DatasetID][]graph.NodeID),
 	}
-	res.PreferredSites = make(map[workload.DatasetID][]graph.NodeID, len(a.preferred))
-	for ds, row := range a.preferred {
-		if row == nil {
-			continue
-		}
-		n := workload.DatasetID(ds)
-		for vi, on := range row {
-			if on {
-				res.PreferredSites[n] = append(res.PreferredSites[n], a.nodes[vi])
+	for vi, v := range a.nodes {
+		res.FinalTheta[v] = a.theta[vi]
+	}
+	for ds := range a.p.Datasets {
+		for vi, v := range a.nodes { // ascending node ID
+			if a.isPreferred(ds, vi) {
+				n := workload.DatasetID(ds)
+				res.PreferredSites[n] = append(res.PreferredSites[n], v)
 			}
 		}
-		sort.Slice(res.PreferredSites[n], func(i, j int) bool {
-			return res.PreferredSites[n][i] < res.PreferredSites[n][j]
-		})
 	}
-	if !opt.PartialAdmission {
-		if err := a.sol.Validate(p); err != nil {
-			return nil, fmt.Errorf("core: produced infeasible solution: %w", err)
-		}
-	}
-	return res, nil
+	return res
 }

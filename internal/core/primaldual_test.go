@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -223,7 +224,7 @@ func TestArbitraryOrderStillFeasible(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
-	if got := o.priceBase(9); got != 2 {
+	if got := o.priceBase(); got != 2 {
 		t.Fatalf("default price base = %v, want 2", got)
 	}
 	if got := o.replicaWeight(); got != 0.25 {
@@ -233,7 +234,7 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("default delay weight = %v, want 0.15", got)
 	}
 	o = Options{PriceBase: 3, ReplicaPriceWeight: 0.5, DelayPriceWeight: 0.4}
-	if o.priceBase(9) != 3 || o.replicaWeight() != 0.5 || o.delayWeight() != 0.4 {
+	if o.priceBase() != 3 || o.replicaWeight() != 0.5 || o.delayWeight() != 0.4 {
 		t.Fatal("explicit options not honored")
 	}
 }
@@ -316,15 +317,43 @@ func TestApproGTightDeadlines(t *testing.T) {
 	}
 }
 
+// approGAllocs and approGBytes bound what one ApproG solve of the bench's
+// 500-node instance may allocate. Before the candidate lists it was 16 293
+// objects and 6.3 MB (a delay cube, and a picks slice per bundle planned).
+const (
+	approGAllocs = 4000
+	approGBytes  = 5 << 20
+)
+
 func BenchmarkApproG(b *testing.B) {
-	p := problem(b, 1, 100, 20, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	loop := func(b *testing.B, p *placement.Problem) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ApproG(p, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("v30", func(b *testing.B) { loop(b, problem(b, 1, 100, 20, 3)) })
+	// The bench's batch-solve instance; fails if a solve allocates more than
+	// its pinned ceilings.
+	b.Run("v500", func(b *testing.B) {
+		p := benchProblem(b, 1, 5)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := ApproG(p, Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n > approGAllocs {
+			b.Fatalf("one solve allocates %d objects, want at most %d", n, approGAllocs)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > approGBytes {
+			b.Fatalf("one solve allocates %d bytes, want at most %d", n, approGBytes)
+		}
+		loop(b, p)
+	})
 }
 
 func BenchmarkApproSSplit(b *testing.B) {
@@ -395,60 +424,5 @@ func TestResultObservability(t *testing.T) {
 	}
 	if len(res2.PreferredSites) != 0 {
 		t.Fatal("lazy mode recorded preferred sites")
-	}
-}
-
-func TestParallelismBitIdentical(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		pSeq := problem(t, seed, 60, 12, 3)
-		seq, err := ApproG(pSeq, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			pPar := problem(t, seed, 60, 12, 3)
-			par, err := ApproG(pPar, Options{Parallelism: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.Solution.Volume(pSeq) != par.Solution.Volume(pPar) {
-				t.Fatalf("seed %d workers %d: volume differs: %v vs %v",
-					seed, workers, seq.Solution.Volume(pSeq), par.Solution.Volume(pPar))
-			}
-			if len(seq.Solution.Admitted()) != len(par.Solution.Admitted()) {
-				t.Fatalf("seed %d workers %d: admission count differs", seed, workers)
-			}
-			for i := range seq.Solution.Admitted() {
-				if seq.Solution.Admitted()[i] != par.Solution.Admitted()[i] {
-					t.Fatalf("seed %d workers %d: admission set differs", seed, workers)
-				}
-			}
-			for n, nodes := range seq.Solution.Replicas {
-				pn := par.Solution.Replicas[n]
-				if len(nodes) != len(pn) {
-					t.Fatalf("seed %d workers %d: replica sets differ for dataset %d", seed, workers, n)
-				}
-				for i := range nodes {
-					if nodes[i] != pn[i] {
-						t.Fatalf("seed %d workers %d: replica nodes differ", seed, workers)
-					}
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkApproGParallel(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "sequential", 4: "4-workers"}[workers], func(b *testing.B) {
-			p := problem(b, 1, 100, 20, 3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ApproG(p, Options{Parallelism: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

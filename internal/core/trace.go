@@ -101,18 +101,20 @@ func (a *ascent) emitPhase(phase string, elapsed time.Duration) {
 	instrument.EmitTrace(&ev)
 }
 
-// emitAdmit records a committed bundle with its per-demand assignment.
-func (a *ascent) emitAdmit(plan bundlePlan, round int) {
+// emitAdmit records query qi's committed bundle with its per-demand
+// assignment, in the round commit has just counted.
+func (a *ascent) emitAdmit(qi int) {
 	if !instrument.TraceActive() {
 		return
 	}
-	q := &a.p.Queries[plan.qi]
+	q := &a.p.Queries[qi]
+	b := &a.bundles[qi]
 	ev := instrument.NewTraceEvent(instrument.EventAdmit, a.algo)
 	ev.Run = a.traceRun
 	ev.Query = int64(q.ID)
-	ev.Round = int64(round)
-	ev.Volume = plan.value
-	for di, pick := range plan.picks {
+	ev.Round = int64(a.rounds)
+	ev.Volume = b.value
+	for di, pick := range b.picks {
 		if pick.node < 0 {
 			continue // infeasible demand under PartialAdmission
 		}
@@ -157,20 +159,19 @@ func (a *ascent) endTrace() {
 }
 
 // observeCommit feeds the delay histograms for one committed bundle.
-func (a *ascent) observeCommit(plan bundlePlan) {
+func (a *ascent) observeCommit(b *bundle) {
 	if !instrument.Enabled() {
 		return
 	}
 	worst := 0.0
 	any := false
-	for di, pick := range plan.picks {
+	for _, pick := range b.picks {
 		if pick.node < 0 {
 			continue
 		}
-		delay := a.delays[plan.qi][di][a.nodeIx[pick.node]]
-		histPlacementDelay.Observe(delay)
-		if !any || delay > worst {
-			worst, any = delay, true
+		histPlacementDelay.Observe(pick.delay)
+		if !any || pick.delay > worst {
+			worst, any = pick.delay, true
 		}
 	}
 	if any {

@@ -16,26 +16,24 @@ func TestTraceEmissionZeroAllocInactive(t *testing.T) {
 	instrument.Disable()
 	p := problem(t, 1, 20, 6, 3)
 	a := newAscent(p, Options{})
-	sc := a.getScratch()
-	defer a.putScratch(sc)
-	var plan bundlePlan
-	ok := false
+	admit := -1
 	for qi := range p.Queries {
-		if plan, ok = a.planBundle(qi, sc); ok {
+		if a.planBundle(qi) {
+			admit = qi
 			break
 		}
 	}
-	if !ok {
+	if admit == -1 {
 		t.Fatal("no feasible query in the test instance")
 	}
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		a.beginTrace("appro-g")
 		a.emitPhase("proactive", time.Millisecond)
-		a.emitAdmit(plan, 1)
+		a.emitAdmit(admit)
 		a.emitReject(1, 1)
 		a.endTrace()
-		a.observeCommit(plan)
+		a.observeCommit(&a.bundles[admit])
 	})
 	if allocs != 0 {
 		t.Fatalf("inactive trace emission allocated %.1f per run on the hot path, want 0", allocs)

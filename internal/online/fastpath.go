@@ -274,11 +274,9 @@ func newFastPath(e *Engine) *fastPath {
 // so (delay, node) is a total order and the result does not depend on the
 // order the pass visited them in.
 func (e *Engine) demandTable(qid workload.QueryID, ds workload.DatasetID, procDelay []float64) fpDemand {
-	q := &e.p.Queries[qid]
-	dm, _ := e.p.Demand(qid, ds) // the demand EvalDelay prices ds by
 	size := e.p.Datasets[ds].SizeGB
-	deadline := q.DeadlineSec
-	delays := e.p.Cloud.Topology().Delays
+	deadline := e.p.Queries[qid].DeadlineSec
+	delays := e.p.DemandDelays(qid, ds, procDelay)
 	preferred := e.preferredSites[ds]
 	d := fpDemand{
 		dataset:         ds,
@@ -288,11 +286,7 @@ func (e *Engine) demandTable(qid workload.QueryID, ds workload.DatasetID, procDe
 		bestFiniteDelay: math.Inf(1),
 	}
 	for i, v := range e.p.Cloud.ComputeNodes() {
-		// Problem.EvalDelay with everything but the node hoisted: the same
-		// two products, associated the same way, summed in the same order.
-		proc := size * procDelay[i]
-		trans := size * dm.Selectivity * delays.Between(v, q.Home)
-		delay := proc + trans
+		delay := delays.At(i)
 		if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
 			d.bestFinite, d.bestFiniteDelay = v, delay
 		}

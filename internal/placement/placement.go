@@ -66,10 +66,48 @@ func (p *Problem) EvalDelay(q workload.QueryID, n workload.DatasetID, v graph.No
 	if !ok {
 		return 0, false
 	}
-	size := p.Datasets[n].SizeGB
-	proc := size * p.Cloud.ProcDelayPerGB(v)
-	trans := size * d.Selectivity * p.Cloud.TransferDelayPerGB(v, p.Queries[q].Home)
-	return proc + trans, true
+	return evalDelay(p.Datasets[n].SizeGB, d.Selectivity,
+		p.Cloud.ProcDelayPerGB(v), p.Cloud.TransferDelayPerGB(v, p.Queries[q].Home)), true
+}
+
+// evalDelay is the delay model's arithmetic. Everything that prices a delay
+// goes through it, so a table built off DemandDelays holds EvalDelay's bits.
+func evalDelay(size, selectivity, procPerGB, transferPerGB float64) float64 {
+	proc := size * procPerGB
+	trans := size * selectivity * transferPerGB
+	return proc + trans
+}
+
+// DemandDelays is EvalDelay for one (query, dataset) pair with everything but
+// the node hoisted — the demand scan, the dataset size, the home's row of the
+// delay matrix, the compute-node check — for builders that price the pair at
+// every compute node (the ascent's candidate lists, the engine's tables).
+type DemandDelays struct {
+	size, selectivity float64
+	home              graph.NodeID
+	transfer          *graph.DistanceMatrix
+	nodes             []graph.NodeID
+	procDelay         []float64
+}
+
+// DemandDelays prepares the delays of dataset n for query q, which must demand
+// it. procDelay[i] is d(v) of the i-th compute node, in ComputeNodes order.
+func (p *Problem) DemandDelays(q workload.QueryID, n workload.DatasetID, procDelay []float64) DemandDelays {
+	d, _ := p.Demand(q, n) // the demand EvalDelay prices n by
+	return DemandDelays{
+		size:        p.Datasets[n].SizeGB,
+		selectivity: d.Selectivity,
+		home:        p.Queries[q].Home,
+		transfer:    p.Cloud.Topology().Delays,
+		nodes:       p.Cloud.ComputeNodes(),
+		procDelay:   procDelay,
+	}
+}
+
+// At returns the delay at the i-th compute node: EvalDelay's value, bit for
+// bit.
+func (d *DemandDelays) At(i int) float64 {
+	return evalDelay(d.size, d.selectivity, d.procDelay[i], d.transfer.Between(d.nodes[i], d.home))
 }
 
 // ComputeNeed returns |S_n|·r_m: the computing resource consumed on the node

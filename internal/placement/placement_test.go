@@ -96,6 +96,58 @@ func TestEvalDelayFormula(t *testing.T) {
 	}
 }
 
+// TestDemandDelaysMatchEvalDelay holds the hoisted kernel to EvalDelay, and
+// both to the delay model as EvalDelay spelled it before the kernel existed,
+// bit for bit on every (query, demand, compute node) cell of the default
+// 30-node instance and of the bench's 500-node one (575 500 cells).
+func TestDemandDelaysMatchEvalDelay(t *testing.T) {
+	bench := func() *Problem {
+		top := topology.MustGenerate(topology.ScaledConfig(500, 1))
+		wc := workload.DefaultConfig()
+		wc.Seed = 1
+		wc.NumDatasets = 40
+		wc.NumQueries = 400
+		wc.MaxDatasetsPerQuery = 5
+		p, err := NewProblem(cluster.New(top), workload.MustGenerate(wc, top), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, p := range []*Problem{tiny(t, 3), bench()} {
+		nodes := p.Cloud.ComputeNodes()
+		procDelay := make([]float64, len(nodes))
+		for i, v := range nodes {
+			procDelay[i] = p.Cloud.ProcDelayPerGB(v)
+		}
+		cells := 0
+		for qi := range p.Queries {
+			q := &p.Queries[qi]
+			for _, dm := range q.Demands {
+				delays := p.DemandDelays(q.ID, dm.Dataset, procDelay)
+				first, _ := p.Demand(q.ID, dm.Dataset)
+				size := p.Datasets[dm.Dataset].SizeGB
+				for i, v := range nodes {
+					want, ok := p.EvalDelay(q.ID, dm.Dataset, v)
+					if !ok {
+						t.Fatalf("query %d does not demand dataset %d", q.ID, dm.Dataset)
+					}
+					proc := size * p.Cloud.ProcDelayPerGB(v)
+					trans := size * first.Selectivity * p.Cloud.TransferDelayPerGB(v, q.Home)
+					if spelled := proc + trans; math.Float64bits(spelled) != math.Float64bits(want) {
+						t.Fatalf("query %d dataset %d node %d: EvalDelay = %v, the model spelled out %v", q.ID, dm.Dataset, v, want, spelled)
+					}
+					if got := delays.At(i); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("query %d dataset %d node %d: DemandDelays.At = %v, EvalDelay %v", q.ID, dm.Dataset, v, got, want)
+					}
+					cells++
+				}
+			}
+		}
+		t.Logf("%d compute nodes: %d cells", len(nodes), cells)
+	}
+}
+
 func TestEvalDelayAtHomeIsProcessingOnly(t *testing.T) {
 	p := tiny(t, 3)
 	q := p.Queries[0]
