@@ -1,5 +1,7 @@
 #!/bin/sh
-# Repository gate: formatting, vet, repo-specific analyzers (edgerepvet),
+# Repository gate: formatting, vet (its copylocks check is the gate for
+# copied mutexes; edgerepvet's lockdiscipline checks only the unlock on
+# every path), repo-specific analyzers (edgerepvet),
 # build, race-enabled tests, pricing-table gates (zero-alloc pricing,
 # table-vs-reference-scan equivalence incl. the exact-tie case, stale-table
 # fuzz, chaos-on latency smoke, one allocation per admitted offer, the

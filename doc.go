@@ -26,8 +26,8 @@
 // OPERATIONS.md for the runbook).
 //
 // Root-level benchmarks (bench_test.go) regenerate each figure and the
-// ablations; TestWriteBenchReport (benchreport_test.go) regenerates the
-// committed BENCH_pr6.json perf record. See DESIGN.md for the experiment
-// index, EXPERIMENTS.md for measured-vs-paper results, and ARCHITECTURE.md
-// for the package-to-paper map and hot-path guide.
+// ablations; the benchmark of record is bench/ (bash bench/run.sh, see
+// bench/README.md). See DESIGN.md for the experiment index, EXPERIMENTS.md
+// for measured-vs-paper results, and ARCHITECTURE.md for the package-to-paper
+// map and hot-path guide.
 package edgerep

@@ -62,7 +62,7 @@ import (
 )
 
 // Ascent instrumentation (enabled via instrument.Enable; surfaced by the
-// cmd/ binaries' -stats flag and the BENCH report).
+// cmd/ binaries' -stats flag and bench/'s core.* metrics).
 var (
 	statRounds         = instrument.NewCounter("core.ascent_rounds")
 	statBundlesPriced  = instrument.NewCounter("core.bundles_priced")

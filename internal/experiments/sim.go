@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"edgerep/internal/baselines"
@@ -17,13 +16,14 @@ import (
 	"edgerep/internal/core"
 	"edgerep/internal/instrument"
 	"edgerep/internal/metrics"
+	"edgerep/internal/par"
 	"edgerep/internal/placement"
 	"edgerep/internal/topology"
 	"edgerep/internal/workload"
 )
 
 // Driver instrumentation (enabled via instrument.Enable; surfaced by the
-// cmd/ binaries' -stats flag and the BENCH report). The topo counters
+// cmd/ binaries' -stats flag). The topo counters
 // quantify how much redundant generation the per-driver topology cache
 // eliminates: a figure whose x-axis does not alter |V| (Figs. 4–5) hits the
 // cache for every x beyond the first.
@@ -217,36 +217,24 @@ func (tc *topoCache) instance(seed int64, networkSize, numDatasets, numQueries, 
 	return newProblem(top, w, k)
 }
 
-// forEachSeed runs fn(i, seed) for every seed on a bounded worker pool and
-// returns the first error in seed order. Callers store results in
-// index-addressed slices, so any reduction after the pool drains is
-// deterministic at every GOMAXPROCS.
+// forEachSeed runs fn(i, seed) for every seed on every core (par.Do) and
+// returns the first error in seed order; every seed runs either way.
+// Callers store results in index-addressed slices, so any reduction after
+// the seeds finish is deterministic at every GOMAXPROCS.
 func forEachSeed(seeds []int64, fn func(i int, seed int64) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
+	errs := make([]error, len(seeds))
 	if instrument.TraceActive() || activeSweepJournal() != nil {
 		// A trace must be a totally ordered, replayable event stream; one
-		// worker keeps concurrent seed runs from interleaving in the sink
-		// (and keeps the JSONL output byte-identical across runs). A sweep
-		// journal serializes for the same reason: cells must commit in a
-		// canonical order for a resumed run to be byte-identical.
-		workers = 1
-	}
-	errs := make([]error, len(seeds))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, seed := range seeds {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, seed int64) {
-			defer wg.Done()
-			defer func() { <-sem }()
+		// seed at a time keeps concurrent seed runs from interleaving in the
+		// sink (and keeps the JSONL output byte-identical across runs). A
+		// sweep journal serializes for the same reason: cells must commit in
+		// a canonical order for a resumed run to be byte-identical.
+		for i, seed := range seeds {
 			errs[i] = fn(i, seed)
-		}(i, seed)
+		}
+	} else {
+		par.Do(len(seeds), func(i int) { errs[i] = fn(i, seeds[i]) })
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -7,13 +7,16 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 )
 
 // TestDrillEndToEnd runs the full 3-region kill-the-leader drill once and
 // checks the report's hard guarantees: zero acked decisions lost (the drill
 // errors internally otherwise), the term advanced, the stale-term probe was
-// fenced, segments actually shipped before the kill, and the killed shard's
-// ack stream resumed within the promotion budget.
+// fenced, segments actually shipped before the kill with a non-negative
+// replication lag, and the killed shard's ack stream resumed within the
+// promotion budget — under 2s of model time and 5s of wall time from the
+// kill to the first ack at the new term.
 func TestDrillEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drill spins real listeners")
@@ -49,8 +52,14 @@ func TestDrillEndToEnd(t *testing.T) {
 	if rep.ShippedSegments == 0 {
 		t.Fatal("standby shipped no segments before the kill")
 	}
+	if rep.SteadyLagRecords < 0 {
+		t.Fatalf("steady-state replication lag %d records, want >= 0", rep.SteadyLagRecords)
+	}
 	if rep.PromotionGapModelSec <= 0 || rep.PromotionGapModelSec >= 2.0 {
 		t.Fatalf("promotion gap %.4f model-sec, want (0, 2)", rep.PromotionGapModelSec)
+	}
+	if rep.FailoverWallNs <= 0 || rep.FailoverWallNs >= int64(5*time.Second) {
+		t.Fatalf("kill to first new-term ack took %v of wall time, want (0, 5s)", time.Duration(rep.FailoverWallNs))
 	}
 	if rep.TraceEvents == 0 {
 		t.Fatal("verification replay emitted no trace events")

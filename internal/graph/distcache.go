@@ -110,7 +110,7 @@ func (c *DistanceCache) Shortest(src NodeID) *ShortestPaths {
 			continue // the leader has published; the next claim is a hit
 		}
 		distCacheMisses.Inc()
-		sp = c.g.Dijkstra(src)
+		sp = c.g.dijkstra(src)
 		c.publishShortest(src, sp)
 		return sp
 	}

@@ -45,7 +45,7 @@ func TestDistanceCacheCoherence(t *testing.T) {
 		c := NewDistanceCache(g)
 		m := c.Matrix()
 		for u := 0; u < n; u++ {
-			fresh := g.Dijkstra(NodeID(u))
+			fresh := g.dijkstra(NodeID(u))
 			cached := c.Shortest(NodeID(u))
 			for v := 0; v < n; v++ {
 				if fresh.Dist[v] != cached.Dist[v] {
@@ -77,7 +77,7 @@ func TestDistanceCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 60, 0.1, true)
 	c := NewDistanceCache(g)
-	want := g.Dijkstra(0)
+	want := g.dijkstra(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -152,7 +152,7 @@ func TestDistanceCacheColdMatrixConcurrent(t *testing.T) {
 			}
 		}
 		for u := 0; u < g.NumNodes(); u++ {
-			fresh := g.Dijkstra(NodeID(u))
+			fresh := g.dijkstra(NodeID(u))
 			for v := 0; v < g.NumNodes(); v++ {
 				if got := mats[0].Between(NodeID(u), NodeID(v)); got != fresh.Dist[v] {
 					t.Fatalf("trial %d: raced matrix %d→%d = %v, fresh = %v",
@@ -208,7 +208,7 @@ func TestDistanceCacheColdShortestConcurrent(t *testing.T) {
 }
 
 // TestDistanceCacheStats checks the hit/miss accounting the -stats flag and
-// BENCH reports surface.
+// bench/'s graph.dijkstra_calls surface.
 func TestDistanceCacheStats(t *testing.T) {
 	instrument.Reset()
 	instrument.Enable()

@@ -147,7 +147,7 @@ func TestDijkstraLine(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 2)
 	g.AddEdge(2, 3, 3)
-	sp := g.Dijkstra(0)
+	sp := g.dijkstra(0)
 	want := []float64{0, 1, 3, 6}
 	for i, w := range want {
 		if sp.Dist[i] != w {
@@ -172,7 +172,7 @@ func TestDijkstraPrefersCheaperLongerPath(t *testing.T) {
 	g.AddEdge(0, 2, 10)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 2)
-	sp := g.Dijkstra(0)
+	sp := g.dijkstra(0)
 	if sp.Dist[2] != 3 {
 		t.Fatalf("Dist[2] = %v, want 3", sp.Dist[2])
 	}
@@ -184,7 +184,7 @@ func TestDijkstraPrefersCheaperLongerPath(t *testing.T) {
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
-	sp := g.Dijkstra(0)
+	sp := g.dijkstra(0)
 	if !math.IsInf(sp.Dist[2], 1) {
 		t.Fatalf("Dist[2] = %v, want +Inf", sp.Dist[2])
 	}
@@ -196,7 +196,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 func TestPathToSelf(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1, 1)
-	sp := g.Dijkstra(0)
+	sp := g.dijkstra(0)
 	p := sp.PathTo(0)
 	if len(p) != 1 || p[0] != 0 {
 		t.Fatalf("PathTo(self) = %v, want [0]", p)
@@ -252,7 +252,7 @@ func TestDijkstraPathWeightMatchesDistanceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(5+rng.Intn(25), 0.25, rng)
 		src := NodeID(rng.Intn(g.NumNodes()))
-		sp := g.Dijkstra(src)
+		sp := g.dijkstra(src)
 		for v := 0; v < g.NumNodes(); v++ {
 			path := sp.PathTo(NodeID(v))
 			if path == nil {
@@ -383,7 +383,7 @@ func BenchmarkDijkstra200(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(0)
+		g.dijkstra(0)
 	}
 }
 

@@ -36,7 +36,7 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) ([]WeightedPath, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("graph: k = %d, need ≥ 1", k)
 	}
-	first := g.Dijkstra(src)
+	first := g.dijkstra(src)
 	base := first.PathTo(dst)
 	if base == nil {
 		return nil, nil

@@ -118,7 +118,7 @@ func TestKShortestLooplessAndValid(t *testing.T) {
 		}
 	}
 	// Non-decreasing weights; first = Dijkstra distance.
-	sp := g.Dijkstra(0)
+	sp := g.dijkstra(0)
 	if math.Abs(paths[0].Weight-sp.Dist[24]) > 1e-9 {
 		t.Fatalf("first path weight %v != shortest distance %v", paths[0].Weight, sp.Dist[24])
 	}
@@ -167,7 +167,7 @@ func TestKShortestMatchesDijkstraProperty(t *testing.T) {
 		if err != nil || len(paths) != 1 {
 			return false
 		}
-		sp := g.Dijkstra(src)
+		sp := g.dijkstra(src)
 		return math.Abs(paths[0].Weight-sp.Dist[dst]) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

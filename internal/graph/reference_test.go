@@ -67,7 +67,7 @@ func (g *Graph) AllPairsShortestPaths() *DistanceMatrix {
 	n := len(g.adj)
 	m := &DistanceMatrix{n: n, dist: make([]float64, n*n)}
 	for u := 0; u < n; u++ {
-		sp := g.Dijkstra(NodeID(u))
+		sp := g.dijkstra(NodeID(u))
 		copy(m.dist[u*n:(u+1)*n], sp.Dist)
 	}
 	return m

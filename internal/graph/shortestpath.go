@@ -71,7 +71,7 @@ type ShortestPaths struct {
 	parent []NodeID
 }
 
-// Dijkstra computes shortest paths from src using a binary heap; it runs in
+// dijkstra computes shortest paths from src using a binary heap; it runs in
 // O((V+E) log V). Unreachable nodes have distance Infinity.
 //
 // A run allocates its result (Dist, parent, the struct) and the heap's
@@ -81,9 +81,10 @@ type ShortestPaths struct {
 // nodes (2E+1 would be 0.9 MB a run at 500), and append grows it on a graph
 // that needs more.
 //
-// Callers that resolve many sources over one graph should go through a
-// DistanceCache instead, which memoizes these trees.
-func (g *Graph) Dijkstra(src NodeID) *ShortestPaths {
+// It is unexported so that every other package gets its trees from a
+// DistanceCache, which memoizes them; only the cache and the k-shortest
+// search call it.
+func (g *Graph) dijkstra(src NodeID) *ShortestPaths {
 	g.check(src)
 	dijkstraCalls.Inc()
 	n := len(g.adj)

@@ -4,8 +4,8 @@
 // bundles and per-phase admissions (internal/core), and instance-build reuse
 // in the figure drivers (internal/experiments). It is not part of the paper's
 // model; it exists so that every hot path named in ARCHITECTURE.md has a
-// number attached to it and every PR has a machine-readable baseline to beat
-// (see BenchReport and BENCH_pr1.json).
+// number attached to it, read by the -stats flag of the cmd/ binaries and by
+// the per-layer metrics of the benchmark in bench/.
 //
 // Collection is globally gated: when disabled (the default) every Add/Inc/
 // Observe is a single atomic load and a branch — zero allocations, no locks —
@@ -211,15 +211,6 @@ func Reset() {
 	for _, g := range registry.gauges {
 		g.bits.Store(0)
 	}
-}
-
-// Ratio returns a/(a+b) as a float (0 when both are zero) — the hit-rate
-// helper for paired hit/miss counters.
-func Ratio(a, b int64) float64 {
-	if a+b == 0 {
-		return 0
-	}
-	return float64(a) / float64(a+b)
 }
 
 // FormatSnapshot renders a snapshot sorted by name, one "name value" line

@@ -28,8 +28,8 @@ import "sync/atomic"
 //
 // The seven stages partition the enqueue-to-ack interval: their sum is the
 // decision's end-to-end latency up to clock-read granularity, which is what
-// lets BENCH_pr9.json assert the stage sum tracks the measured end-to-end
-// p95.
+// lets TestAckConvoyRegression (internal/server) assert the stage-sum p95
+// tracks the measured end-to-end p95.
 
 // Stage indexes a StageTimeline.
 type Stage int

@@ -9,15 +9,10 @@ import (
 	"strings"
 )
 
-// graphPkg is the one directory allowed to run raw shortest-path code and to
-// compare raw float distances: it owns the Dijkstra implementation, the
-// DistanceCache, and the Infinity sentinel, and its tests assert cache
-// coherence against fresh runs.
+// graphPkg is the one directory allowed to compare raw float distances: it
+// owns the Dijkstra implementation, the DistanceCache, and the Infinity
+// sentinel, and its tests assert cache coherence against fresh runs.
 const graphPkg = "internal/graph"
-
-// graphImportPath is the same package as an import path, the identity the
-// typed analyzers match against.
-const graphImportPath = modulePath + "/" + graphPkg
 
 // instrumentImportPath declares the metric constructors and the trace
 // vocabulary.
@@ -186,45 +181,6 @@ func usesWallClock(r *Repo, e ast.Expr, timeName string) bool {
 		return !found
 	})
 	return found
-}
-
-// --- distviacache -----------------------------------------------------------
-
-// distViaCache keeps every consumer of network distances on the PR-1 hot
-// path: per-source Dijkstra trees and the all-pairs matrix are memoized in
-// graph.DistanceCache, so calling the raw kernel elsewhere re-runs shortest
-// paths the cache already holds (the raw all-pairs loop is gone from the
-// package; it survives as a test oracle). With type info the rule matches the
-// actual edgerep/internal/graph method — a same-named method on an unrelated
-// type no longer trips it; unresolved calls keep the conservative name match.
-var distViaCache = &Analyzer{
-	Name: "distviacache",
-	Doc:  "outside internal/graph, shortest paths must come from graph.DistanceCache, not raw Dijkstra",
-	Run: func(r *Repo) []Finding {
-		var out []Finding
-		for _, f := range r.Files {
-			if f.Pkg == graphPkg {
-				continue
-			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if sel.Sel.Name != "Dijkstra" || r.calleeIn(call, graphImportPath, "Dijkstra") == miss {
-					return true // another name, or resolved to a non-graph declaration
-				}
-				out = append(out, Finding{Pos: r.pos(call), Analyzer: "distviacache",
-					Message: "direct Dijkstra call bypasses the shared graph.DistanceCache; use Shortest/Between/Matrix instead"})
-				return true
-			})
-		}
-		return out
-	},
 }
 
 // --- infsentinel ------------------------------------------------------------

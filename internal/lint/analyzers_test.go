@@ -13,7 +13,7 @@ type fixture struct {
 	name     string
 	analyzer string
 	// filename controls the package scoping (e.g. internal/graph is exempt
-	// from distviacache); default "internal/fix/fix.go".
+	// from infsentinel); default "internal/fix/fix.go".
 	filename string
 	src      string
 	wantSub  string // non-empty = positive fixture, substring of the message
@@ -71,59 +71,6 @@ func f(seed int64, i int) {
 	_ = rand.NewSource(permSeed)
 }
 var permSeed int64
-`,
-	},
-
-	// --- distviacache ---
-	{
-		name:     "typed call of the real graph Dijkstra flagged",
-		analyzer: "distviacache",
-		src: `package fix
-import "edgerep/internal/graph"
-func f(g *graph.Graph) { _ = g.Dijkstra(0) }
-`,
-		wantSub: "Dijkstra",
-	},
-	{
-		name:     "unresolved Dijkstra call falls back to the name match",
-		analyzer: "distviacache",
-		src: `package fix
-func f() { g.Dijkstra(0) }
-`,
-		wantSub: "Dijkstra",
-	},
-	{
-		name:     "same-named method on an unrelated type not flagged",
-		analyzer: "distviacache",
-		src: `package fix
-type router struct{}
-func (router) Dijkstra(int) int { return 0 }
-func f(r router) { _ = r.Dijkstra(0) }
-`,
-	},
-	{
-		name:     "internal/graph itself exempt",
-		analyzer: "distviacache",
-		filename: "internal/graph/x.go",
-		src: `package graph
-func f(g *Graph) { _ = g.Dijkstra(0) }
-type Graph struct{}
-func (g *Graph) Dijkstra(int) int { return 0 }
-`,
-	},
-	{
-		name:     "DistanceCache lookups ok",
-		analyzer: "distviacache",
-		src: `package fix
-func f(c interface {
-	Shortest(int) int
-	Between(int, int) float64
-	Matrix() int
-}) {
-	_ = c.Shortest(0)
-	_ = c.Between(0, 1)
-	_ = c.Matrix()
-}
 `,
 	},
 
@@ -809,18 +756,6 @@ func f(work func()) { go work() }
 	},
 
 	// --- lockdiscipline ---
-	{
-		name:     "mutex passed by value flagged",
-		analyzer: "lockdiscipline",
-		src: `package fix
-import "sync"
-func f(mu sync.Mutex) {
-	mu.Lock()
-	mu.Unlock()
-}
-`,
-		wantSub: "passed by value",
-	},
 	{
 		name:     "early return without unlock flagged",
 		analyzer: "lockdiscipline",

@@ -1,11 +1,11 @@
 // Concurrency analyzers: ackorder (commit-before-ack in internal/server),
 // goroexit (goroutines in the serving packages must be joined or bounded),
-// and lockdiscipline (no mutex copies; Lock paired with Unlock on every
-// return path). All three approximate dominance with lexical (token.Pos)
-// order inside one function scope — function literals are independent
-// scopes — which is exact for the straight-line and early-return shapes
-// this repo writes and conservative everywhere else; genuine exceptions
-// carry //lint:ignore waivers.
+// and lockdiscipline (Lock paired with Unlock on every return path). All
+// three approximate dominance with lexical (token.Pos) order inside one
+// function scope — function literals are independent scopes — which is
+// exact for the straight-line and early-return shapes this repo writes and
+// conservative everywhere else; genuine exceptions carry //lint:ignore
+// waivers.
 package lint
 
 import (
@@ -299,82 +299,27 @@ func bodyHasExitEvidence(body *ast.BlockStmt) bool {
 
 // --- lockdiscipline ---------------------------------------------------------
 
-// lockDiscipline enforces two mutex rules repo-wide. First, sync.Mutex /
-// sync.RWMutex values must not be copied (parameters or assignments copy
-// the lock state; the copy guards nothing). Second, within one function
-// scope, a mu.Lock() (or RLock) must be released on every path: either a
+// lockDiscipline enforces one mutex rule repo-wide: within one function
+// scope, a mu.Lock() (or RLock) must be released on every path — either a
 // deferred matching Unlock exists in the scope, or every return after the
-// Lock — and the scope's fall-through end — has a matching Unlock between
-// the Lock and it, in lexical order.
+// Lock, and the scope's fall-through end, has a matching Unlock between the
+// Lock and it, in lexical order. Copied mutexes are go vet's copylocks
+// check (ci.sh runs go vet before this pass).
 var lockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "no mutex value copies; every Lock needs a dominating defer Unlock or an Unlock on every return path",
+	Doc:  "every Lock needs a dominating defer Unlock or an Unlock on every return path",
 	Run: func(r *Repo) []Finding {
 		var out []Finding
 		for _, f := range r.Files {
 			if f.IsTest {
 				continue
 			}
-			out = append(out, r.mutexCopies(f)...)
 			funcScopes(f.AST, func(body *ast.BlockStmt) {
 				out = append(out, r.lockPaths(body)...)
 			})
 		}
 		return out
 	},
-}
-
-// mutexCopies flags by-value mutex parameters and assignments.
-func (r *Repo) mutexCopies(f *File) []Finding {
-	var out []Finding
-	syncName := importName(f.AST, "sync")
-	isMutexType := func(e ast.Expr) bool {
-		if t := r.typeOf(e); t != nil {
-			pkg, name, ok := namedPathName(t)
-			// namedPathName unwraps one pointer; a *sync.Mutex expression is
-			// not a copy, so require the expression type itself to be named.
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				return false
-			}
-			return ok && pkg == "sync" && (name == "Mutex" || name == "RWMutex")
-		}
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		x, ok := sel.X.(*ast.Ident)
-		return ok && syncName != "" && x.Name == syncName && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
-	}
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncType:
-			if v.Params == nil {
-				return true
-			}
-			for _, field := range v.Params.List {
-				if isMutexType(field.Type) {
-					out = append(out, Finding{Pos: r.pos(field.Type), Analyzer: "lockdiscipline",
-						Message: "mutex passed by value; the copy guards nothing — pass *sync.Mutex or restructure"})
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range v.Rhs {
-				if i >= len(v.Lhs) {
-					break
-				}
-				switch ast.Unparen(rhs).(type) {
-				case *ast.CompositeLit, *ast.UnaryExpr, *ast.CallExpr:
-					continue // sync.Mutex{} zero init, &mu, constructor results
-				}
-				if isMutexType(rhs) {
-					out = append(out, Finding{Pos: r.pos(rhs), Analyzer: "lockdiscipline",
-						Message: "assignment copies a mutex value; the copy's state diverges from the original — use a pointer"})
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // lockEvent is one Lock/Unlock/defer-Unlock/return occurrence in a scope,

@@ -1,20 +1,21 @@
 // Package lint is the repository's static-analysis pass: a stdlib-only
 // analyzer framework (go/parser + go/ast + go/types, no external modules)
 // with repo-specific analyzers that machine-check the conventions the paper
-// reproduction depends on — seeded randomness (determinism contract),
-// distance lookups through the shared graph.DistanceCache (the PR-1 hot
-// path), the graph.Infinity sentinel for disconnected pairs, no silently
-// dropped errors, package-level instrument metric registration, and the
+// reproduction depends on — seeded randomness (determinism contract), the
+// graph.Infinity sentinel for disconnected pairs, no silently dropped
+// errors, package-level instrument metric registration, and the
 // determinism/concurrency contracts: no unsorted map iteration feeding
 // deterministic output (maporder), no wall-clock reads in model-time
 // packages (wallclock), commit-before-ack in internal/server (ackorder),
-// joined/bounded goroutines (goroexit), lock/unlock discipline
+// joined/bounded goroutines (goroexit), unlock on every path
 // (lockdiscipline), and term fencing before admission intake in the
-// federation handlers (termfence).
+// federation handlers (termfence). Mutex copies are go vet's copylocks
+// check, and raw shortest-path runs outside internal/graph are a compile
+// error (the kernel is unexported).
 //
 // The pass is type-aware: Load resolves the whole repository once with
 // go/types (see types.go), so analyzers match package identity — the actual
-// edgerep/internal/graph Dijkstra, the actual time.Now — rather than
+// edgerep/internal/instrument constructors, the actual time.Now — rather than
 // identifier spelling, and fall back to the conservative name heuristics
 // only where resolution is unavailable (test files, broken fixtures).
 //
@@ -109,7 +110,7 @@ type File struct {
 	// Path is the slash-separated path relative to the repo root.
 	Path string
 	// Pkg is the directory of Path ("." for root-level files); analyzers
-	// use it to scope rules, e.g. distviacache exempts "internal/graph".
+	// use it to scope rules, e.g. infsentinel exempts "internal/graph".
 	Pkg string
 	// IsTest reports a _test.go file.
 	IsTest bool
@@ -438,7 +439,6 @@ func (r *Repo) applySuppressions(findings []Finding, ran map[string]bool) []Find
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		seededRand,
-		distViaCache,
 		infSentinel,
 		droppedErr,
 		instrReg,

@@ -43,7 +43,7 @@ func TestLintRepo(t *testing.T) {
 // a conscious change here too.
 func TestAnalyzerInventory(t *testing.T) {
 	want := []string{
-		"seededrand", "distviacache", "infsentinel", "droppederr", "instrreg",
+		"seededrand", "infsentinel", "droppederr", "instrreg",
 		"tracereason", "pkgdoc",
 		"maporder", "wallclock", "ackorder", "goroexit", "lockdiscipline",
 		"termfence",
@@ -84,8 +84,8 @@ func TestRepoTypeResolution(t *testing.T) {
 
 // TestLoadScopesPackagesAtModuleRoot guards the subtree-invocation case:
 // `edgerepvet ./internal/...` must scope files identically to `./...`, i.e.
-// paths stay relative to go.mod, so internal/graph keeps its Dijkstra
-// exemption even when it is the walk root.
+// paths stay relative to go.mod, so internal/graph keeps its raw-distance
+// exemption (infsentinel) even when it is the walk root.
 func TestLoadScopesPackagesAtModuleRoot(t *testing.T) {
 	repo, err := Load("../../internal/graph")
 	if err != nil {

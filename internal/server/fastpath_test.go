@@ -166,11 +166,12 @@ func TestFastPathRestoreChurnRace(t *testing.T) {
 }
 
 // TestFastPathChaosLatencySmoke is the ci.sh latency gate: a short drive at
-// the benchmark's pipeline depth with crash/restore churn running must keep
-// the enqueue-to-decision p95 under a bound loose enough for a loaded CI
-// machine (20ms; BENCH_pr9.json records the real sub-millisecond number on
-// quiet hardware) — it exists to catch order-of-magnitude regressions like a
-// table rebuild on the pricing path, not to re-measure the benchmark.
+// the benchmark's pipeline depth with crash/restore churn running (at least
+// one node must actually crash during the drive) must keep the
+// enqueue-to-decision p95 under a bound loose enough for a loaded CI machine
+// (20ms; bench/'s latency columns measure the real number) — it exists to
+// catch order-of-magnitude regressions like a table rebuild on the pricing
+// path, not to re-measure the benchmark.
 func TestFastPathChaosLatencySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency smoke")
@@ -182,6 +183,7 @@ func TestFastPathChaosLatencySmoke(t *testing.T) {
 	compute := p.Cloud.ComputeNodes()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	crashes := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -193,6 +195,7 @@ func TestFastPathChaosLatencySmoke(t *testing.T) {
 			}
 			v := compute[k%len(compute)]
 			if _, err := s.Crash(v); err == nil {
+				crashes++
 				time.Sleep(time.Millisecond)
 				_ = s.Restore(v)
 			}
@@ -208,18 +211,21 @@ func TestFastPathChaosLatencySmoke(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	if crashes == 0 {
+		t.Error("the drive finished before the chaos loop crashed a single node")
+	}
 	if rep.P95 > 20*time.Millisecond {
-		t.Errorf("chaos-on admission p95 %v, smoke bound is 20ms (quiet-hardware target <1ms; see BENCH_pr9.json)", rep.P95)
+		t.Errorf("chaos-on admission p95 %v, smoke bound is 20ms (quiet-hardware target <1ms)", rep.P95)
 	}
 }
 
 // TestAckConvoyRegression guards the two-phase epoch loop: with one OS
-// thread, the attributed stage-sum p95 must stay a substantial fraction of
-// the end-to-end p95. The old loop delivered each response inside the
-// pricing critical section and leaned on a scheduler yield every 32 offers;
-// when that went wrong, responses convoyed behind the epoch loop and the gap
-// between attributed and measured latency blew up — the exact signature this
-// asserts against.
+// thread, the attributed stage-sum p95 must land in [0.5, 1.1]× of the
+// end-to-end p95 (it reads ≈ 0.97–1.0). The old loop delivered each
+// response inside the pricing critical section and leaned on a scheduler
+// yield every 32 offers; when that went wrong, responses convoyed behind
+// the epoch loop and the gap between attributed and measured latency blew
+// up — the exact signature this asserts against.
 func TestAckConvoyRegression(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const count = 8000
@@ -243,7 +249,7 @@ func TestAckConvoyRegression(t *testing.T) {
 		t.Errorf("stage-sum p95 %v is only %.2fx the end-to-end p95 %v; responses are convoying outside attribution",
 			rep.StageSumP95, r, rep.P95)
 	}
-	if r > 1.2 {
+	if r > 1.1 {
 		t.Errorf("stage-sum p95 %v exceeds the end-to-end p95 %v by %.2fx; stage stamps overlap", rep.StageSumP95, rep.P95, r)
 	}
 }
