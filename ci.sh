@@ -8,8 +8,9 @@
 # Dijkstra / matrix / table-build / dual-ascent oracles),
 # attribution gates (zero-alloc off path, byte-identical traces, flight-ring
 # race stress), durability (journal/recovery incl. bit-exact through a
-# snapshot + the solution layer against its sort-per-admit reference + group
-# commit/power-loss/commit-fail drills +
+# snapshot + v0, v1 and mixed-format journals + the record codec against its
+# JSON reference and under fuzz + the solution layer against its
+# sort-per-admit reference + group commit/power-loss/commit-fail drills +
 # kill-and-resume byte-identity), the edgerepd daemon drill
 # (selfdrive byte-identity + HTTP serve/kill -9/same-command-line restart +
 # live /slo and /debug/flight probes + SIGTERM flight snapshot), federation
@@ -72,7 +73,8 @@ go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|Test
 go test -run 'TestFastPathChaosLatencySmoke' ./internal/server
 go test -run '^$' -bench 'BenchmarkFastPathPlan' -benchtime 1x ./internal/online
 # The commit step after pricing: an admitted offer allocates its decision's
-# assignment slice and nothing else (typed release heap, no sort in Admit).
+# assignment slice and nothing else, a rejected one nothing, journaled or not
+# (typed release heap, no sort in Admit, records encoded into a reused buffer).
 go test -run 'TestAdmitPathAllocs' ./internal/online
 # What the tables are built from and how: the typed-heap Dijkstra against the
 # container/heap kernel it replaced (Dist bits and parents, ties included),
@@ -94,7 +96,7 @@ go test -run 'TestExtChaosTraceDeterministicAndValid' ./internal/experiments
 go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./internal/sim ./internal/testbed ./internal/invariant
 go run ./cmd/edgereptestbed -chaos
 
-echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot; solution-layer oracle; decode fuzz smoke)"
+echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot, v0 and mixed-format journals; solution-layer and record-codec oracles; decode fuzz smokes)"
 go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|Rehydrate|ProcCrash|StateDump' \
     ./internal/journal ./internal/online ./internal/invariant ./internal/experiments ./internal/testbed
 # Recovery through a snapshot is bit-exact (tied expiries pop in one order
@@ -102,7 +104,13 @@ go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|Rehydrate|ProcCrash|Sta
 # sort-per-admit reference, repeated query IDs included.
 go test -race -run 'TestRecoverThroughSnapshotBitExact' ./internal/online
 go test -race -run 'TestSolutionMatchesReference' ./internal/placement
+# WAL records are binary v1; journals of older binaries hold v0 JSON. Every
+# record decodes the same from both, a v0 journal recovers to the state of
+# its v1 twin, and a v0 prefix with a v1 suffix (an upgraded daemon) recovers
+# through Recover and through a standby fed one segment at a time.
+go test -race -run 'TestRecordCodecMatchesJSON|TestRecoverV0Journal|TestRecoverMixedJournal' ./internal/online
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 5s ./internal/journal
+go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/online
 # Group commit: one fsync per epoch with acks after it, every byte offset of
 # a power cut recovers every acked decision, a failed commit fails closed.
 go test -race -run 'GroupCommit|PowerLoss|CommitFail' ./internal/journal ./internal/online ./internal/server
@@ -133,6 +141,10 @@ go build -o "$tmp/edgerepd" ./cmd/edgerepd
     -journal "$tmp/dcrash-wal" -trace "$tmp/dresumed.jsonl" > /dev/null
 cmp "$tmp/dfull.jsonl" "$tmp/dresumed.jsonl"
 for f in "$tmp/dfull-wal"/*; do cmp "$f" "$tmp/dcrash-wal/$(basename "$f")"; done
+# The WAL is binary; dump prints it, a head line and one line per record.
+"$tmp/edgerepd" dump "$tmp/dfull-wal" > "$tmp/dfull.dump"
+[ "$(wc -l < "$tmp/dfull.dump")" -eq 10001 ] || {
+    echo "edgerepd dump printed $(wc -l < "$tmp/dfull.dump") lines for 10000 records" >&2; exit 1; }
 # HTTP: bind a random port, drive real traffic, kill -9, start again with
 # the SAME command line (recovery is worked out from the journal, which must
 # replay clean), drive again, drain on SIGTERM. On the durable journal:
@@ -303,8 +315,15 @@ for doc in README.md OPERATIONS.md ARCHITECTURE.md EXPERIMENTS.md \
            examples/streaming-admission/README.md .claude/skills/verify/SKILL.md; do
     check_doc_flags "$doc" || exit 1
 done
-# Negative control: the check must refuse a deleted flag and the flat form.
-for bad in 'edgerepd serve -resume' 'edgerepd -selfdrive -count 5' 'edgerepd resume -journal wal/'; do
+# Every mode edgerepd lists has its row in OPERATIONS.md's mode table.
+for m in $modes; do
+    grep -q "^| \`$m[ \`]" OPERATIONS.md || {
+        echo "OPERATIONS.md's mode table has no row for edgerepd $m" >&2; exit 1; }
+done
+# Negative control: the check must refuse a deleted flag, the flat form, and
+# a flag given to a mode that takes none (dump reads its directory argument).
+for bad in 'edgerepd serve -resume' 'edgerepd -selfdrive -count 5' 'edgerepd resume -journal wal/' \
+           'edgerepd dump -journal wal/'; do
     echo "$bad" > "$tmp/bad.md"
     if check_doc_flags "$tmp/bad.md" 2> /dev/null; then
         echo "docs mode-and-flag check accepted: $bad" >&2

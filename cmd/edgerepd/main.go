@@ -19,6 +19,7 @@
 //	edgerepd selfdrive -count 200000 -journal wal/ -proc-crash-after 120000
 //	edgerepd drill -regions 3 -count 600 -journal drill/    # kill-the-leader drill
 //	edgerepd drive -count 5000 http://localhost:8080        # HTTP load driver
+//	edgerepd dump wal/                                      # the journal as JSON lines
 //
 // See OPERATIONS.md for the runbook (endpoint map, journal layout, crash
 // drills) and examples/streaming-admission for an end-to-end walkthrough.
@@ -49,6 +50,7 @@ var modes = []struct {
 	{"selfdrive", "replay a seeded arrival stream through the in-process pipeline and report throughput", runSelfdrive},
 	{"drill", "in-process multi-region kill-the-leader drill with the exactly-once audit", runDrill},
 	{"drive", "POST a load at the daemon at <url>, then probe /metrics, /slo and /debug/flight", runDrive},
+	{"dump", "print the journal in <dir> as JSON lines, one per record", runDump},
 }
 
 func main() {

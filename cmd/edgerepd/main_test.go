@@ -2,8 +2,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,6 +16,7 @@ import (
 	"edgerep/internal/federation"
 	"edgerep/internal/instrument"
 	"edgerep/internal/invariant"
+	"edgerep/internal/journal"
 	"edgerep/internal/server"
 )
 
@@ -52,6 +56,9 @@ func TestRunRejects(t *testing.T) {
 		{"serve with a stray argument", []string{"serve", "-http", ":0", "-journal", tmp, "extra"}, "1 arguments after the flags, want 0"},
 		{"malformed -peers", []string{"serve", "-peers", "0:http://a"}, "not shard=baseURL"},
 		{"crash without a journal", []string{"selfdrive", "-proc-crash-after", "10"}, "needs -journal"},
+		{"dump without a directory", []string{"dump"}, "0 arguments after the flags, want 1"},
+		{"dump -journal", []string{"dump", "-journal", tmp}, "not defined: -journal"},
+		{"dump of a missing directory", []string{"dump", filepath.Join(tmp, "nowhere")}, "no such file or directory"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -60,6 +67,85 @@ func TestRunRejects(t *testing.T) {
 	}
 	if err := run([]string{"drive", "-h"}); err != nil {
 		t.Errorf("drive -h: %v", err)
+	}
+}
+
+// TestDump pins what an operator reads: the same history written in v0 JSON,
+// in binary v1 or in both (the journal of an upgraded daemon) prints the same
+// lines, the head reports the snapshot LSN, the record count and a dropped
+// torn tail, and a record neither format decodes is named by its LSN.
+func TestDump(t *testing.T) {
+	f64 := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	v0 := [][]byte{
+		[]byte(`{"kind":"offer","at":1.5,"hold":30,"query":3,"node":-1,"outcome":{"seq":0,"run":0,"event":"admit","algo":"online","query":3,"dataset":-1,"node":-1,"datasets":[2,4],"nodes":[7,9],"volume":12.5}}`),
+		[]byte(`{"kind":"offer","at":2,"query":5,"node":-1,"outcome":{"seq":0,"run":0,"event":"reject","algo":"online","query":5,"dataset":-1,"node":-1}}`),
+		[]byte(`{"kind":"crash","at":3,"query":-1,"node":6,"outcome":{"seq":0,"run":0,"event":"crash","algo":"online","query":-1,"dataset":-1,"node":6,"volume":40},"lost_replicas":2,"repaired":1,"evicted":1}`),
+		[]byte(`{"kind":"restore","at":3,"query":-1,"node":6}`),
+	}
+	v1 := [][]byte{
+		cat([]byte{1, 1}, f64(1.5), f64(30), []byte{3, 2, 2, 7, 4, 9}),
+		cat([]byte{1, 2}, f64(2), f64(0), []byte{5}),
+		cat([]byte{1, 3}, f64(3), []byte{6, 2, 1, 1}),
+		cat([]byte{1, 4}, f64(3), []byte{6}),
+	}
+	lines := []string{
+		`{"lsn":1,"kind":"offer","at":1.5,"hold":30,"query":3,"node":-1,"admitted":true,"assignments":[{"dataset":2,"node":7},{"dataset":4,"node":9}]}`,
+		`{"lsn":2,"kind":"offer","at":2,"query":5,"node":-1}`,
+		`{"lsn":3,"kind":"crash","at":3,"query":-1,"node":6,"lost_replicas":2,"repaired":1,"evicted":1}`,
+		`{"lsn":4,"kind":"restore","at":3,"query":-1,"node":6}`,
+	}
+	history := strings.Join(lines, "\n") + "\n"
+	for _, tc := range []struct {
+		name    string
+		records [][]byte
+		snapAt  int // take a snapshot after this many records (0: none)
+		torn    bool
+		want    string
+		wantErr string
+	}{
+		{name: "empty", want: `{"snapshot_lsn":0,"records":0,"torn":false}` + "\n"},
+		{name: "v0", records: v0, snapAt: 2, want: `{"snapshot_lsn":2,"records":4,"torn":false}` + "\n" + history},
+		{name: "v1", records: v1, snapAt: 2, want: `{"snapshot_lsn":2,"records":4,"torn":false}` + "\n" + history},
+		{name: "v0 then v1", records: [][]byte{v0[0], v0[1], v1[2], v1[3]}, want: `{"snapshot_lsn":0,"records":4,"torn":false}` + "\n" + history},
+		{name: "torn tail", records: v1, torn: true, want: `{"snapshot_lsn":0,"records":4,"torn":true}` + "\n" + history},
+		{name: "malformed", records: [][]byte{v1[0], {1, 9}}, wantErr: "record 2: online: malformed journal record"},
+	} {
+		dir := t.TempDir()
+		j, err := journal.Open(dir, journal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range tc.records {
+			if _, err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if i+1 == tc.snapAt {
+				if err := j.Snapshot([]byte("{}")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tc.torn {
+			if err := j.TearTail(v1[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = dump(&out, dir)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case out.String() != tc.want:
+			t.Errorf("%s: dump\n%s\nwant\n%s", tc.name, out.String(), tc.want)
+		}
 	}
 }
 

@@ -521,13 +521,13 @@ func regionRecords(dirs []string, promotedDir string, r, killShard int) ([][]byt
 // journalOffers extracts the (query, at) identity of every offer record.
 func journalOffers(recs [][]byte) ([]ackRec, error) {
 	var out []ackRec
-	for _, raw := range recs {
-		var rec online.JournalRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("federation: decode journal record: %w", err)
+	var rec online.JournalRecord
+	for i, raw := range recs {
+		if err := online.DecodeRecord(raw, &rec); err != nil {
+			return nil, fmt.Errorf("federation: journal record %d: %w", i+1, err)
 		}
-		if rec.Kind == "offer" {
-			out = append(out, ackRec{Query: rec.Query, At: rec.At})
+		if rec.Kind == online.RecordOffer {
+			out = append(out, ackRec{Query: int64(rec.Query), At: rec.At})
 		}
 	}
 	return out, nil

@@ -23,10 +23,13 @@ func TestDrillEndToEnd(t *testing.T) {
 	}
 	dir := t.TempDir()
 	rep, err := RunDrill(DrillConfig{
-		BaseDir:  dir,
-		Count:    600,
-		Seed:     17,
-		TraceOut: filepath.Join(dir, "trace.jsonl"),
+		BaseDir: dir,
+		Count:   600,
+		Seed:    17,
+		// The killed shard journals about 4 KiB before the kill; segments a
+		// quarter of that ship several times over, not once.
+		SegmentBytes: 1024,
+		TraceOut:     filepath.Join(dir, "trace.jsonl"),
 	})
 	if err != nil {
 		t.Fatal(err)

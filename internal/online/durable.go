@@ -1,15 +1,19 @@
 // Durable state for the online engine: every input the engine acts on —
 // offers, node crashes, restores — is journaled to a write-ahead log
-// together with the outcome the engine committed to (admit/reject in the
-// typed trace-event schema, repair/evict as counts), and the full engine
-// state is periodically snapshotted. Because the engine is deterministic —
-// the same problem and the same input sequence reproduce the same state —
-// recovery is: load the newest snapshot, replay the WAL suffix through the
-// ordinary Offer/Crash/Restore paths, and cross-check each replayed outcome
-// against the recorded one (a mismatch means the problem or binary changed
-// under the journal and recovery refuses with ErrDivergent rather than
-// resurrect a different history). invariant.CheckRecovered proves the result
-// field-identical to a never-crashed run.
+// together with the outcome the engine committed to (admit with the node of
+// each demand, or reject; repair/evict as counts), and the full engine state
+// is periodically snapshotted. Records are written in the binary v1 format
+// of record.go, a few dozen bytes each, encoded into a reused buffer so
+// journaling allocates nothing; journals written before it hold v0 JSON
+// records, which DecodeRecord still reads, so they recover as they always
+// did. Snapshots are the JSON of EngineState. Because the engine is
+// deterministic — the same problem and the same input sequence reproduce the
+// same state — recovery is: load the newest snapshot, replay the WAL suffix
+// through the ordinary Offer/Crash/Restore paths, and cross-check each
+// replayed outcome against the recorded one (a mismatch means the problem or
+// binary changed under the journal and recovery refuses with ErrDivergent
+// rather than resurrect a different history). invariant.CheckRecovered
+// proves the result field-identical to a never-crashed run.
 package online
 
 import (
@@ -21,7 +25,6 @@ import (
 	"sort"
 
 	"edgerep/internal/graph"
-	"edgerep/internal/instrument"
 	"edgerep/internal/journal"
 	"edgerep/internal/placement"
 	"edgerep/internal/workload"
@@ -31,35 +34,6 @@ import (
 // than the one recorded — the journal belongs to a different problem
 // instance or engine version, and recovering from it would fabricate state.
 var ErrDivergent = errors.New("online: journal replay diverged from recorded outcome")
-
-// Journal record kinds: the engine's three externally-driven inputs.
-const (
-	recordOffer   = "offer"
-	recordCrash   = "crash"
-	recordRestore = "restore"
-)
-
-// JournalRecord is one WAL entry: the input the engine was given plus the
-// outcome it committed to. Outcome reuses the typed trace schema
-// (instrument.TraceEvent): an admit-shaped or reject-shaped event for
-// offers (reject outcomes carry no Reason — classification is a trace
-// concern, not a durability one), a crash-shaped event for crashes, nil for
-// restores.
-type JournalRecord struct {
-	Kind string  `json:"kind"`
-	At   float64 `json:"at"`
-	// Hold is the offer's HoldSec (offers only).
-	Hold  float64 `json:"hold,omitempty"`
-	Query int64   `json:"query"`
-	Node  int64   `json:"node"`
-	// Outcome is the committed result in trace-event shape.
-	Outcome *instrument.TraceEvent `json:"outcome,omitempty"`
-	// LostReplicas, Repaired, Evicted summarize a crash's repair phase; a
-	// replayed crash must reproduce them exactly.
-	LostReplicas int `json:"lost_replicas,omitempty"`
-	Repaired     int `json:"repaired,omitempty"`
-	Evicted      int `json:"evicted,omitempty"`
-}
 
 // NodeUse is one node's instantaneous allocation in an EngineState.
 type NodeUse struct {
@@ -223,19 +197,13 @@ func (e *Engine) SnapshotNow() error {
 	return e.jn.Snapshot(snap)
 }
 
-// appendRecord writes one record to the journal and takes a snapshot when
-// the cadence says so. The record is durable at the next Commit (or at that
-// snapshot, which syncs the WAL first). No-op while replaying or without a
-// journal.
-func (e *Engine) appendRecord(rec *JournalRecord) error {
-	if e.jn == nil || e.replaying {
-		return nil
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("online: marshal journal record: %w", err)
-	}
-	if _, err := e.jn.AppendUnsynced(data); err != nil {
+// writeRecord encodes e.rec into the reused buffer, writes it to the journal
+// and takes a snapshot when the cadence says so. The record is durable at the
+// next Commit (or at that snapshot, which syncs the WAL first). Callers have
+// checked that the engine journals.
+func (e *Engine) writeRecord() error {
+	e.recBuf = appendRecord(e.recBuf[:0], &e.rec)
+	if _, err := e.jn.AppendUnsynced(e.recBuf); err != nil {
 		return err
 	}
 	if e.snapEvery > 0 && e.jn.LSN()%int64(e.snapEvery) == 0 {
@@ -261,43 +229,29 @@ func (e *Engine) Commit() error {
 	return e.jn.Commit()
 }
 
-// journalOffer records one offer with its committed decision in trace-event
-// shape (admit with the per-demand assignment, or a reason-less reject).
+// journalOffer records one offer with its committed decision: admitted with
+// the node serving each demand, or rejected (the reason is a trace concern,
+// not a durability one). No-op while replaying or without a journal.
 func (e *Engine) journalOffer(a Arrival, dec Decision) error {
 	if e.jn == nil || e.replaying {
 		return nil
 	}
-	rec := &JournalRecord{Kind: recordOffer, At: a.AtSec, Hold: a.HoldSec, Query: int64(a.Query), Node: -1}
-	var ev instrument.TraceEvent
-	if dec.Admitted {
-		ev = instrument.NewTraceEvent(instrument.EventAdmit, traceAlgo)
-		ev.Query = int64(a.Query)
-		for _, asg := range dec.Assignments {
-			ev.Datasets = append(ev.Datasets, int64(asg.Dataset))
-			ev.Nodes = append(ev.Nodes, int64(asg.Node))
-			ev.Volume += e.p.Datasets[asg.Dataset].SizeGB
-		}
-	} else {
-		ev = instrument.NewTraceEvent(instrument.EventReject, traceAlgo)
-		ev.Query = int64(a.Query)
+	e.rec = JournalRecord{Kind: RecordOffer, At: a.AtSec, Hold: a.HoldSec, Query: a.Query, Node: -1,
+		Admitted: dec.Admitted, Assignments: e.rec.Assignments[:0]}
+	for _, asg := range dec.Assignments {
+		e.rec.Assignments = append(e.rec.Assignments, DemandNode{Dataset: asg.Dataset, Node: asg.Node})
 	}
-	rec.Outcome = &ev
-	return e.appendRecord(rec)
+	return e.writeRecord()
 }
 
 // journalCrash records one crash with its repair summary.
-func (e *Engine) journalCrash(atSec float64, v graph.NodeID, rep CrashReport, volLost float64) error {
+func (e *Engine) journalCrash(atSec float64, v graph.NodeID, rep CrashReport) error {
 	if e.jn == nil || e.replaying {
 		return nil
 	}
-	ev := instrument.NewTraceEvent(instrument.EventCrash, traceAlgo)
-	ev.Node = int64(v)
-	ev.Volume = volLost
-	rec := &JournalRecord{
-		Kind: recordCrash, At: atSec, Query: -1, Node: int64(v),
-		Outcome: &ev, LostReplicas: rep.LostReplicas, Repaired: rep.Repaired, Evicted: len(rep.Evicted),
-	}
-	return e.appendRecord(rec)
+	e.rec = JournalRecord{Kind: RecordCrash, At: atSec, Query: -1, Node: v,
+		LostReplicas: rep.LostReplicas, Repaired: rep.Repaired, Evicted: len(rep.Evicted)}
+	return e.writeRecord()
 }
 
 // journalRestore records a node restore.
@@ -305,7 +259,8 @@ func (e *Engine) journalRestore(v graph.NodeID) error {
 	if e.jn == nil || e.replaying {
 		return nil
 	}
-	return e.appendRecord(&JournalRecord{Kind: recordRestore, At: e.now, Query: -1, Node: int64(v)})
+	e.rec = JournalRecord{Kind: RecordRestore, At: e.now, Query: -1, Node: v}
+	return e.writeRecord()
 }
 
 // Recover rebuilds an engine from a loaded journal: construct it exactly as
@@ -327,33 +282,27 @@ func Recover(p *placement.Problem, expectedArrivals int, opt Options, st *journa
 // replayRecord applies one journaled input and verifies the outcome.
 func (e *Engine) replayRecord(lsn int64, rec *JournalRecord) error {
 	switch rec.Kind {
-	case recordOffer:
-		dec, err := e.Offer(Arrival{Query: workload.QueryID(rec.Query), AtSec: rec.At, HoldSec: rec.Hold})
+	case RecordOffer:
+		dec, err := e.Offer(Arrival{Query: rec.Query, AtSec: rec.At, HoldSec: rec.Hold})
 		if err != nil {
 			return fmt.Errorf("online: replay record %d: %w", lsn, err)
 		}
-		if rec.Outcome == nil {
-			return fmt.Errorf("online: record %d: offer without outcome: %w", lsn, ErrDivergent)
-		}
-		wantAdmit := rec.Outcome.Event == instrument.EventAdmit
-		if dec.Admitted != wantAdmit {
+		if dec.Admitted != rec.Admitted {
 			return fmt.Errorf("online: record %d: query %d replayed admitted=%v, journal says %v: %w",
-				lsn, rec.Query, dec.Admitted, wantAdmit, ErrDivergent)
+				lsn, rec.Query, dec.Admitted, rec.Admitted, ErrDivergent)
 		}
-		if wantAdmit {
-			if len(dec.Assignments) != len(rec.Outcome.Datasets) {
-				return fmt.Errorf("online: record %d: query %d replayed %d assignments, journal has %d: %w",
-					lsn, rec.Query, len(dec.Assignments), len(rec.Outcome.Datasets), ErrDivergent)
-			}
-			for i, asg := range dec.Assignments {
-				if int64(asg.Dataset) != rec.Outcome.Datasets[i] || int64(asg.Node) != rec.Outcome.Nodes[i] {
-					return fmt.Errorf("online: record %d: query %d demand %d replayed (%d,%d), journal has (%d,%d): %w",
-						lsn, rec.Query, i, asg.Dataset, asg.Node, rec.Outcome.Datasets[i], rec.Outcome.Nodes[i], ErrDivergent)
-				}
+		if len(dec.Assignments) != len(rec.Assignments) {
+			return fmt.Errorf("online: record %d: query %d replayed %d assignments, journal has %d: %w",
+				lsn, rec.Query, len(dec.Assignments), len(rec.Assignments), ErrDivergent)
+		}
+		for i, asg := range dec.Assignments {
+			if want := rec.Assignments[i]; asg.Dataset != want.Dataset || asg.Node != want.Node {
+				return fmt.Errorf("online: record %d: query %d demand %d replayed (%d,%d), journal has (%d,%d): %w",
+					lsn, rec.Query, i, asg.Dataset, asg.Node, want.Dataset, want.Node, ErrDivergent)
 			}
 		}
-	case recordCrash:
-		rep, err := e.Crash(rec.At, graph.NodeID(rec.Node))
+	case RecordCrash:
+		rep, err := e.Crash(rec.At, rec.Node)
 		if err != nil {
 			return fmt.Errorf("online: replay record %d: %w", lsn, err)
 		}
@@ -362,12 +311,10 @@ func (e *Engine) replayRecord(lsn int64, rec *JournalRecord) error {
 				lsn, rec.Node, rep.LostReplicas, rep.Repaired, len(rep.Evicted),
 				rec.LostReplicas, rec.Repaired, rec.Evicted, ErrDivergent)
 		}
-	case recordRestore:
-		if err := e.Restore(graph.NodeID(rec.Node)); err != nil {
+	case RecordRestore:
+		if err := e.Restore(rec.Node); err != nil {
 			return fmt.Errorf("online: replay record %d: %w", lsn, err)
 		}
-	default:
-		return fmt.Errorf("online: record %d: unknown kind %q: %w", lsn, rec.Kind, ErrDivergent)
 	}
 	return nil
 }

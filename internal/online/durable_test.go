@@ -2,7 +2,8 @@ package online_test
 
 import (
 	"errors"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"edgerep/internal/graph"
@@ -263,22 +264,24 @@ func TestRecoverDivergenceDetected(t *testing.T) {
 	}
 
 	// Tampering with a recorded outcome is caught as online.ErrDivergent: flip the
-	// first admit outcome to a reject.
+	// first reject to an admission on no nodes (v1 kind byte 2 → 1, and an
+	// assignment count of 0 after the query).
 	st2, err := journal.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const admit, reject = `"event":"admit"`, `"event":"reject"`
 	tampered := false
 	for i, rec := range st2.Records {
-		if s := string(rec); strings.Contains(s, admit) {
-			st2.Records[i] = []byte(strings.Replace(s, admit, reject, 1))
+		if rec[0] == 0x01 && rec[1] == 0x02 {
+			flipped := append(append([]byte(nil), rec...), 0)
+			flipped[1] = 0x01
+			st2.Records[i] = flipped
 			tampered = true
 			break
 		}
 	}
 	if !tampered {
-		t.Fatal("no admit record found to tamper with")
+		t.Fatal("no reject record found to tamper with")
 	}
 	p2, w2 := online.NewTestProblem(t, 13, 25)
 	if _, err := online.Recover(p2, len(w2.Queries), online.Options{}, st2); !errors.Is(err, online.ErrDivergent) {
@@ -363,5 +366,126 @@ func TestRecoverThroughSnapshotBitExact(t *testing.T) {
 				t.Fatalf("%d records past the snapshot at LSN %d: %v", n, cut, err)
 			}
 		}
+	}
+}
+
+// churnRecover loads dir and recovers it twice — through its newest snapshot
+// and from record 1 — requiring both to equal want.
+func churnRecover(t *testing.T, dir string, seed int64, nq int, want *online.EngineState) {
+	t.Helper()
+	st, err := journal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshot == nil {
+		t.Fatal("no snapshot to recover through")
+	}
+	for _, from := range []*journal.State{st, {Records: st.Records}} {
+		e, err := online.Recover(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{}, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := invariant.CheckRecovered(e.StateDump(), want); err != nil {
+			t.Fatalf("recovered from LSN %d: %v", from.SnapshotLSN, err)
+		}
+	}
+}
+
+// TestRecoverV0Journal: a journal the binary before the record codec wrote —
+// every record v0 JSON — recovers to the state of the same history journaled
+// in v1, through a snapshot and replayed from record 1 alike.
+func TestRecoverV0Journal(t *testing.T) {
+	const seed, nq = 9, 40
+	dirs, live := online.ChurnJournals(t, seed, nq, 50)
+	if err := invariant.CheckRecovered(live[0], live[1]); err != nil {
+		t.Fatalf("the two live engines differ: %v", err)
+	}
+	for _, dir := range dirs {
+		churnRecover(t, dir, seed, nq, live[1])
+	}
+}
+
+// TestRecoverMixedJournal is the upgrade: the old binary writes a v0 prefix
+// (with a snapshot in it) and dies; the new one recovers that prefix and
+// writes its own history after it in v1, continuing the old binary's last
+// segment, so one segment holds both formats. The whole journal recovers
+// through Recover and through a standby fed the segments one at a time, to
+// the state of an engine that never stopped.
+func TestRecoverMixedJournal(t *testing.T) {
+	const seed, nq = 9, 40
+	dir := t.TempDir()
+	opts := journal.Options{NoSync: true, SegmentBytes: 1024}
+	j, err := journal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := online.NewEngine(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{Journal: j, SnapshotEvery: 30})
+	online.Churn(t, online.JournalV0(old), nq, 0)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v0Records := j.LSN()
+
+	st, err := journal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = journal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgraded, err := online.Recover(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{Journal: j}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass < 3; pass++ {
+		online.Churn(t, upgraded, nq, pass)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reference := online.NewEngine(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{})
+	for pass := 0; pass < 3; pass++ {
+		online.Churn(t, reference, nq, pass)
+	}
+	want := reference.StateDump()
+	churnRecover(t, dir, seed, nq, want)
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby, err := online.NewRehydrator(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{}, &journal.State{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := 0
+	for _, seg := range segs { // Glob sorts, and segment names sort in LSN order
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := journal.DecodeSegment(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		formats := map[byte]bool{}
+		for _, rec := range recs {
+			formats[rec[0]] = true
+			if err := standby.Apply(rec); err != nil {
+				t.Fatalf("%s: %v", filepath.Base(seg), err)
+			}
+		}
+		if len(formats) == 2 {
+			mixed++
+		}
+	}
+	if err := invariant.CheckRecovered(standby.Engine().StateDump(), want); err != nil {
+		t.Fatalf("standby fed segment by segment: %v", err)
+	}
+	if st.SnapshotLSN == 0 || st.SnapshotLSN >= v0Records || len(segs) < 3 || mixed != 1 {
+		t.Fatalf("scenario too weak: v0 snapshot at LSN %d of %d v0 records, %d segments, %d holding both formats",
+			st.SnapshotLSN, v0Records, len(segs), mixed)
 	}
 }

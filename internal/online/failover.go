@@ -88,7 +88,7 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 	if !e.Liveness().MarkDown(v) {
 		// Already down: a no-op, but journaled like any other crash input so
 		// replay walks the exact same path.
-		return rep, e.journalCrash(atSec, v, rep, 0)
+		return rep, e.journalCrash(atSec, v, rep)
 	}
 	statCrashes.Inc()
 
@@ -153,7 +153,7 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 		moves = e.repairQuery(q, byQuery[q], activeHold[q], &rep, moves)
 	}
 	e.sol.Reassign(moves...)
-	return rep, e.journalCrash(atSec, v, rep, volLost)
+	return rep, e.journalCrash(atSec, v, rep)
 }
 
 // repairQuery re-serves query q's stranded datasets, or evicts it. The

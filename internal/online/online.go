@@ -252,13 +252,17 @@ type Engine struct {
 	jn        *journal.Journal
 	snapEvery int
 	replaying bool
+	// rec and recBuf are the record being journaled and its encoding, reused
+	// from record to record.
+	rec    JournalRecord
+	recBuf []byte
 
 	// stages, when attached, is the serving layer's in-progress latency
 	// timeline for the arrival currently being offered (the epoch loop is
 	// single-writer, so a plain pointer suffices); emitAdmit/emitReject copy
 	// the prefix known at decision time into the trace event's StageNs while
 	// attribution is active. lastJournalNs records the duration of the last
-	// Offer's journal write (marshal + write(2)), measured via the sanctioned
+	// Offer's journal write (encode + write(2)), measured via the sanctioned
 	// monotonic clock only while attribution is active.
 	stages        *instrument.StageTimeline
 	lastJournalNs int64

@@ -8,6 +8,7 @@ import (
 	"edgerep/internal/cluster"
 	"edgerep/internal/core"
 	"edgerep/internal/invariant"
+	"edgerep/internal/journal"
 	"edgerep/internal/online"
 	"edgerep/internal/placement"
 	"edgerep/internal/topology"
@@ -250,42 +251,62 @@ func BenchmarkOnlineOffer(b *testing.B) {
 	}
 }
 
-// TestAdmitPathAllocs pins what committing an admission allocates: on an
-// admitted Offer with a hold — no journal, no trace — nothing but the
-// assignment slice the decision keeps. Each run pushes the query's releases
-// and, its hold being shorter than the spacing, pops the previous run's; the
-// release heap is typed, so neither boxes, and Solution.Admit does not sort.
-// The appends to the decision and assignment histories are amortized away
-// over the runs.
+// TestAdmitPathAllocs pins what committing a decision allocates: on an
+// admitted Offer with a hold — no trace — nothing but the assignment slice
+// the decision keeps, and on a rejected one nothing, whether or not the
+// engine journals. Each run pushes the query's releases and, its hold being
+// shorter than the spacing, pops the previous run's; the release heap is
+// typed, so neither boxes, and Solution.Admit does not sort. A journaled
+// record is encoded into a reused buffer and framed into another. The appends
+// to the decision and assignment histories are amortized away over the runs.
 func TestAdmitPathAllocs(t *testing.T) {
-	p, w := online.NewTestProblem(t, 5, 120)
-	e := online.NewEngine(p, len(w.Queries), online.Options{})
-	q, at := workload.QueryID(-1), 0.0
-	for i := range w.Queries {
-		at++
-		dec, err := e.Offer(online.Arrival{Query: workload.QueryID(i), AtSec: at, HoldSec: 0.5})
-		if err != nil {
-			t.Fatal(err)
+	for _, journaled := range []bool{false, true} {
+		p, w := online.NewTestProblem(t, 5, 120)
+		var opt online.Options
+		if journaled {
+			j, err := journal.Open(t.TempDir(), journal.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			opt.Journal = j
 		}
-		if dec.Admitted && len(dec.Assignments) > 1 {
-			q = dec.Query
-			break
+		e := online.NewEngine(p, len(w.Queries), opt)
+		admit, reject, at := workload.QueryID(-1), workload.QueryID(-1), 0.0
+		for i := range w.Queries {
+			at++
+			dec, err := e.Offer(online.Arrival{Query: workload.QueryID(i), AtSec: at, HoldSec: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Admitted && len(dec.Assignments) > 1 && admit == -1 {
+				admit = dec.Query
+			}
+			if !dec.Admitted && reject == -1 {
+				reject = dec.Query
+			}
 		}
-	}
-	if q == -1 {
-		t.Fatal("no query with two demands admitted on an idle engine; scenario too weak")
-	}
-	rejected := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		at++
-		if dec, _ := e.Offer(online.Arrival{Query: q, AtSec: at, HoldSec: 0.5}); !dec.Admitted {
-			rejected++
+		if admit == -1 || reject == -1 {
+			t.Fatal("no query with two demands admitted, or none rejected, on an idle engine; scenario too weak")
 		}
-	})
-	if rejected > 0 {
-		t.Fatalf("%d of the measured offers were rejected; the gate measures admits", rejected)
-	}
-	if allocs != 1 {
-		t.Errorf("an admitted Offer allocates %.0f objects, want exactly 1 (the decision's assignments)", allocs)
+		for _, c := range []struct {
+			q      workload.QueryID
+			admits bool
+			allocs float64
+		}{{admit, true, 1}, {reject, false, 0}} {
+			wrong := 0
+			allocs := testing.AllocsPerRun(2000, func() {
+				at++
+				if dec, _ := e.Offer(online.Arrival{Query: c.q, AtSec: at, HoldSec: 0.5}); dec.Admitted != c.admits {
+					wrong++
+				}
+			})
+			if wrong > 0 {
+				t.Fatalf("journaled=%v: %d of the measured offers of query %d went the other way", journaled, wrong, c.q)
+			}
+			if allocs != c.allocs {
+				t.Errorf("journaled=%v: an Offer with admitted=%v allocates %.0f objects, want exactly %.0f", journaled, c.admits, allocs, c.allocs)
+			}
+		}
 	}
 }

@@ -46,7 +46,7 @@ func TestPowerLossDrill(t *testing.T) {
 	dir := t.TempDir()
 	// Small segments and a snapshot cadence, so rotations and snapshots (each
 	// a barrier of its own) fall inside epochs.
-	j, err := journal.Open(dir, journal.Options{SegmentBytes: 4096})
+	j, err := journal.Open(dir, journal.Options{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

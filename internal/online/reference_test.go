@@ -4,18 +4,155 @@
 // agree with. TestFastPathEquivalence prices every arrival of its streams
 // with this scan at the exact state Offer is about to price it at and
 // requires the table path to match; BenchmarkFastPathPlan/slow times it.
+//
+// Also the v0 record encoder, the JSON the engine journaled before the binary
+// codec of record.go, and V0Journal, which writes whole journals in it: what
+// TestRecordCodecMatchesJSON decodes both formats against and what the v0 and
+// mixed-journal recovery tests recover.
 
 package online
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
+	"edgerep/internal/journal"
 	"edgerep/internal/placement"
 	"edgerep/internal/workload"
 )
+
+// journalRecordV0 is the v0 WAL record, verbatim: the input the engine was
+// given plus the outcome it committed to, in the typed trace schema
+// (instrument.TraceEvent): an admit-shaped or reject-shaped event for offers
+// (reject outcomes carry no Reason), a crash-shaped event for crashes, nil
+// for restores.
+type journalRecordV0 struct {
+	Kind string  `json:"kind"`
+	At   float64 `json:"at"`
+	// Hold is the offer's HoldSec (offers only).
+	Hold  float64 `json:"hold,omitempty"`
+	Query int64   `json:"query"`
+	Node  int64   `json:"node"`
+	// Outcome is the committed result in trace-event shape.
+	Outcome *instrument.TraceEvent `json:"outcome,omitempty"`
+	// LostReplicas, Repaired, Evicted summarize a crash's repair phase; a
+	// replayed crash must reproduce them exactly.
+	LostReplicas int `json:"lost_replicas,omitempty"`
+	Repaired     int `json:"repaired,omitempty"`
+	Evicted      int `json:"evicted,omitempty"`
+}
+
+// offerRecordV0, crashRecordV0 and restoreRecordV0 are the v0 encoder: the
+// journalOffer, journalCrash and journalRestore bodies the binary codec
+// replaced, returning the payload instead of appending it.
+func (e *Engine) offerRecordV0(a Arrival, dec Decision) ([]byte, error) {
+	rec := &journalRecordV0{Kind: RecordOffer, At: a.AtSec, Hold: a.HoldSec, Query: int64(a.Query), Node: -1}
+	var ev instrument.TraceEvent
+	if dec.Admitted {
+		ev = instrument.NewTraceEvent(instrument.EventAdmit, traceAlgo)
+		ev.Query = int64(a.Query)
+		for _, asg := range dec.Assignments {
+			ev.Datasets = append(ev.Datasets, int64(asg.Dataset))
+			ev.Nodes = append(ev.Nodes, int64(asg.Node))
+			ev.Volume += e.p.Datasets[asg.Dataset].SizeGB
+		}
+	} else {
+		ev = instrument.NewTraceEvent(instrument.EventReject, traceAlgo)
+		ev.Query = int64(a.Query)
+	}
+	rec.Outcome = &ev
+	return json.Marshal(rec)
+}
+
+func crashRecordV0(atSec float64, v graph.NodeID, rep CrashReport, volLost float64) ([]byte, error) {
+	ev := instrument.NewTraceEvent(instrument.EventCrash, traceAlgo)
+	ev.Node = int64(v)
+	ev.Volume = volLost
+	rec := &journalRecordV0{
+		Kind: RecordCrash, At: atSec, Query: -1, Node: int64(v),
+		Outcome: &ev, LostReplicas: rep.LostReplicas, Repaired: rep.Repaired, Evicted: len(rep.Evicted),
+	}
+	return json.Marshal(rec)
+}
+
+func (e *Engine) restoreRecordV0(v graph.NodeID) ([]byte, error) {
+	return json.Marshal(&journalRecordV0{Kind: RecordRestore, At: e.now, Query: -1, Node: int64(v)})
+}
+
+// V0Journal drives an engine the way the binary before the codec did: every
+// input is journaled as a v0 record, with a snapshot at the engine's
+// SnapshotEvery cadence. The engine itself runs with its journal detached.
+type V0Journal struct {
+	e  *Engine
+	jn *journal.Journal
+}
+
+// JournalV0 takes e's journal over for v0 records; e journals nothing itself
+// from here on.
+func JournalV0(e *Engine) *V0Journal {
+	d := &V0Journal{e: e, jn: e.jn}
+	e.jn = nil
+	return d
+}
+
+func (d *V0Journal) Offer(a Arrival) (Decision, error) {
+	dec, err := d.e.Offer(a)
+	if err != nil {
+		return dec, err
+	}
+	rec, err := d.e.offerRecordV0(a, dec)
+	if err != nil {
+		return dec, err
+	}
+	return dec, d.append(rec)
+}
+
+func (d *V0Journal) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
+	rep, err := d.e.Crash(atSec, v)
+	if err != nil {
+		return rep, err
+	}
+	// The demanded volume of the admissions the node served, summed as Crash
+	// sums it for its trace event.
+	volLost := 0.0
+	for _, q := range rep.AffectedQueries {
+		volLost += d.e.p.Queries[q].DemandedVolume(d.e.p.Datasets)
+	}
+	rec, err := crashRecordV0(atSec, v, rep, volLost)
+	if err != nil {
+		return rep, err
+	}
+	return rep, d.append(rec)
+}
+
+func (d *V0Journal) Restore(v graph.NodeID) error {
+	if err := d.e.Restore(v); err != nil {
+		return err
+	}
+	rec, err := d.e.restoreRecordV0(v)
+	if err != nil {
+		return err
+	}
+	return d.append(rec)
+}
+
+// append is the v0 engine's appendRecord.
+func (d *V0Journal) append(payload []byte) error {
+	if _, err := d.jn.AppendUnsynced(payload); err != nil {
+		return err
+	}
+	if d.e.snapEvery > 0 && d.jn.LSN()%int64(d.e.snapEvery) == 0 {
+		snap, err := json.Marshal(d.e.StateDump())
+		if err != nil {
+			return err
+		}
+		return d.jn.Snapshot(snap)
+	}
+	return nil
+}
 
 // planSlow is the original planning loop — a full scan over the compute
 // nodes through the delay model, per demand. It is side-effect free apart

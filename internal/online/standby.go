@@ -23,7 +23,8 @@ import (
 // same loop still (the federation Standby serializes with a mutex).
 type Rehydrator struct {
 	e   *Engine
-	lsn int64 // LSN of the last applied record
+	lsn int64         // LSN of the last applied record
+	rec JournalRecord // decode target, reused from record to record
 }
 
 // NewRehydrator builds a standby engine from a loaded journal prefix: the
@@ -58,11 +59,10 @@ func NewRehydrator(p *placement.Problem, expectedArrivals int, opt Options, st *
 // means the shipped history does not match this replica's deterministic
 // replay and the standby must not be promoted.
 func (r *Rehydrator) Apply(payload []byte) error {
-	var rec JournalRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("online: decode journal record %d: %w", r.lsn+1, err)
+	if err := DecodeRecord(payload, &r.rec); err != nil {
+		return fmt.Errorf("online: journal record %d: %w", r.lsn+1, err)
 	}
-	if err := r.e.replayRecord(r.lsn+1, &rec); err != nil {
+	if err := r.e.replayRecord(r.lsn+1, &r.rec); err != nil {
 		return err
 	}
 	r.lsn++
