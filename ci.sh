@@ -112,8 +112,10 @@ go test -race -run 'TestRecordCodecMatchesJSON|TestRecoverV0Journal|TestRecoverM
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 5s ./internal/journal
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/online
 # Group commit: one fsync per epoch with acks after it, every byte offset of
-# a power cut recovers every acked decision, a failed commit fails closed.
-go test -race -run 'GroupCommit|PowerLoss|CommitFail' ./internal/journal ./internal/online ./internal/server
+# a power cut recovers every acked decision, a failed commit fails closed, a
+# lone offer pays no timer, a POST is one queue entry, and Drain terminates
+# against a saturated queue.
+go test -race -run 'GroupCommit|PowerLoss|CommitFail|LoneOffer|PostIsOneQueueEntry|DrainUnderSaturation' ./internal/journal ./internal/online ./internal/server
 
 echo "== kill-and-resume gate (traced sweep killed mid-write resumes byte-identical)"
 go build -o "$tmp/edgerepsim" ./cmd/edgerepsim
@@ -320,10 +322,10 @@ for m in $modes; do
     grep -q "^| \`$m[ \`]" OPERATIONS.md || {
         echo "OPERATIONS.md's mode table has no row for edgerepd $m" >&2; exit 1; }
 done
-# Negative control: the check must refuse a deleted flag, the flat form, and
+# Negative control: the check must refuse deleted flags, the flat form, and
 # a flag given to a mode that takes none (dump reads its directory argument).
-for bad in 'edgerepd serve -resume' 'edgerepd -selfdrive -count 5' 'edgerepd resume -journal wal/' \
-           'edgerepd dump -journal wal/'; do
+for bad in 'edgerepd serve -resume' 'edgerepd serve -epoch-wait 2ms' 'edgerepd -selfdrive -count 5' \
+           'edgerepd resume -journal wal/' 'edgerepd dump -journal wal/'; do
     echo "$bad" > "$tmp/bad.md"
     if check_doc_flags "$tmp/bad.md" 2> /dev/null; then
         echo "docs mode-and-flag check accepted: $bad" >&2

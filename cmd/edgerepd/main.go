@@ -127,7 +127,6 @@ func (d *daemonFlags) bind(fs *flag.FlagSet) {
 	fs.IntVar(&d.fed.ExpectedArrivals, "expected", 0, "expected total arrivals for the capacity price base (0: 1e6, or -count in selfdrive)")
 	fs.Float64Var(&d.fed.MaxUtilization, "max-util", 0, "reject admissions pushing a node above this utilization (0 = 1.0)")
 	fs.IntVar(&d.fed.EpochMaxQueries, "epoch-max", 256, "micro-epoch size bound (queries)")
-	fs.DurationVar(&d.fed.EpochMaxWait, "epoch-wait", 2*time.Millisecond, "micro-epoch wait bound")
 
 	fs.StringVar(&d.journal, "journal", "", "journal every admission decision to a WAL in this directory; whatever it already holds is recovered first")
 	fs.IntVar(&d.fed.SnapshotEvery, "snapshot-every", 20000, "snapshot engine state after every Nth journaled record (0 = WAL-only)")

@@ -77,9 +77,8 @@ type Config struct {
 	SegmentBytes int64
 	// NoSync skips the journal's per-epoch fsync (drills and tests).
 	NoSync bool
-	// EpochMaxQueries / EpochMaxWait shape the server's micro-epochs.
+	// EpochMaxQueries bounds the server's micro-epochs.
 	EpochMaxQueries int
-	EpochMaxWait    time.Duration
 	// DeterministicClock serves with a constant-zero model clock so every
 	// arrival's AtSec comes from the request — the selfdrive/drill mode
 	// whose journals are byte-reproducible.
@@ -201,7 +200,6 @@ func engineOptions(cfg Config) online.Options {
 func serverConfig(cfg Config) server.Config {
 	scfg := server.Config{
 		EpochMaxQueries: cfg.EpochMaxQueries,
-		EpochMaxWait:    cfg.EpochMaxWait,
 	}
 	if cfg.DeterministicClock {
 		scfg.Clock = func() float64 { return 0 }

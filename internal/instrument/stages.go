@@ -12,8 +12,9 @@ import "sync/atomic"
 //
 // Stage boundaries (see ARCHITECTURE.md, "Serving"):
 //
-//	queue     enqueue → the decision's epoch closes (admission-queue wait
-//	          plus the epoch's fill wait; one close stamp per batch)
+//	queue     enqueue → the decision's epoch closes (admission-queue wait,
+//	          mostly behind the previous epoch's commit; one close stamp
+//	          per batch)
 //	coalesce  epoch close → this decision's pricing begins (waiting behind
 //	          earlier decisions of the same batch)
 //	lookup    the fast path's epoch fence: the staleness check on the

@@ -92,14 +92,18 @@ func (rt *Router) Forward(shard int, reqs []AdmitRequest) ([]AdmitResponse, erro
 }
 
 // dispatch prices a decoded batch: requests owned by this shard go through
-// the local epoch loop (enqueued in order before any decision is awaited,
-// preserving the ordering contract), requests owned by another shard are
-// forwarded in one batch per peer. Responses come back in request order. On
-// error the returned status is the HTTP code the handler should answer.
+// the local epoch loop as one queue entry (enqueued in order before any
+// decision is awaited, preserving the ordering contract), requests owned by
+// another shard are forwarded in one batch per peer. Responses come back in
+// request order. On error the returned status is the HTTP code the handler
+// should answer.
 func (s *Server) dispatch(reqs []AdmitRequest) ([]AdmitResponse, int, error) {
 	rt := s.router.Load()
 	resps := make([]AdmitResponse, len(reqs))
-	chans := make([]<-chan result, len(reqs))
+	// own is the locally owned part of reqs; local[k] is own[k]'s index in
+	// reqs.
+	own := make([]AdmitRequest, 0, len(reqs))
+	local := make([]int, 0, len(reqs))
 	remote := make(map[int][]int)
 	for i, req := range reqs {
 		if rt != nil && rt.Owner != nil {
@@ -108,11 +112,15 @@ func (s *Server) dispatch(reqs []AdmitRequest) ([]AdmitResponse, int, error) {
 				continue
 			}
 		}
-		ch, err := s.enqueue(req)
-		if err != nil {
+		own = append(own, req)
+		local = append(local, i)
+	}
+	var post []pending
+	if len(own) > 0 {
+		var err error
+		if post, err = s.enqueuePost(own); err != nil {
 			return nil, enqueueStatus(err), err
 		}
-		chans[i] = ch
 	}
 	shards := make([]int, 0, len(remote))
 	for shard := range remote {
@@ -133,15 +141,12 @@ func (s *Server) dispatch(reqs []AdmitRequest) ([]AdmitResponse, int, error) {
 			resps[i] = out[k]
 		}
 	}
-	for i, ch := range chans {
-		if ch == nil {
-			continue
-		}
-		res := <-ch
+	for k := range post {
+		res := <-post[k].resp
 		if res.err != nil {
 			return nil, http.StatusInternalServerError, res.err
 		}
-		resps[i] = res.resp
+		resps[local[k]] = res.resp
 	}
 	return resps, http.StatusOK, nil
 }

@@ -32,8 +32,8 @@ func (s *Server) Handler(fallback http.Handler) http.Handler {
 }
 
 // admitHandler accepts one AdmitRequest object or a JSON array of them. A
-// batch is enqueued in order before any decision is awaited, so it lands in
-// as few micro-epochs as the size bound allows.
+// batch is enqueued as one queue entry before any decision is awaited, so it
+// lands in as few micro-epochs as the size bound allows.
 func (s *Server) admitHandler(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

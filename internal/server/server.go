@@ -1,8 +1,9 @@
 // Package server is the streaming-admission core of the always-on daemon
 // (cmd/edgerepd). Queries arrive continuously through Admit (or its HTTP
-// binding, see http.go), are coalesced into micro-epochs — batches bounded
-// by size (EpochMaxQueries) and by the wait the first query of an epoch is
-// willing to tolerate (EpochMaxWait) — and are priced one at a time against
+// binding, see http.go), are coalesced into micro-epochs by group commit —
+// an epoch is whatever is already queued when the previous epoch's commit
+// returns, up to EpochMaxQueries, so nobody waits for company — and are
+// priced one at a time against
 // the online engine's incrementally maintained dual state (internal/online:
 // the exponential capacity price θ(u) over instantaneous load); no ascent is
 // ever re-run per batch. Every decision is answered with admit/reject, the
@@ -85,13 +86,11 @@ var (
 // micro-epoch) but accepts no new ones.
 var ErrDraining = errors.New("server: draining, admission closed")
 
-// Config tunes the micro-epoch collector.
+// Config tunes the micro-epoch collector. There is no wait bound: an epoch
+// closes as soon as the queue is empty (see run).
 type Config struct {
 	// EpochMaxQueries bounds a micro-epoch's size; 0 means 256.
 	EpochMaxQueries int
-	// EpochMaxWait bounds how long the first query of an epoch waits for
-	// company before the batch is priced; 0 means 2ms.
-	EpochMaxWait time.Duration
 	// Clock supplies the model time stamped on arrivals that do not carry
 	// their own AtSec. Nil means a monotonic wall clock anchored at the
 	// engine's recovered model time, so holds expire in real time. A
@@ -107,15 +106,9 @@ func (c Config) epochMax() int {
 	return 256
 }
 
-func (c Config) epochWait() time.Duration {
-	if c.EpochMaxWait > 0 {
-		return c.EpochMaxWait
-	}
-	return 2 * time.Millisecond
-}
-
-// queueDepth bounds the admission queue: enqueue blocks when it is full,
-// giving natural backpressure.
+// queueDepth bounds the admission queue in entries — a single offer or a
+// whole POST's locally owned offers each take one: a send blocks when it is
+// full, giving natural backpressure.
 const queueDepth = 4096
 
 // AdmitRequest is one query offered to the daemon.
@@ -181,6 +174,10 @@ type pending struct {
 	// enqMono is the sanctioned-monotonic-clock enqueue stamp, taken instead
 	// of enq while attribution is active (queue stage = batch close−enqMono).
 	enqMono time.Duration
+	// rest is the remainder of a multi-offer POST, in request order, when
+	// this pending is its head: the whole POST is one queue entry, which the
+	// epoch loop unpacks (see enqueuePost).
+	rest []*pending
 }
 
 // Server owns the cluster state (one online engine) and serves admission.
@@ -280,26 +277,74 @@ func (s *Server) clock() float64 {
 // enqueue pushes one request onto the admission queue and returns the
 // channel its decision will arrive on. It blocks when the queue is full.
 func (s *Server) enqueue(req AdmitRequest) (<-chan result, error) {
-	if int(req.Query) < 0 || int(req.Query) >= len(s.p.Queries) {
-		return nil, fmt.Errorf("server: unknown query %d", req.Query)
+	if err := s.checkQuery(req.Query); err != nil {
+		return nil, err
 	}
-	// One clock read per offer: the monotonic stamp when attribution is on
-	// (every interval it needs is monotonic-to-monotonic), the wall stamp
-	// otherwise (the plain latency observation's only input).
 	pd := &pending{req: req, resp: make(chan result, 1)}
+	pd.stamp()
+	if err := s.push(pd); err != nil {
+		return nil, err
+	}
+	return pd.resp, nil
+}
+
+// enqueuePost pushes a POST's offers (at least one) onto the admission queue
+// as one entry, in request order, and returns their pendings, whose resp
+// channels carry the decisions. Every query is checked before anything is enqueued, so a
+// POST is queued whole or not at all. Being one entry, a POST is never
+// interleaved with another sender's offers and never cut into more epochs
+// than EpochMaxQueries forces.
+func (s *Server) enqueuePost(reqs []AdmitRequest) ([]pending, error) {
+	for _, req := range reqs {
+		if err := s.checkQuery(req.Query); err != nil {
+			return nil, err
+		}
+	}
+	pds := make([]pending, len(reqs))
+	for i := range pds {
+		pds[i] = pending{req: reqs[i], resp: make(chan result, 1)}
+		pds[i].stamp()
+	}
+	rest := make([]*pending, len(pds)-1)
+	for i := range rest {
+		rest[i] = &pds[i+1]
+	}
+	pds[0].rest = rest
+	if err := s.push(&pds[0]); err != nil {
+		return nil, err
+	}
+	return pds, nil
+}
+
+// checkQuery refuses a query ID outside the instance's query list.
+func (s *Server) checkQuery(q workload.QueryID) error {
+	if int(q) < 0 || int(q) >= len(s.p.Queries) {
+		return fmt.Errorf("server: unknown query %d", q)
+	}
+	return nil
+}
+
+// stamp takes the enqueue stamp: one clock read, the monotonic stamp when
+// attribution is on (every interval it needs is monotonic-to-monotonic),
+// the wall stamp otherwise (the plain latency observation's only input).
+func (pd *pending) stamp() {
 	if instrument.AttributionActive() {
 		pd.enqMono = instrument.Mono()
 	} else {
 		pd.enq = time.Now()
 	}
+}
+
+// push sends one queue entry, unless the server is draining. It blocks when
+// the queue is full.
+func (s *Server) push(pd *pending) error {
 	s.sendMu.RLock()
+	defer s.sendMu.RUnlock()
 	if s.draining {
-		s.sendMu.RUnlock()
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	s.reqs <- pd
-	s.sendMu.RUnlock()
-	return pd.resp, nil
+	return nil
 }
 
 // Admit offers one query and blocks until its micro-epoch is priced.
@@ -312,37 +357,42 @@ func (s *Server) Admit(req AdmitRequest) (AdmitResponse, error) {
 	return r.resp, r.err
 }
 
-// run is the epoch loop: collect a micro-epoch, price it, answer it.
+// run is the epoch loop, plain group commit: block for the first queue
+// entry, then take whatever is already queued — without waiting — up to
+// EpochMaxQueries offers, and price. There is no timer. The same loop
+// prices, commits and delivers, so the previous epoch's commit has always
+// returned when the next epoch is collected: offers that arrive during an
+// fsync form the next epoch, and a lone offer pays no wait for company. A
+// POST entry is unpacked in request order; the part past the size bound is
+// carried, still in order, to the head of the next epoch.
 func (s *Server) run() {
 	defer close(s.done)
 	max := s.cfg.epochMax()
-	wait := s.cfg.epochWait()
 	batch := make([]*pending, 0, max)
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	var carry []*pending
 	for {
-		pd, ok := <-s.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], pd)
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+		batch = batch[:0]
+		if len(carry) == 0 {
+			pd, ok := <-s.reqs
+			if !ok {
+				return
 			}
+			batch, carry = append(batch, pd), pd.rest
 		}
-		timer.Reset(wait)
 	collect:
-		for len(batch) < max {
+		for {
+			n := min(max-len(batch), len(carry))
+			batch, carry = append(batch, carry[:n]...), carry[n:]
+			if len(carry) > 0 || len(batch) == max {
+				break
+			}
 			select {
-			case more, open := <-s.reqs:
-				if !open {
-					s.processEpoch(batch)
-					return
+			case pd, ok := <-s.reqs:
+				if !ok {
+					break collect
 				}
-				batch = append(batch, more)
-			case <-timer.C:
+				batch, carry = append(batch, pd), pd.rest
+			default:
 				break collect
 			}
 		}
