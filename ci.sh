@@ -93,11 +93,11 @@ go test -run 'TestDemandDelaysMatchEvalDelay' ./internal/placement
 
 echo "== chaos gates (seeded crash sweep replays clean; failover paths race-clean; wall-clock smoke)"
 go test -run 'TestExtChaosTraceDeterministicAndValid' ./internal/experiments
-go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./internal/sim ./internal/testbed ./internal/invariant
+go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./internal/testbed ./internal/invariant
 go run ./cmd/edgereptestbed -chaos
 
 echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot, v0 and mixed-format journals; solution-layer and record-codec oracles; decode fuzz smokes)"
-go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|Rehydrate|ProcCrash|StateDump' \
+go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|StateDump' \
     ./internal/journal ./internal/online ./internal/invariant ./internal/experiments ./internal/testbed
 # Recovery through a snapshot is bit-exact (tied expiries pop in one order
 # however the heap was built), and the solution layer under it agrees with its

@@ -5,16 +5,15 @@
 // The repository contains the paper's primary contribution — the primal-dual
 // proactive data replication and placement algorithms Appro-S and Appro-G
 // (internal/core) — together with every substrate the evaluation depends on:
-// a GT-ITM-style two-tier edge-cloud topology generator with flat, Waxman
-// and transit-stub models (internal/topology), workload, trace and arrival
+// a GT-ITM-style two-tier edge-cloud topology generator with flat and
+// transit-stub models (internal/topology), workload, trace and arrival
 // generators (internal/workload), the three benchmark algorithms
 // (internal/baselines, internal/partition), an exact ILP solver with dual
 // extraction built on a from-scratch simplex (internal/lp, internal/ilp), a
-// discrete-event execution simulator with node-crash injection
-// (internal/sim), the threshold-based replica-consistency manager
-// (internal/consistency), an emulated geo-distributed testbed over real TCP
-// sockets with failover and consistency sync (internal/testbed,
-// internal/analytics), explicit routing with load-aware multipath spreading
+// discrete-event execution simulator (internal/sim), the threshold-based
+// replica-consistency manager (internal/consistency), an emulated
+// geo-distributed testbed over real TCP sockets with replica failover and
+// chaos injection (internal/testbed, internal/analytics), explicit routing with load-aware multipath spreading
 // (internal/routing, internal/graph), the online and reactive counterpoints
 // to the paper's proactive offline setting (internal/online,
 // internal/reactive, internal/forecast), drivers that regenerate every

@@ -9,7 +9,6 @@
 package analytics
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -279,26 +278,4 @@ func Finalize(p *Partial, r Request) (*Result, error) {
 		out.Sessions = ses
 	}
 	return out, nil
-}
-
-// Selectivity estimates α for a partial relative to its input records: the
-// byte size of the serialized partial over the byte size of the serialized
-// input. It realizes the paper's α_nm for real data.
-func Selectivity(p *Partial, recs []workload.UsageRecord) (float64, error) {
-	if len(recs) == 0 {
-		return 0, fmt.Errorf("analytics: selectivity of empty input")
-	}
-	pb, err := json.Marshal(p)
-	if err != nil {
-		return 0, fmt.Errorf("analytics: marshal partial: %w", err)
-	}
-	rb, err := json.Marshal(recs)
-	if err != nil {
-		return 0, fmt.Errorf("analytics: marshal records: %w", err)
-	}
-	sel := float64(len(pb)) / float64(len(rb))
-	if sel > 1 {
-		sel = 1
-	}
-	return sel, nil
 }

@@ -254,29 +254,6 @@ func TestMergeCommutativeProperty(t *testing.T) {
 	}
 }
 
-func TestSelectivitySmall(t *testing.T) {
-	recs := trace(t, 2000)
-	req := Request{Kind: TopApps, K: 10}
-	p, err := Aggregate(recs, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := Selectivity(p, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel <= 0 || sel > 1 {
-		t.Fatalf("selectivity %v outside (0,1]", sel)
-	}
-	// A count-style aggregate must shrink the data substantially.
-	if sel > 0.25 {
-		t.Fatalf("selectivity %v unexpectedly large for an aggregate", sel)
-	}
-	if _, err := Selectivity(p, nil); err == nil {
-		t.Fatal("selectivity of empty input accepted")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		TopApps: "top-apps", HourlyHistogram: "hourly-histogram",

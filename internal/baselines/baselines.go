@@ -43,7 +43,7 @@ func newState(p *placement.Problem, algo string) *state {
 		sol:   placement.NewSolution(),
 	}
 	for _, v := range p.Cloud.ComputeNodes() {
-		s.avail[v] = p.Cloud.Available(v)
+		s.avail[v] = p.Cloud.Capacity(v)
 	}
 	s.beginTrace(algo)
 	return s

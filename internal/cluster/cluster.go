@@ -1,8 +1,8 @@
-// Package cluster tracks the runtime resource state of a two-tier edge
-// cloud: available computing resource A(v) per node, per-unit processing
-// delays d(v), and the per-GB transmission delay matrix dt(p_{u,v}).
-// Placement algorithms allocate from this ledger; the simulator and
-// validators read it back.
+// Package cluster is the read-only resource view of a two-tier edge cloud
+// that placement algorithms and validators consult: computing capacity B(v)
+// per compute node, per-unit processing delays d(v), and the per-GB
+// transmission delay dt(p_{u,v}) between nodes. Each algorithm tracks the
+// capacity it has used itself.
 package cluster
 
 import (
@@ -12,24 +12,14 @@ import (
 	"edgerep/internal/topology"
 )
 
-// EdgeCloud is the mutable resource state over an immutable topology.
+// EdgeCloud is the resource view over an immutable topology.
 type EdgeCloud struct {
 	top *topology.Topology
-	// available[i] is A(v) for compute node ComputeNodes[i].
-	available map[graph.NodeID]float64
 }
 
-// New builds an EdgeCloud with every node's available resource equal to its
-// capacity B(v).
+// New builds an EdgeCloud over top.
 func New(top *topology.Topology) *EdgeCloud {
-	ec := &EdgeCloud{
-		top:       top,
-		available: make(map[graph.NodeID]float64, top.NumCompute()),
-	}
-	for _, id := range top.ComputeNodes {
-		ec.available[id] = top.Node(id).CapacityGHz
-	}
-	return ec
+	return &EdgeCloud{top: top}
 }
 
 // Topology returns the underlying immutable topology.
@@ -45,26 +35,6 @@ func (ec *EdgeCloud) Capacity(v graph.NodeID) float64 {
 	return ec.top.Node(v).CapacityGHz
 }
 
-// Available returns A(v), the remaining computing resource of node v.
-func (ec *EdgeCloud) Available(v graph.NodeID) float64 {
-	ec.mustCompute(v)
-	return ec.available[v]
-}
-
-// Used returns B(v) − A(v).
-func (ec *EdgeCloud) Used(v graph.NodeID) float64 {
-	return ec.Capacity(v) - ec.Available(v)
-}
-
-// Utilization returns Used/Capacity in [0,1].
-func (ec *EdgeCloud) Utilization(v graph.NodeID) float64 {
-	cap := ec.Capacity(v)
-	if cap == 0 {
-		return 1
-	}
-	return (cap - ec.available[v]) / cap
-}
-
 // ProcDelayPerGB returns d(v): seconds per GB per unit computing resource.
 func (ec *EdgeCloud) ProcDelayPerGB(v graph.NodeID) float64 {
 	ec.mustCompute(v)
@@ -76,88 +46,11 @@ func (ec *EdgeCloud) TransferDelayPerGB(u, v graph.NodeID) float64 {
 	return ec.top.TransferDelayPerGB(u, v)
 }
 
-// CanAllocate reports whether node v has at least amount GHz available.
-func (ec *EdgeCloud) CanAllocate(v graph.NodeID, amount float64) bool {
-	ec.mustCompute(v)
-	return amount <= ec.available[v]+1e-9
-}
-
-// Allocate reserves amount GHz on node v. It returns an error when the node
-// lacks resources; state is unchanged on error.
-func (ec *EdgeCloud) Allocate(v graph.NodeID, amount float64) error {
-	ec.mustCompute(v)
-	if amount < 0 {
-		return fmt.Errorf("cluster: negative allocation %v on node %d", amount, v)
-	}
-	if amount > ec.available[v]+1e-9 {
-		return fmt.Errorf("cluster: node %d has %.3f GHz available, need %.3f",
-			v, ec.available[v], amount)
-	}
-	ec.available[v] -= amount
-	if ec.available[v] < 0 {
-		ec.available[v] = 0
-	}
-	return nil
-}
-
-// Release returns amount GHz to node v, clamped at capacity.
-func (ec *EdgeCloud) Release(v graph.NodeID, amount float64) error {
-	ec.mustCompute(v)
-	if amount < 0 {
-		return fmt.Errorf("cluster: negative release %v on node %d", amount, v)
-	}
-	ec.available[v] += amount
-	if cap := ec.Capacity(v); ec.available[v] > cap {
-		ec.available[v] = cap
-	}
-	return nil
-}
-
-// Reset restores every node to full availability.
-func (ec *EdgeCloud) Reset() {
-	for _, id := range ec.top.ComputeNodes {
-		ec.available[id] = ec.top.Node(id).CapacityGHz
-	}
-}
-
-// Snapshot captures current availability; RestoreSnapshot rolls back to it.
-// Algorithms use this for tentative bundle admission (all-or-nothing in
-// Appro-G).
-func (ec *EdgeCloud) Snapshot() map[graph.NodeID]float64 {
-	s := make(map[graph.NodeID]float64, len(ec.available))
-	for k, v := range ec.available {
-		s[k] = v
-	}
-	return s
-}
-
-// RestoreSnapshot rolls availability back to a snapshot taken earlier.
-func (ec *EdgeCloud) RestoreSnapshot(s map[graph.NodeID]float64) {
-	for k, v := range s {
-		ec.available[k] = v
-	}
-}
-
-// TotalCapacity returns Σ_v B(v) over compute nodes.
-func (ec *EdgeCloud) TotalCapacity() float64 {
-	sum := 0.0
-	for _, id := range ec.top.ComputeNodes {
-		sum += ec.top.Node(id).CapacityGHz
-	}
-	return sum
-}
-
-// TotalAvailable returns Σ_v A(v) over compute nodes.
-func (ec *EdgeCloud) TotalAvailable() float64 {
-	sum := 0.0
-	for _, v := range ec.available {
-		sum += v
-	}
-	return sum
-}
-
 func (ec *EdgeCloud) mustCompute(v graph.NodeID) {
-	if _, ok := ec.available[v]; !ok {
-		panic(fmt.Sprintf("cluster: node %d is not a compute node", v))
+	if v >= 0 && int(v) < len(ec.top.Nodes) {
+		if k := ec.top.Nodes[v].Kind; k == topology.DataCenter || k == topology.Cloudlet {
+			return
+		}
 	}
+	panic(fmt.Sprintf("cluster: node %d is not a compute node", v))
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"edgerep/internal/graph"
 	"edgerep/internal/topology"
@@ -14,93 +13,12 @@ func newCloud(t testing.TB) *EdgeCloud {
 	return New(topology.MustGenerate(topology.DefaultConfig()))
 }
 
-func TestNewFullAvailability(t *testing.T) {
+func TestCapacityIsTopologyCapacity(t *testing.T) {
 	ec := newCloud(t)
 	for _, v := range ec.ComputeNodes() {
-		if ec.Available(v) != ec.Capacity(v) {
-			t.Fatalf("node %d starts at %v of %v", v, ec.Available(v), ec.Capacity(v))
+		if got, want := ec.Capacity(v), ec.Topology().Node(v).CapacityGHz; got != want {
+			t.Fatalf("node %d capacity %v, topology says %v", v, got, want)
 		}
-		if ec.Used(v) != 0 {
-			t.Fatalf("node %d starts used", v)
-		}
-		if ec.Utilization(v) != 0 {
-			t.Fatalf("node %d starts utilized", v)
-		}
-	}
-	if math.Abs(ec.TotalAvailable()-ec.TotalCapacity()) > 1e-9 {
-		t.Fatal("total available != total capacity at start")
-	}
-}
-
-func TestAllocateReleaseRoundTrip(t *testing.T) {
-	ec := newCloud(t)
-	v := ec.ComputeNodes()[0]
-	cap := ec.Capacity(v)
-	if err := ec.Allocate(v, cap/2); err != nil {
-		t.Fatal(err)
-	}
-	if got := ec.Available(v); math.Abs(got-cap/2) > 1e-9 {
-		t.Fatalf("available after half alloc = %v, want %v", got, cap/2)
-	}
-	if got := ec.Utilization(v); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-	if err := ec.Release(v, cap/2); err != nil {
-		t.Fatal(err)
-	}
-	if got := ec.Available(v); math.Abs(got-cap) > 1e-9 {
-		t.Fatalf("available after release = %v, want %v", got, cap)
-	}
-}
-
-func TestAllocateOverCapacityFails(t *testing.T) {
-	ec := newCloud(t)
-	v := ec.ComputeNodes()[0]
-	if err := ec.Allocate(v, ec.Capacity(v)+1); err == nil {
-		t.Fatal("over-capacity allocation accepted")
-	}
-	// State unchanged on error.
-	if ec.Available(v) != ec.Capacity(v) {
-		t.Fatal("failed allocation mutated state")
-	}
-}
-
-func TestAllocateNegativeFails(t *testing.T) {
-	ec := newCloud(t)
-	v := ec.ComputeNodes()[0]
-	if err := ec.Allocate(v, -1); err == nil {
-		t.Fatal("negative allocation accepted")
-	}
-	if err := ec.Release(v, -1); err == nil {
-		t.Fatal("negative release accepted")
-	}
-}
-
-func TestReleaseClampsAtCapacity(t *testing.T) {
-	ec := newCloud(t)
-	v := ec.ComputeNodes()[0]
-	if err := ec.Release(v, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if ec.Available(v) != ec.Capacity(v) {
-		t.Fatalf("release overshot capacity: %v > %v", ec.Available(v), ec.Capacity(v))
-	}
-}
-
-func TestCanAllocate(t *testing.T) {
-	ec := newCloud(t)
-	v := ec.ComputeNodes()[0]
-	if !ec.CanAllocate(v, ec.Capacity(v)) {
-		t.Fatal("cannot allocate full capacity on fresh node")
-	}
-	if ec.CanAllocate(v, ec.Capacity(v)+0.1) {
-		t.Fatal("CanAllocate accepts over-capacity")
-	}
-	if err := ec.Allocate(v, ec.Capacity(v)); err != nil {
-		t.Fatal(err)
-	}
-	if ec.CanAllocate(v, 0.1) {
-		t.Fatal("CanAllocate accepts on exhausted node")
 	}
 }
 
@@ -118,86 +36,15 @@ func TestNonComputeNodePanics(t *testing.T) {
 	if sw == -1 {
 		t.Fatal("no switch in default topology")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Available(switch) did not panic")
-		}
-	}()
-	ec.Available(sw)
-}
-
-func TestSnapshotRestore(t *testing.T) {
-	ec := newCloud(t)
-	v := ec.ComputeNodes()[0]
-	snap := ec.Snapshot()
-	if err := ec.Allocate(v, 1); err != nil {
-		t.Fatal(err)
-	}
-	w := ec.ComputeNodes()[1]
-	if err := ec.Allocate(w, 2); err != nil {
-		t.Fatal(err)
-	}
-	ec.RestoreSnapshot(snap)
-	if ec.Available(v) != ec.Capacity(v) || ec.Available(w) != ec.Capacity(w) {
-		t.Fatal("RestoreSnapshot did not roll back")
-	}
-}
-
-func TestSnapshotIsolatedFromLaterMutation(t *testing.T) {
-	ec := newCloud(t)
-	v := ec.ComputeNodes()[0]
-	snap := ec.Snapshot()
-	before := snap[v]
-	if err := ec.Allocate(v, 1); err != nil {
-		t.Fatal(err)
-	}
-	if snap[v] != before {
-		t.Fatal("snapshot aliases live state")
-	}
-}
-
-func TestReset(t *testing.T) {
-	ec := newCloud(t)
-	for _, v := range ec.ComputeNodes() {
-		if err := ec.Allocate(v, ec.Available(v)/2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ec.Reset()
-	if math.Abs(ec.TotalAvailable()-ec.TotalCapacity()) > 1e-9 {
-		t.Fatal("Reset did not restore full availability")
-	}
-}
-
-// Property: any sequence of successful allocations keeps 0 ≤ A(v) ≤ B(v) and
-// conserves TotalCapacity = TotalAvailable + Σ allocations.
-func TestAllocationConservationProperty(t *testing.T) {
-	top := topology.MustGenerate(topology.DefaultConfig())
-	f := func(amounts []float64) bool {
-		ec := New(top)
-		nodes := ec.ComputeNodes()
-		allocated := 0.0
-		for i, raw := range amounts {
-			v := nodes[i%len(nodes)]
-			amt := math.Abs(raw)
-			if math.IsNaN(amt) || math.IsInf(amt, 0) {
-				continue
-			}
-			amt = math.Mod(amt, ec.Capacity(v))
-			if ec.CanAllocate(v, amt) {
-				if err := ec.Allocate(v, amt); err != nil {
-					return false
+	for _, v := range []graph.NodeID{sw, -1, graph.NodeID(len(top.Nodes))} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Capacity(%d) did not panic", v)
 				}
-				allocated += amt
-			}
-			if ec.Available(v) < -1e-9 || ec.Available(v) > ec.Capacity(v)+1e-9 {
-				return false
-			}
-		}
-		return math.Abs(ec.TotalCapacity()-(ec.TotalAvailable()+allocated)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+			}()
+			ec.Capacity(v)
+		}()
 	}
 }
 
@@ -212,19 +59,5 @@ func TestDelaysExposed(t *testing.T) {
 	}
 	if d := ec.TransferDelayPerGB(nodes[0], nodes[0]); d != 0 {
 		t.Fatalf("self transfer delay %v", d)
-	}
-}
-
-func BenchmarkAllocateRelease(b *testing.B) {
-	ec := New(topology.MustGenerate(topology.DefaultConfig()))
-	v := ec.ComputeNodes()[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := ec.Allocate(v, 0.5); err != nil {
-			b.Fatal(err)
-		}
-		if err := ec.Release(v, 0.5); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

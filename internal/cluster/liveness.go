@@ -6,10 +6,10 @@ import (
 	"edgerep/internal/graph"
 )
 
-// Liveness tracks which compute nodes are currently down. The ledger itself
-// (EdgeCloud) stays capacity-only; failure state lives here so the online
-// engine, the experiment drivers, and the invariant replays share one
-// definition of "this node cannot serve".
+// Liveness tracks which compute nodes are currently down. EdgeCloud stays
+// capacity-only; failure state lives here so the online engine, the
+// experiment drivers, and the invariant replays share one definition of
+// "this node cannot serve".
 type Liveness struct {
 	down map[graph.NodeID]bool
 	// gen counts state transitions. Consumers that mirror the down set into
@@ -54,9 +54,6 @@ func (l *Liveness) Gen() uint64 { return l.gen }
 
 // IsDown reports whether node v is crashed.
 func (l *Liveness) IsDown(v graph.NodeID) bool { return l.down[v] }
-
-// NumDown returns the number of crashed nodes.
-func (l *Liveness) NumDown() int { return len(l.down) }
 
 // DownNodes returns the crashed nodes in ascending order (deterministic
 // iteration for traces and reports).

@@ -58,7 +58,6 @@ func NewManager(top *topology.Topology, datasets []workload.Dataset, sol *placem
 		replicas:  make(map[workload.DatasetID][]graph.NodeID),
 		threshold: threshold,
 		dirty:     make(map[workload.DatasetID]float64),
-		synced:    make(map[workload.DatasetID]float64),
 	}
 	for n, nodes := range sol.Replicas {
 		m.replicas[n] = append([]graph.NodeID(nil), nodes...)
@@ -66,9 +65,6 @@ func NewManager(top *topology.Topology, datasets []workload.Dataset, sol *placem
 	}
 	return m, nil
 }
-
-// Threshold returns the configured ratio.
-func (m *Manager) Threshold() float64 { return m.threshold }
 
 // DirtyRatio returns the current new-to-original volume ratio of dataset n.
 func (m *Manager) DirtyRatio(n workload.DatasetID) float64 {
@@ -103,15 +99,6 @@ func (m *Manager) Append(n workload.DatasetID, vol float64) ([]SyncEvent, error)
 	return []SyncEvent{*ev}, nil
 }
 
-// Flush forces propagation of any dirty volume on dataset n regardless of
-// the threshold; used at query time to guarantee replicas serve fresh data.
-func (m *Manager) Flush(n workload.DatasetID) *SyncEvent {
-	if m.dirty[n] <= 0 {
-		return nil
-	}
-	return m.sync(n)
-}
-
 func (m *Manager) sync(n workload.DatasetID) *SyncEvent {
 	vol := m.dirty[n]
 	if vol <= 0 {
@@ -127,7 +114,6 @@ func (m *Manager) sync(n workload.DatasetID) *SyncEvent {
 		ev.CostGBSec += vol * m.top.TransferDelayPerGB(origin, v)
 	}
 	m.dirty[n] = 0
-	m.synced[n] += vol
 	m.events = append(m.events, ev)
 	return &ev
 }
@@ -183,15 +169,4 @@ func (m *Manager) TotalCost() float64 {
 		c += e.CostGBSec
 	}
 	return c
-}
-
-// SyncedVolume returns the total volume propagated for dataset n.
-func (m *Manager) SyncedVolume(n workload.DatasetID) float64 { return m.synced[n] }
-
-// MaintenanceCostPerReplica estimates the marginal consistency cost of one
-// additional replica of dataset n at node v: the propagated volume so far
-// times the origin→v transfer delay. This is the quantity that motivates
-// the paper's K bound — more replicas mean strictly more update traffic.
-func (m *Manager) MaintenanceCostPerReplica(n workload.DatasetID, v graph.NodeID) float64 {
-	return m.synced[n] * m.top.TransferDelayPerGB(m.datasets[n].Origin, v)
 }

@@ -81,9 +81,6 @@ func TestAppendCrossingThresholdSyncs(t *testing.T) {
 	if m.DirtyRatio(0) != 0 {
 		t.Fatalf("dirty ratio %v after sync, want 0", m.DirtyRatio(0))
 	}
-	if m.SyncedVolume(0) != vol {
-		t.Fatalf("synced volume %v, want %v", m.SyncedVolume(0), vol)
-	}
 	// Cost must equal Σ vol·dt(origin, replica) over non-origin replicas.
 	wantCost := 0.0
 	for _, v := range sol.Replicas[0] {
@@ -118,27 +115,6 @@ func TestAccumulationAcrossAppends(t *testing.T) {
 	}
 	if math.Abs(fired[0].VolumeGB-3*step) > 1e-9 {
 		t.Fatalf("sync volume %v, want %v", fired[0].VolumeGB, 3*step)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	top, ds, sol := fixture(t)
-	m, err := NewManager(top, ds, sol, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev := m.Flush(2); ev != nil {
-		t.Fatal("flush on clean dataset fired")
-	}
-	if _, err := m.Append(2, ds[2].SizeGB*0.1); err != nil {
-		t.Fatal(err)
-	}
-	ev := m.Flush(2)
-	if ev == nil {
-		t.Fatal("flush on dirty dataset did not fire")
-	}
-	if m.DirtyRatio(2) != 0 {
-		t.Fatal("flush left dirt behind")
 	}
 }
 
@@ -213,21 +189,5 @@ func TestCostMonotoneInReplicasProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaintenanceCostPerReplica(t *testing.T) {
-	top, ds, sol := fixture(t)
-	m, err := NewManager(top, ds, sol, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Append(0, ds[0].SizeGB*0.2); err != nil {
-		t.Fatal(err)
-	}
-	v := top.ComputeNodes[len(top.ComputeNodes)-1]
-	want := m.SyncedVolume(0) * top.TransferDelayPerGB(ds[0].Origin, v)
-	if got := m.MaintenanceCostPerReplica(0, v); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("marginal cost %v, want %v", got, want)
 	}
 }

@@ -340,8 +340,8 @@ func newAscent(p *placement.Problem, opt Options) *ascent {
 	procDelay := make([]float64, len(nodes))
 	for i, v := range nodes {
 		a.nodeIx[v] = i
-		a.avail[i] = p.Cloud.Available(v)
 		a.caps[i] = p.Cloud.Capacity(v)
+		a.avail[i] = a.caps[i]
 		a.theta[i] = a.thetaAt(i)
 		procDelay[i] = p.Cloud.ProcDelayPerGB(v)
 	}

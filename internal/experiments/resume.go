@@ -163,13 +163,6 @@ func (sj *SweepJournal) SetCrash(afterCells int, fn func()) {
 	sj.crashFn = fn
 }
 
-// Replayed reports how many cells were served from the journal.
-func (sj *SweepJournal) Replayed() int {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	return sj.replayed
-}
-
 // Close closes the underlying journal.
 func (sj *SweepJournal) Close() error { return sj.j.Close() }
 

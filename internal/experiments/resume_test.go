@@ -8,6 +8,13 @@ import (
 	"edgerep/internal/instrument"
 )
 
+// Replayed reports how many cells were served from the journal.
+func (sj *SweepJournal) Replayed() int {
+	sj.mu.Lock()
+	defer sj.mu.Unlock()
+	return sj.replayed
+}
+
 // resumeConfig is a four-cell Fig-2 sweep: small enough to run three times
 // per test (reference, crashed, resumed), large enough that a crash after
 // three cells leaves real work for the resume.

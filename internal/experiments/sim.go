@@ -150,9 +150,9 @@ func newProblem(top *topology.Topology, w *workload.Workload, k int) (*placement
 
 // topoCache memoizes generated topologies per (seed, size). A topology is
 // immutable after generation (its lazy distance cache locks internally), and
-// no algorithm mutates the cluster ledger it is wrapped in, so one instance
-// can safely back every problem of a driver — across algorithms, K values,
-// and F values alike.
+// the cluster view it is wrapped in is read-only, so one instance can safely
+// back every problem of a driver — across algorithms, K values, and F values
+// alike.
 type topoCache struct {
 	mu sync.Mutex
 	m  map[topoKey]*topology.Topology
@@ -245,8 +245,8 @@ func forEachSeed(seeds []int64, fn func(i int, seed int64) error) error {
 
 // sweep runs algorithms over an x-axis, averaging volume and throughput over
 // seeds. build maps (seed, x) to a problem instance, built once per point and
-// shared by every algorithm (none of them mutates the problem or its cluster
-// ledger — each tracks capacity in private state). Seeds run concurrently;
+// shared by every algorithm (none of them mutates the problem — each tracks
+// capacity in private state). Seeds run concurrently;
 // results land in an indexed matrix and are reduced in fixed order, so the
 // tables are identical at any GOMAXPROCS.
 func sweep(title, xlabel string, xs []int, seeds []int64, algos []Algorithm,

@@ -33,12 +33,6 @@ func (g *Graph) Components() [][]NodeID {
 	return comps
 }
 
-// Connected reports whether the graph has exactly one connected component.
-// The empty graph counts as connected.
-func (g *Graph) Connected() bool {
-	return len(g.adj) == 0 || len(g.Components()) == 1
-}
-
 // Connect augments the graph into a single component by linking the first
 // node of each extra component to the first node of the first component with
 // edges of weight w. It returns the number of edges added. Random topologies
@@ -55,22 +49,4 @@ func (g *Graph) Connect(w float64) int {
 		g.AddEdge(root, comp[0], w)
 	}
 	return len(comps) - 1
-}
-
-// BFSOrder returns nodes in breadth-first order from src, ignoring weights.
-// Only nodes reachable from src are included.
-func (g *Graph) BFSOrder(src NodeID) []NodeID {
-	g.check(src)
-	seen := make([]bool, len(g.adj))
-	order := []NodeID{src}
-	seen[src] = true
-	for i := 0; i < len(order); i++ {
-		for _, nb := range g.adj[order[i]] {
-			if !seen[nb.to] {
-				seen[nb.to] = true
-				order = append(order, nb.to)
-			}
-		}
-	}
-	return order
 }

@@ -20,10 +20,10 @@ var (
 // and materializes the all-pairs DistanceMatrix from them (on first request,
 // all rows at once, in parallel), so that
 // every consumer of network distances — the topology's delay matrix
-// (internal/topology), explicit path routing (internal/routing), partition
-// medoids (internal/partition via the matrix), and the placement algorithms
-// that read all of them — shares a single shortest-path computation per
-// source instead of re-running Dijkstra per package.
+// (internal/topology), explicit path routing (internal/routing), the
+// partitioner (internal/partition via the matrix), and the placement
+// algorithms that read all of them — shares a single shortest-path
+// computation per source instead of re-running Dijkstra per package.
 //
 // The cache is safe for concurrent use, and cold misses are single-flight:
 // concurrent callers racing on an uncomputed source (or the uncomputed
@@ -64,9 +64,6 @@ func NewDistanceCache(g *Graph) *DistanceCache {
 		spFlight: make([]chan struct{}, len(g.adj)),
 	}
 }
-
-// Graph returns the underlying graph.
-func (c *DistanceCache) Graph() *Graph { return c.g }
 
 // claimShortest is the singleflight gate for one source: it returns the
 // cached tree if present, else the flight to wait on, else (claimed=true)
@@ -114,13 +111,6 @@ func (c *DistanceCache) Shortest(src NodeID) *ShortestPaths {
 		c.publishShortest(src, sp)
 		return sp
 	}
-}
-
-// Between returns the shortest-path distance from u to v, Infinity when
-// disconnected. It computes (and memoizes) only the single-source tree of u.
-func (c *DistanceCache) Between(u, v NodeID) float64 {
-	c.g.check(v)
-	return c.Shortest(u).Dist[v]
 }
 
 // claimMatrix is claimShortest for the all-pairs materialization.

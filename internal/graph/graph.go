@@ -6,7 +6,7 @@
 // implements shortest paths (Dijkstra on a typed binary heap: no interface
 // dispatch, nothing boxed per push), the DistanceCache that memoizes their
 // trees and builds the all-pairs DistanceMatrix from them on every core,
-// k-shortest paths, connectivity queries, and spanning-tree augmentation used
+// k-shortest paths, connected components, and spanning-tree augmentation used
 // to repair disconnected random topologies.
 package graph
 
@@ -54,12 +54,6 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 // NumEdges returns the number of undirected edges in the graph.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// AddNode appends a new isolated node and returns its ID.
-func (g *Graph) AddNode() NodeID {
-	g.adj = append(g.adj, nil)
-	return NodeID(len(g.adj) - 1)
-}
-
 // AddEdge inserts an undirected edge between u and v with weight w.
 // It panics on out-of-range nodes, self loops, or negative weights, all of
 // which indicate construction bugs rather than runtime conditions.
@@ -77,18 +71,6 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) {
 	g.edges++
 }
 
-// HasEdge reports whether an edge between u and v exists.
-func (g *Graph) HasEdge(u, v NodeID) bool {
-	g.check(u)
-	g.check(v)
-	for _, nb := range g.adj[u] {
-		if nb.to == v {
-			return true
-		}
-	}
-	return false
-}
-
 // EdgeWeight returns the weight of the minimum-weight edge between u and v
 // and whether any edge exists.
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
@@ -104,12 +86,6 @@ func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
 		return 0, false
 	}
 	return best, true
-}
-
-// Degree returns the number of incident edges of node u.
-func (g *Graph) Degree(u NodeID) int {
-	g.check(u)
-	return len(g.adj[u])
 }
 
 // Neighbors calls fn for every neighbor of u with the connecting edge weight.
@@ -138,15 +114,6 @@ func (g *Graph) Edges() []Edge {
 		return out[i].To < out[j].To
 	})
 	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]neighbor, len(g.adj)), edges: g.edges}
-	for i, nbs := range g.adj {
-		c.adj[i] = append([]neighbor(nil), nbs...)
-	}
-	return c
 }
 
 func (g *Graph) check(u NodeID) {

@@ -138,9 +138,6 @@ type DistanceMatrix struct {
 	dist []float64
 }
 
-// NumNodes returns the node count the matrix was built for.
-func (m *DistanceMatrix) NumNodes() int { return m.n }
-
 // Between returns the shortest-path distance between u and v. Disconnected
 // pairs return the documented sentinel math.Inf(1) (== Infinity), never an
 // arbitrary large finite value: callers compare against deadlines, and a
@@ -148,51 +145,4 @@ func (m *DistanceMatrix) NumNodes() int { return m.n }
 // them.
 func (m *DistanceMatrix) Between(u, v NodeID) float64 {
 	return m.dist[int(u)*m.n+int(v)]
-}
-
-// Eccentricity returns the maximum finite distance from u to any reachable
-// node.
-func (m *DistanceMatrix) Eccentricity(u NodeID) float64 {
-	max := 0.0
-	for v := 0; v < m.n; v++ {
-		if d := m.dist[int(u)*m.n+v]; !math.IsInf(d, 1) && d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Medoid returns the member of the given set minimizing the sum of distances
-// to all other members; ties break toward the smaller ID. It panics on an
-// empty set because a medoid of nothing indicates a caller bug.
-//
-// Disconnected sets are handled deterministically: members contribute
-// Between's math.Inf(1) sentinel for each unreachable peer, so the medoid is
-// the member reaching the most peers, breaking ties by the finite distance sum
-// over the peers it does reach, then by smaller ID. On connected sets (every
-// topology the generators emit, since they repair connectivity) the result
-// is identical to the plain minimum-sum medoid.
-func (m *DistanceMatrix) Medoid(set []NodeID) NodeID {
-	if len(set) == 0 {
-		panic("graph: medoid of empty set")
-	}
-	best := set[0]
-	bestReach, bestSum := -1, math.Inf(1)
-	for _, u := range set {
-		reach, sum := 0, 0.0
-		for _, v := range set {
-			d := m.Between(u, v)
-			if math.IsInf(d, 1) {
-				continue // unreachable peer: excluded from the finite sum
-			}
-			reach++
-			sum += d
-		}
-		if reach > bestReach ||
-			(reach == bestReach && sum < bestSum) ||
-			(reach == bestReach && sum == bestSum && u < best) {
-			best, bestReach, bestSum = u, reach, sum
-		}
-	}
-	return best
 }

@@ -148,7 +148,7 @@ func Encode(p *placement.Problem) (*Encoder, error) {
 		}
 		if any {
 			e.prob.LP.Constraints = append(e.prob.LP.Constraints,
-				lp.Constraint{Coeffs: r, Sense: lp.LE, RHS: p.Cloud.Available(l)})
+				lp.Constraint{Coeffs: r, Sense: lp.LE, RHS: p.Cloud.Capacity(l)})
 		}
 	}
 
@@ -171,9 +171,6 @@ func Encode(p *placement.Problem) (*Encoder, error) {
 	}
 	return e, nil
 }
-
-// NumVariables returns the encoded variable count.
-func (e *Encoder) NumVariables() int { return e.nVar }
 
 // SolveExact encodes and solves the instance, decoding back into a validated
 // placement.Solution.

@@ -132,8 +132,8 @@ func TestEncodeVariableCount(t *testing.T) {
 	}
 	// x variables: |S|·|V| = 3·8 = 24; z: 4; π: ≤ Σ demands·|V|.
 	min := 24 + 4
-	if e.NumVariables() < min {
-		t.Fatalf("NumVariables = %d, want ≥ %d", e.NumVariables(), min)
+	if e.nVar < min {
+		t.Fatalf("encoded %d variables, want ≥ %d", e.nVar, min)
 	}
 }
 

@@ -21,10 +21,10 @@ func TestAttributionZeroAllocInactive(t *testing.T) {
 			tl[StageQueue] = int64(Mono())
 		}
 		if tr := CurrentSLOTracker(); tr != nil {
-			tr.Observe(0.001, true, "")
+			tr.NewBatch().Observe(0.001, true, "")
 		}
 		if fr := CurrentFlightRecorder(); fr != nil {
-			fr.RecordDecision(EventAdmit, 1, 1, true, "", &tl)
+			fr.RecordDecisionAt(EventAdmit, 1, 1, true, "", &tl, 0)
 		}
 	})
 	if allocs != 0 {
@@ -50,7 +50,15 @@ func TestStageTimelineTotal(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplars covers ObserveExemplar/Exemplars including the
+// observeExemplar records v with exemplar id into h through a batch of one,
+// the way the epoch loop records its stage histograms.
+func observeExemplar(h *Histogram, v float64, id int64) {
+	b := h.NewBatch()
+	defer b.Flush()
+	b.Observe(v, id)
+}
+
+// TestHistogramExemplars covers batch exemplars and Exemplars including the
 // overflow bucket, and FindHistogram's registry lookup.
 func TestHistogramExemplars(t *testing.T) {
 	Reset()
@@ -66,9 +74,9 @@ func TestHistogramExemplars(t *testing.T) {
 		t.Fatal("FindHistogram invented a histogram")
 	}
 
-	h.ObserveExemplar(0.0005, 7)
-	h.ObserveExemplar(0.0006, 9) // same bucket: newest exemplar wins
-	h.ObserveExemplar(0.5, 42)   // overflow bucket
+	observeExemplar(h, 0.0005, 7)
+	observeExemplar(h, 0.0006, 9) // same bucket: newest exemplar wins
+	observeExemplar(h, 0.5, 42)   // overflow bucket
 	ex := h.Exemplars()
 	if len(ex) != 2 {
 		t.Fatalf("Exemplars() returned %d buckets, want 2", len(ex))
@@ -81,7 +89,7 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 
 	// ID 0 is a legal exemplar (the sentinel is the stored zero, not the ID).
-	h.ObserveExemplar(0.005, 0)
+	observeExemplar(h, 0.005, 0)
 	found := false
 	for _, e := range h.Exemplars() {
 		if e.LE == 0.01 && e.ID == 0 {
@@ -111,7 +119,7 @@ func TestHistogramQuantileAndSnapshotAgree(t *testing.T) {
 
 	h := NewHistogram("test.quant_seconds", 0.001, 0.002, 0.004)
 	for i := 0; i < 10; i++ {
-		h.ObserveExemplar(0.0005, int64(i)) // bucket ≤1ms
+		observeExemplar(h, 0.0005, int64(i)) // bucket ≤1ms
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(0.0015) // bucket (1,2]ms

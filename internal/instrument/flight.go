@@ -83,9 +83,6 @@ func NewFlightRecorder(n int, clock Clock) *FlightRecorder {
 	return &FlightRecorder{slots: make([]flightSlot, n), clock: clock}
 }
 
-// Cap returns the ring capacity.
-func (r *FlightRecorder) Cap() int { return len(r.slots) }
-
 // Record stores e, overwriting the oldest entry once the ring is full. The
 // recorder assigns ID and AtNs.
 func (r *FlightRecorder) Record(e FlightEntry) {
@@ -112,16 +109,12 @@ func (r *FlightRecorder) record(e FlightEntry, stages *StageTimeline, atNs int64
 	s.mu.Unlock()
 }
 
-// RecordDecision stores one admission decision with its stage timeline.
-// Stages is copied, so the caller may reuse its timeline.
-func (r *FlightRecorder) RecordDecision(kind string, query, epoch int64, admitted bool, reason Reason, stages *StageTimeline) {
-	r.RecordDecisionAt(kind, query, epoch, admitted, reason, stages, 0)
-}
-
-// RecordDecisionAt is RecordDecision with a caller-supplied monotonic stamp
-// (atNs ≤ 0 falls back to the recorder's clock): the epoch loop has already
-// stamped the decision's end, so the hot path need not read the clock again.
-// The timeline lands in slot-owned storage — no per-decision allocation.
+// RecordDecisionAt stores one admission decision with its stage timeline,
+// stamped atNs, a monotonic reading (atNs ≤ 0 falls back to the recorder's
+// clock): the epoch loop has already stamped the decision's end, so the hot
+// path need not read the clock again. Stages is copied into slot-owned
+// storage, so the caller may reuse its timeline — no per-decision
+// allocation.
 func (r *FlightRecorder) RecordDecisionAt(kind string, query, epoch int64, admitted bool, reason Reason, stages *StageTimeline, atNs int64) {
 	e := FlightEntry{Kind: kind, Query: query, Epoch: epoch, Admitted: admitted, Reason: reason}
 	if stages != nil {
@@ -196,7 +189,3 @@ func SetFlightRecorder(r *FlightRecorder) { flightRecorder.Store(r) }
 
 // CurrentFlightRecorder returns the attached recorder (nil when off).
 func CurrentFlightRecorder() *FlightRecorder { return flightRecorder.Load() }
-
-// FlightActive reports whether a recorder is attached — the zero-alloc
-// hot-path guard, same pattern as TraceActive.
-func FlightActive() bool { return flightRecorder.Load() != nil }

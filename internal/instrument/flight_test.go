@@ -14,8 +14,8 @@ import (
 func TestFlightRecorderWraparound(t *testing.T) {
 	mc := NewManualClock()
 	r := NewFlightRecorder(4, mc.Clock())
-	if r.Cap() != 4 {
-		t.Fatalf("Cap() = %d, want 4", r.Cap())
+	if len(r.slots) != 4 {
+		t.Fatalf("ring capacity = %d, want 4", len(r.slots))
 	}
 	for i := 0; i < 10; i++ {
 		mc.Advance(time.Millisecond)
@@ -55,7 +55,7 @@ func TestFlightRecorderDecisionCopiesStages(t *testing.T) {
 	var tl StageTimeline
 	tl[StageQueue] = 100
 	tl[StageFsync] = 41
-	r.RecordDecision(EventAdmit, 7, 3, true, "", &tl)
+	r.RecordDecisionAt(EventAdmit, 7, 3, true, "", &tl, 0)
 	tl[StageQueue] = 9999 // caller reuses the timeline for the next decision
 
 	got := r.Entries()
@@ -78,8 +78,8 @@ func TestFlightRecorderDecisionCopiesStages(t *testing.T) {
 // degenerate one-slot ring (every record overwrites the only slot).
 func TestFlightRecorderTinyAndClampedRing(t *testing.T) {
 	r := NewFlightRecorder(0, NewManualClock().Clock())
-	if r.Cap() != 1 {
-		t.Fatalf("Cap() after clamp = %d, want 1", r.Cap())
+	if len(r.slots) != 1 {
+		t.Fatalf("ring capacity after clamp = %d, want 1", len(r.slots))
 	}
 	for i := 0; i < 3; i++ {
 		r.RecordEvent(EventDrain, int64(i), -1, "")
@@ -95,7 +95,7 @@ func TestFlightRecorderDumpJSON(t *testing.T) {
 	r := NewFlightRecorder(8, NewManualClock().Clock())
 	var tl StageTimeline
 	tl[StagePricing] = 12345
-	r.RecordDecision(EventReject, 2, 1, false, ReasonCapacity, &tl)
+	r.RecordDecisionAt(EventReject, 2, 1, false, ReasonCapacity, &tl, 0)
 	r.RecordEvent(EventCrash, -1, 4, ReasonNodeCrashed)
 
 	data, err := r.DumpJSON()
@@ -123,8 +123,8 @@ func TestFlightRecorderRaceStress(t *testing.T) {
 	r := NewFlightRecorder(16, nil)
 	SetFlightRecorder(r)
 	defer SetFlightRecorder(nil)
-	if !FlightActive() {
-		t.Fatal("FlightActive() false with a recorder attached")
+	if CurrentFlightRecorder() != r {
+		t.Fatal("attached recorder is not the current one")
 	}
 
 	writers := runtime.GOMAXPROCS(0)
@@ -145,7 +145,7 @@ func TestFlightRecorderRaceStress(t *testing.T) {
 				if i%7 == 0 {
 					CurrentFlightRecorder().RecordEvent(EventChaos, int64(i), int64(w), "")
 				} else {
-					CurrentFlightRecorder().RecordDecision(EventAdmit, int64(i), int64(w), true, "", &tl)
+					CurrentFlightRecorder().RecordDecisionAt(EventAdmit, int64(i), int64(w), true, "", &tl, 0)
 				}
 			}
 		}(w)
@@ -162,8 +162,8 @@ func TestFlightRecorderRaceStress(t *testing.T) {
 			default:
 			}
 			got := r.Entries()
-			if len(got) > r.Cap() {
-				t.Errorf("dump has %d entries, cap is %d", len(got), r.Cap())
+			if len(got) > len(r.slots) {
+				t.Errorf("dump has %d entries, cap is %d", len(got), len(r.slots))
 				return
 			}
 			for i := 1; i < len(got); i++ {
@@ -188,8 +188,8 @@ func TestFlightRecorderRaceStress(t *testing.T) {
 		t.Fatalf("recorded %d entries, want %d", got, want)
 	}
 	final := r.Entries()
-	if len(final) != r.Cap() {
-		t.Fatalf("final dump has %d entries, want full ring of %d", len(final), r.Cap())
+	if len(final) != len(r.slots) {
+		t.Fatalf("final dump has %d entries, want full ring of %d", len(final), len(r.slots))
 	}
 	for _, e := range final {
 		if e.ID < 1 || e.ID > want {

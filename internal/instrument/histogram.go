@@ -20,7 +20,7 @@ type Histogram struct {
 	sumBits atomic.Uint64
 	count   atomic.Int64
 	// exemplars[i] holds the ID of the most recent observation that landed
-	// in bucket i via ObserveExemplar, +1 (so 0 means "none"). A slow bucket
+	// in bucket i via a HistogramBatch, +1 (so 0 means "none"). A slow bucket
 	// in /slo thereby links to a concrete decision in the flight recorder.
 	exemplars []atomic.Int64
 }
@@ -102,9 +102,8 @@ func (h *Histogram) Observe(v float64) {
 	h.observe(v)
 }
 
-func (h *Histogram) observe(v float64) int {
-	i := h.bucketIndex(v)
-	h.counts[i].Add(1)
+func (h *Histogram) observe(v float64) {
+	h.counts[h.bucketIndex(v)].Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -113,27 +112,15 @@ func (h *Histogram) observe(v float64) int {
 		}
 	}
 	h.count.Add(1)
-	return i
-}
-
-// ObserveExemplar records v like Observe and remembers id as the bucket's
-// exemplar — the most recent concrete event (decision ID) that landed there.
-// id must be ≥ 0.
-func (h *Histogram) ObserveExemplar(v float64, id int64) {
-	if !enabled.Load() {
-		return
-	}
-	i := h.observe(v)
-	h.exemplars[i].Store(id + 1)
 }
 
 // HistogramBatch accumulates observations for one histogram locally — no
-// atomics — and publishes them in a single Flush. It is the hot-loop
-// companion to ObserveExemplar for single-goroutine pipelines: the epoch
-// pricer observes six stage histograms per decision, and per-observation
-// atomic read-modify-writes would otherwise dominate the pipeline on small
-// machines. A batch is not safe for concurrent use, but Flush may run
-// concurrently with other observers of the same histogram.
+// atomics — and publishes them in a single Flush, each bucket's newest
+// exemplar with it. It is the hot-loop path for single-goroutine pipelines:
+// the epoch pricer observes six stage histograms per decision, and
+// per-observation atomic read-modify-writes would otherwise dominate the
+// pipeline on small machines. A batch is not safe for concurrent use, but
+// Flush may run concurrently with other observers of the same histogram.
 type HistogramBatch struct {
 	h         *Histogram
 	counts    []int64
@@ -152,8 +139,7 @@ func (h *Histogram) NewBatch() *HistogramBatch {
 }
 
 // Observe records v with exemplar id into the local buffer when collection
-// is enabled. id must be ≥ 0; the newest id per bucket wins, matching
-// ObserveExemplar.
+// is enabled. id must be ≥ 0; the newest id per bucket wins.
 func (b *HistogramBatch) Observe(v float64, id int64) {
 	if !enabled.Load() {
 		return
@@ -194,8 +180,8 @@ func (b *HistogramBatch) Flush() {
 }
 
 // BucketExemplar links one histogram bucket (by upper bound; +Inf is
-// math.Inf(1)) to the ID of the latest observation recorded into it via
-// ObserveExemplar.
+// math.Inf(1)) to the ID of the latest observation a HistogramBatch
+// recorded into it.
 type BucketExemplar struct {
 	LE float64 `json:"le"`
 	ID int64   `json:"exemplar_id"`
@@ -235,13 +221,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bounds returns the bucket upper bounds (ascending, without +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// BucketCount returns the raw (non-cumulative) count of bucket i, where
-// i == len(Bounds()) addresses the +Inf overflow bucket.
-func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }
-
 // Name returns the registered name.
 func (h *Histogram) Name() string { return h.name }
 
@@ -272,21 +251,6 @@ func NewGauge(name string) *Gauge {
 func (g *Gauge) Set(v float64) {
 	if enabled.Load() {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adjusts the gauge by delta (negative to decrease) when collection is
-// enabled.
-func (g *Gauge) Add(delta float64) {
-	if !enabled.Load() {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 

@@ -122,18 +122,6 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 }
 
-// Time runs fn, recording its wall-clock duration when collection is
-// enabled.
-func (t *Timer) Time(fn func()) {
-	if !enabled.Load() {
-		fn()
-		return
-	}
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
-
 // TotalNs returns the accumulated nanoseconds.
 func (t *Timer) TotalNs() int64 { return t.ns.Load() }
 

@@ -66,7 +66,7 @@ func TestEnableDisableSnapshotReset(t *testing.T) {
 	c.Add(7)
 	tm := NewTimer("test.lifecycle_timer")
 	tm.Observe(2 * time.Second)
-	tm.Time(func() {})
+	tm.Observe(0)
 	snap := Snapshot()
 	if snap["test.lifecycle"] != 7 {
 		t.Fatalf("snapshot counter = %d, want 7", snap["test.lifecycle"])

@@ -151,35 +151,9 @@ func (t *SLOTracker) slotFor(sec int64) *sloSlot {
 	return s
 }
 
-// Observe records one decision: its end-to-end latency, whether it was
-// admitted, and (on reject) its typed reason. Allocation-free.
-func (t *SLOTracker) Observe(latencySec float64, admitted bool, reason Reason) {
-	sec := int64(t.clock() / time.Second)
-	t.mu.Lock()
-	s := t.slotFor(sec)
-	s.offers++
-	if admitted {
-		s.admitted++
-	} else {
-		s.reasons[reasonIndex(reason)]++
-	}
-	if latencySec <= t.cfg.p95() {
-		s.okP95++
-	}
-	if latencySec <= t.cfg.p99() {
-		s.okP99++
-	}
-	i := 0
-	for i < len(t.bounds) && latencySec > t.bounds[i] {
-		i++
-	}
-	s.buckets[i]++
-	t.mu.Unlock()
-}
-
 // SLOBatch accumulates decisions locally for one tracker and publishes them
-// under a single lock acquisition and clock read — the epoch-loop companion
-// to Observe, same pattern as HistogramBatch. The whole batch lands in the
+// under a single lock acquisition and clock read — the epoch loop's write
+// path, same pattern as HistogramBatch. The whole batch lands in the
 // second of its Flush instant; an epoch spans a couple of milliseconds, far
 // below the one-second slot grain, so the skew against per-decision stamping
 // is immaterial. Not safe for concurrent use.

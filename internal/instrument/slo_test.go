@@ -6,6 +6,14 @@ import (
 	"time"
 )
 
+// observe records one decision into tr through a batch of one, the way the
+// epoch loop records its decisions.
+func observe(tr *SLOTracker, latencySec float64, admitted bool, reason Reason) {
+	b := tr.NewBatch()
+	defer b.Flush()
+	b.Observe(latencySec, admitted, reason)
+}
+
 // sloTestConfig pins targets so the expected burn rates are exact: p95
 // objective 1ms, p99 objective 10ms, attainment objective 0.8.
 func sloTestConfig(mc *ManualClock) SLOConfig {
@@ -28,10 +36,10 @@ func TestSLOTrackerWindows(t *testing.T) {
 	// 1 rejected fast for capacity: 10 offers, attainment 0.9,
 	// p95-ok 0.9, p99-ok 0.9.
 	for i := 0; i < 8; i++ {
-		tr.Observe(0.0002, true, "")
+		observe(tr, 0.0002, true, "")
 	}
-	tr.Observe(0.050, true, "")
-	tr.Observe(0.0002, false, ReasonCapacity)
+	observe(tr, 0.050, true, "")
+	observe(tr, 0.0002, false, ReasonCapacity)
 
 	rep := tr.Report()
 	if len(rep.Windows) != 3 {
@@ -74,9 +82,9 @@ func TestSLOTrackerWindowExpiry(t *testing.T) {
 	mc.Advance(time.Second)
 	tr := NewSLOTracker(sloTestConfig(mc))
 
-	tr.Observe(0.0002, true, "")
+	observe(tr, 0.0002, true, "")
 	mc.Advance(2 * time.Minute) // past 1m, inside 5m and 1h
-	tr.Observe(0.0002, true, "")
+	observe(tr, 0.0002, true, "")
 
 	rep := tr.Report()
 	byLabel := map[string]SLOWindow{}
@@ -93,7 +101,7 @@ func TestSLOTrackerWindowExpiry(t *testing.T) {
 	// A full ring later, the first observation's slot has been recycled:
 	// nothing from it may survive anywhere.
 	mc.Advance(sloRingSeconds * time.Second)
-	tr.Observe(0.0002, false, ReasonDeadline)
+	observe(tr, 0.0002, false, ReasonDeadline)
 	rep = tr.Report()
 	for _, w := range rep.Windows {
 		if w.Offers != 1 || w.Rejected != 1 {
@@ -108,7 +116,7 @@ func TestSLOTrackerUnknownReason(t *testing.T) {
 	mc := NewManualClock()
 	mc.Advance(time.Second)
 	tr := NewSLOTracker(sloTestConfig(mc))
-	tr.Observe(0.0002, false, Reason("not-in-vocabulary"))
+	observe(tr, 0.0002, false, Reason("not-in-vocabulary"))
 
 	win := tr.Report().Windows[0]
 	if len(win.Rejections) != 1 || win.Rejections[0].Reason != "other" || win.Rejections[0].Count != 1 {
@@ -116,18 +124,21 @@ func TestSLOTrackerUnknownReason(t *testing.T) {
 	}
 }
 
-// TestSLOTrackerObserveAllocFree asserts the per-decision write path does
-// not allocate — it runs inside the daemon's epoch loop.
+// TestSLOTrackerObserveAllocFree asserts the per-decision write path — a
+// batch's Observe and its Flush — does not allocate: it runs inside the
+// daemon's epoch loop.
 func TestSLOTrackerObserveAllocFree(t *testing.T) {
 	mc := NewManualClock()
 	mc.Advance(time.Second)
 	tr := NewSLOTracker(sloTestConfig(mc))
+	b := tr.NewBatch()
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Observe(0.0002, true, "")
-		tr.Observe(0.2, false, ReasonCapacity)
+		defer b.Flush()
+		b.Observe(0.0002, true, "")
+		b.Observe(0.2, false, ReasonCapacity)
 	})
 	if allocs != 0 {
-		t.Fatalf("Observe allocated %.1f per run, want 0", allocs)
+		t.Fatalf("Observe and Flush allocated %.1f per run, want 0", allocs)
 	}
 }
 

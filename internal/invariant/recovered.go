@@ -7,8 +7,8 @@
 //
 // The comparison is reflective over any struct type rather than typed to
 // online.EngineState because the online package's own tests call into
-// invariant — a typed signature would close an import cycle. The testbed's
-// rehydration check reuses it for its own dump type.
+// invariant — a typed signature would close an import cycle. CheckFailover
+// reuses it for the standby's hand-off state.
 package invariant
 
 import (

@@ -60,7 +60,7 @@ func CheckTrace(p *placement.Problem, events []instrument.TraceEvent, opt TraceO
 
 	avail := make(map[graph.NodeID]float64)
 	for _, v := range p.Cloud.ComputeNodes() {
-		avail[v] = p.Cloud.Available(v)
+		avail[v] = p.Cloud.Capacity(v)
 	}
 	sol := placement.NewSolution()
 	down := make(map[graph.NodeID]bool)
@@ -355,10 +355,4 @@ func compareSolutions(p *placement.Problem, replayed, final *placement.Solution,
 			return
 		}
 	}
-}
-
-// CheckTraceRun is CheckTrace with the violations folded into one error (nil
-// when the run is clean).
-func CheckTraceRun(p *placement.Problem, events []instrument.TraceEvent, opt TraceOptions) error {
-	return toError(CheckTrace(p, events, opt))
 }

@@ -260,7 +260,6 @@ func isHugeLiteral(e ast.Expr) bool {
 var distanceMethodNames = map[string]bool{
 	"Between":            true,
 	"TransferDelayPerGB": true,
-	"Eccentricity":       true,
 }
 
 // isDistanceExpr recognizes the repo's distance-producing expressions: the

@@ -173,9 +173,6 @@ func (r *Repo) parseFromDisk(ip string) ([]*ast.File, error) {
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-func (f importerFunc) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return f(path)
-}
 
 // --- analyzer-facing resolution helpers -------------------------------------
 

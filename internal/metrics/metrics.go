@@ -179,31 +179,6 @@ func formatVal(v float64) string {
 	}
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using nearest-rank.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
@@ -222,32 +197,4 @@ func Percentile(xs []float64, p float64) float64 {
 		rank = 0
 	}
 	return sorted[rank]
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table, the format
-// EXPERIMENTS.md embeds.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "**%s** (%s)\n\n", t.Title, t.YLabel)
-	b.WriteString("| " + t.XLabel + " |")
-	for _, s := range t.Series {
-		b.WriteString(" " + s.Name + " |")
-	}
-	b.WriteString("\n|---|")
-	for range t.Series {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for xi, x := range t.XTicks {
-		b.WriteString("| " + x + " |")
-		for _, s := range t.Series {
-			if xi < len(s.Values) {
-				b.WriteString(" " + formatVal(s.Values[xi]) + " |")
-			} else {
-				b.WriteString(" - |")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

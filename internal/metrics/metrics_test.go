@@ -93,22 +93,6 @@ func TestFormatValEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Fatalf("Mean = %v, want 5", m)
-	}
-	if s := Stddev(xs); math.Abs(s-2.138) > 0.01 {
-		t.Fatalf("Stddev = %v, want ≈2.138", s)
-	}
-	if Stddev([]float64{1}) != 0 {
-		t.Fatal("Stddev singleton != 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if p := Percentile(xs, 50); p != 5 {
@@ -148,19 +132,5 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMarkdown(t *testing.T) {
-	tab := sample()
-	md := tab.Markdown()
-	for _, want := range []string{"**Fig X**", "| network size |", "| Appro-G |", "|---|", "| 20 |", "10.00"} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("Markdown missing %q:\n%s", want, md)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(md), "\n")
-	if len(lines) != 2+2+2 { // title, blank, header, separator, 2 rows
-		t.Fatalf("markdown has %d lines:\n%s", len(lines), md)
 	}
 }

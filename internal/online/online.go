@@ -6,9 +6,15 @@
 // up to the K bound — and the admission decision reuses the same dual
 // prices as internal/core, evaluated against the *instantaneous* load.
 //
-// This is the classic online primal-dual packing setting, where the
-// exponential capacity price θ(u) = (c^u − 1)/(c − 1) with c = 1 + T yields
-// the known O(log T) competitiveness for packing. T is NewEngine's
+// The admission rule is admit-if-feasible: an arrival is admitted whenever
+// every demand has a feasible node (alive, within the deadline, within
+// capacity, within the K bound), and rejected only when one has none. The
+// exponential capacity price θ(u) = (c^u − 1)/(c − 1) with c = 1 + T only
+// chooses which feasible node serves each demand; nothing compares the
+// priced cost with the query's value. So the engine has no online
+// primal-dual competitive guarantee: the O(log T) bound for packing needs
+// that comparison (reject an arrival whose priced cost exceeds its value).
+// TestAdmitsEveryFeasibleArrival pins the rule. T is NewEngine's
 // expectedArrivals argument and nothing else: the base is not an option
 // (the price-base ablation sweeps core.Options on the offline algorithm).
 package online

@@ -12,6 +12,14 @@ import (
 	"edgerep/internal/instrument"
 )
 
+// observeOne records one admitted decision of the given latency into tr,
+// published the way the epoch loop publishes its batch.
+func observeOne(tr *instrument.SLOTracker, latencySec float64) {
+	b := tr.NewBatch()
+	defer b.Flush()
+	b.Observe(latencySec, true, "")
+}
+
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + path)
@@ -161,7 +169,7 @@ func TestSLOAndFlightEndpoints(t *testing.T) {
 	instrument.SetFlightRecorder(fr)
 	defer instrument.SetSLOTracker(nil)
 	defer instrument.SetFlightRecorder(nil)
-	tr.Observe(0.002, true, "")
+	observeOne(tr, 0.002)
 	fr.RecordEvent(instrument.EventChaos, 1, -1, "")
 
 	code, body, hdr := get(t, srv, "/slo")

@@ -42,21 +42,6 @@ func (p *Partitioning) Sizes() []int {
 	return s
 }
 
-// Cost is the total intra-part distance: Σ over parts of Σ pairwise member
-// distances. Lower is better; refinement minimizes this objective.
-func (p *Partitioning) Cost(dm *graph.DistanceMatrix) float64 {
-	total := 0.0
-	for i := 0; i < p.K; i++ {
-		m := p.Members(i)
-		for a := 0; a < len(m); a++ {
-			for b := a + 1; b < len(m); b++ {
-				total += dm.Between(m[a], m[b])
-			}
-		}
-	}
-	return total
-}
-
 // KWay partitions the given nodes into k parts using distances from dm.
 // Seeds are chosen by a farthest-point sweep (the first seed is the node
 // with minimum eccentricity, each further seed maximizes its distance to the
@@ -191,14 +176,4 @@ func attachCost(v graph.NodeID, i int, p *Partitioning, dm *graph.DistanceMatrix
 		}
 	}
 	return c
-}
-
-// Medoids returns the medoid of every part: the natural replica sites of the
-// Golab-style placement.
-func (p *Partitioning) Medoids(dm *graph.DistanceMatrix) []graph.NodeID {
-	out := make([]graph.NodeID, p.K)
-	for i := 0; i < p.K; i++ {
-		out[i] = dm.Medoid(p.Members(i))
-	}
-	return out
 }

@@ -15,7 +15,6 @@
 package reactive
 
 import (
-	"fmt"
 	"math"
 
 	"edgerep/internal/graph"
@@ -67,7 +66,7 @@ func Run(p *placement.Problem, opt Options) (*Result, error) {
 		sol:   placement.NewSolution(),
 	}
 	for _, v := range p.Cloud.ComputeNodes() {
-		e.avail[v] = p.Cloud.Available(v)
+		e.avail[v] = p.Cloud.Capacity(v)
 	}
 	if opt.ColdStartAtOrigin {
 		for n := range p.Datasets {
@@ -206,10 +205,4 @@ func (e *engineState) touch(n workload.DatasetID, v graph.NodeID) {
 		}
 	}
 	e.admitCopy(n, v)
-}
-
-// WarmCopies reports the current warm nodes of a dataset (LRU order) — for
-// tests and inspection.
-func (r *Result) WarmCopies() string {
-	return fmt.Sprintf("misses=%d hits=%d evictions=%d", r.Misses, r.Hits, r.Evictions)
 }

@@ -82,15 +82,6 @@ func (lm LoadMap) Charge(p Path, vol float64) {
 	}
 }
 
-// Total returns the volume·hop sum across all links.
-func (lm LoadMap) Total() float64 {
-	t := 0.0
-	for _, v := range lm {
-		t += v
-	}
-	return t
-}
-
 // Max returns the most-loaded link and its load; zero-value link when empty.
 func (lm LoadMap) Max() (Link, float64) {
 	var bestLink Link
@@ -164,20 +155,6 @@ func MeasureFootprint(p *placement.Problem, sol *placement.Solution, r *Router) 
 	}
 	fp.MaxLink, fp.MaxLinkGB = fp.Loads.Max()
 	return fp, nil
-}
-
-// BottleneckUtilization relates the bottleneck link's carried volume to the
-// mean link load — a dispersion measure: 1 means perfectly balanced, large
-// values mean one link carries the traffic.
-func (fp *Footprint) BottleneckUtilization() float64 {
-	if len(fp.Loads) == 0 {
-		return 0
-	}
-	mean := fp.Loads.Total() / float64(len(fp.Loads))
-	if mean == 0 {
-		return 0
-	}
-	return fp.MaxLinkGB / mean
 }
 
 // VerifyPathsMatchDistances checks that every routed path's delay equals the

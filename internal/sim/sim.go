@@ -271,28 +271,3 @@ func Run(p *placement.Problem, sol *placement.Solution, cfg Config) (*Report, er
 	sort.Slice(report.Queries, func(i, j int) bool { return report.Queries[i].Query < report.Queries[j].Query })
 	return report, nil
 }
-
-// PredictedLatency returns the analytic response latency of an admitted
-// query under the static model: the maximum over its assignments of
-// processing plus transfer delay (paper §2.3).
-func PredictedLatency(p *placement.Problem, sol *placement.Solution, q workload.QueryID) (float64, error) {
-	maxDelay := 0.0
-	found := false
-	for _, a := range sol.Assignments {
-		if a.Query != q {
-			continue
-		}
-		d, ok := p.EvalDelay(q, a.Dataset, a.Node)
-		if !ok {
-			return 0, fmt.Errorf("sim: assignment for non-demanded dataset %d", a.Dataset)
-		}
-		found = true
-		if d > maxDelay {
-			maxDelay = d
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("sim: query %d has no assignments", q)
-	}
-	return maxDelay, nil
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -212,6 +213,31 @@ func TestBusyTimeAccounting(t *testing.T) {
 			t.Fatalf("node %d busy %v, want %v", v, b, want[v])
 		}
 	}
+}
+
+// PredictedLatency returns the analytic response latency of an admitted
+// query under the static model: the maximum over its assignments of
+// processing plus transfer delay (paper §2.3).
+func PredictedLatency(p *placement.Problem, sol *placement.Solution, q workload.QueryID) (float64, error) {
+	maxDelay := 0.0
+	found := false
+	for _, a := range sol.Assignments {
+		if a.Query != q {
+			continue
+		}
+		d, ok := p.EvalDelay(q, a.Dataset, a.Node)
+		if !ok {
+			return 0, fmt.Errorf("sim: assignment for non-demanded dataset %d", a.Dataset)
+		}
+		found = true
+		if d > maxDelay {
+			maxDelay = d
+		}
+	}
+	if !found {
+		return 0, fmt.Errorf("sim: query %d has no assignments", q)
+	}
+	return maxDelay, nil
 }
 
 func TestPredictedLatencyErrors(t *testing.T) {

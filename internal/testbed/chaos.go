@@ -22,7 +22,6 @@ var (
 	statChaosRestarts = instrument.NewCounter("testbed.chaos_restarts")
 	statChaosSpikes   = instrument.NewCounter("testbed.chaos_latency_spikes")
 	statChaosDrops    = instrument.NewCounter("testbed.chaos_link_drops")
-	statChaosProcKill = instrument.NewCounter("testbed.chaos_proc_crashes")
 )
 
 // ChaosKind identifies one fault type.
@@ -41,12 +40,6 @@ const (
 	ChaosDropLink ChaosKind = "drop-link"
 	// ChaosClearDrops restores every severed link.
 	ChaosClearDrops ChaosKind = "clear-drops"
-	// ChaosProcCrash kills the controller process mid-write: the placement
-	// WAL is torn halfway into a record and every node dies with the
-	// process. Recovery is journal.Load + Cluster.Rehydrate on a fresh
-	// cluster; the controller's CrashProcess hook (SIGKILL in the CLIs)
-	// makes the death real.
-	ChaosProcCrash ChaosKind = "proc-crash"
 )
 
 // ChaosEvent is one scheduled fault. AtSec is model time from schedule
@@ -133,23 +126,15 @@ type ChaosController struct {
 	// TimeScale converts schedule AtSec to wall seconds in Play (e.g. the
 	// latency scale of a fast test cluster); 0 means 1.
 	TimeScale float64
-	// CrashProcess is what a ChaosProcCrash does after tearing the WAL:
-	// SIGKILL in the CLIs, a no-op in tests (which then observe the torn
-	// journal and dead cluster directly). nil means no-op.
-	CrashProcess func()
 
 	spike float64
 	drops map[string]bool
-	down  map[int]bool
 }
 
 // NewChaosController binds a schedule to a cluster.
 func NewChaosController(c *Cluster, schedule []ChaosEvent) *ChaosController {
-	return &ChaosController{cluster: c, schedule: schedule, drops: map[string]bool{}, down: map[int]bool{}}
+	return &ChaosController{cluster: c, schedule: schedule, drops: map[string]bool{}}
 }
-
-// Down reports whether the controller's last action on node i was a kill.
-func (cc *ChaosController) Down(i int) bool { return cc.down[i] }
 
 // Apply executes one event immediately.
 func (cc *ChaosController) Apply(ev ChaosEvent) error {
@@ -158,13 +143,11 @@ func (cc *ChaosController) Apply(ev ChaosEvent) error {
 		if err := cc.cluster.KillNode(ev.Node); err != nil {
 			return err
 		}
-		cc.down[ev.Node] = true
 		statChaosKills.Inc()
 	case ChaosRestart:
 		if err := cc.cluster.RestartNode(ev.Node); err != nil {
 			return err
 		}
-		delete(cc.down, ev.Node)
 		statChaosRestarts.Inc()
 	case ChaosLatencySpike:
 		cc.spike = ev.Factor
@@ -176,14 +159,6 @@ func (cc *ChaosController) Apply(ev ChaosEvent) error {
 		statChaosDrops.Inc()
 	case ChaosClearDrops:
 		cc.drops = map[string]bool{}
-	case ChaosProcCrash:
-		if err := cc.cluster.ProcCrash(); err != nil {
-			return err
-		}
-		statChaosProcKill.Inc()
-		if cc.CrashProcess != nil {
-			cc.CrashProcess()
-		}
 	default:
 		return fmt.Errorf("testbed: unknown chaos kind %q", ev.Kind)
 	}

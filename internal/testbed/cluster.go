@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"edgerep/internal/analytics"
-	"edgerep/internal/journal"
 	"edgerep/internal/workload"
 )
 
@@ -25,13 +24,6 @@ type Cluster struct {
 	// ChaosController; read paths take it shared. Code that does not run
 	// chaos concurrently is unaffected.
 	nodeMu sync.RWMutex
-
-	// placeMu guards the placement journal and its in-memory mirror
-	// (node index → dataset → records, last write wins). Both are nil/empty
-	// until AttachJournal; see durable.go.
-	placeMu sync.Mutex
-	jn      *journal.Journal
-	placed  map[int]map[int][]workload.UsageRecord
 }
 
 // node returns the i-th node under the shared lock.
@@ -133,18 +125,22 @@ func (c *Cluster) RestartNode(i int) error {
 	}
 	n.Retry = old.Retry // reboot keeps the node's retry schedule
 	c.Nodes[i] = n
-	// A journaled cluster re-syncs the rebooted VM from the controller's
-	// durable placement intent instead of leaving it empty.
-	return c.rehydrateNode(i, n)
+	return nil
 }
 
 // Place stores a dataset replica on node i (controller → node, latency
 // injected, real bytes on the wire).
 func (c *Cluster) Place(i int, dataset int, recs []workload.UsageRecord) error {
-	if err := c.placeRaw(c.node(i), dataset, recs); err != nil {
+	n := c.node(i)
+	req := &Request{Op: OpStore, Dataset: dataset, Records: recs, FromRegion: c.ControllerRegion}
+	resp, err := call(c.lat, c.ControllerRegion, n.Region, n.Addr(), req)
+	if err != nil {
 		return err
 	}
-	return c.journalPlace(i, dataset, recs)
+	if !resp.OK {
+		return fmt.Errorf("testbed: place dataset %d on %s: %s", dataset, n.Name, resp.Error)
+	}
+	return nil
 }
 
 // QueryPlan tells Evaluate where a query's home is and which replica serves
@@ -257,20 +253,6 @@ func (c *Cluster) Evaluate(plan QueryPlan) (*Evaluation, error) {
 		Degraded:       resp.Degraded,
 		FailedDatasets: resp.FailedDatasets,
 	}, nil
-}
-
-// Stats fetches node-side counters from node i.
-func (c *Cluster) Stats(i int) (*NodeStats, error) {
-	n := c.node(i)
-	resp, err := call(c.lat, c.ControllerRegion, n.Region, n.Addr(),
-		&Request{Op: OpStats, FromRegion: c.ControllerRegion})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("testbed: stats: %s", resp.Error)
-	}
-	return resp.Stats, nil
 }
 
 // Ping checks liveness of node i.

@@ -269,17 +269,11 @@ func TestChaosKillRestartCycle(t *testing.T) {
 	if err := cc.Apply(ChaosEvent{Kind: ChaosKill, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if !cc.Down(1) {
-		t.Fatal("controller lost track of the kill")
-	}
 	if err := c.Ping(1); err == nil {
 		t.Fatal("killed node still answers pings")
 	}
 	if err := cc.Apply(ChaosEvent{Kind: ChaosRestart, Node: 1}); err != nil {
 		t.Fatal(err)
-	}
-	if cc.Down(1) {
-		t.Fatal("controller did not clear the kill on restart")
 	}
 	if err := c.Ping(1); err != nil {
 		t.Fatalf("restarted node unreachable: %v", err)

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,20 @@ func testTrace(t testing.TB, n int) []workload.UsageRecord {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// Stats fetches node-side counters from node i.
+func (c *Cluster) Stats(i int) (*NodeStats, error) {
+	n := c.node(i)
+	resp, err := call(c.lat, c.ControllerRegion, n.Region, n.Addr(),
+		&Request{Op: OpStats, FromRegion: c.ControllerRegion})
+	if err != nil {
+		return nil, err
+	}
+	if !resp.OK {
+		return nil, fmt.Errorf("testbed: stats: %s", resp.Error)
+	}
+	return resp.Stats, nil
 }
 
 func TestPingAllNodes(t *testing.T) {
@@ -294,5 +309,27 @@ func BenchmarkEvaluateLocal(b *testing.B) {
 		if _, err := c.Evaluate(plan); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestRestartNodeStaysEmpty(t *testing.T) {
+	// A restart is a rebooted VM: it comes back with no replicas.
+	c := smallCluster(t)
+	recs := testTrace(t, 200)
+	if err := c.Place(1, 3, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Datasets) != 0 {
+		t.Fatalf("restart resurrected datasets %v", st.Datasets)
 	}
 }

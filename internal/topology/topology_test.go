@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"edgerep/internal/graph"
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -31,7 +33,7 @@ func TestGenerateDefault(t *testing.T) {
 	if got := top.Graph.NumNodes(); got != 32 {
 		t.Fatalf("total nodes = %d, want 32", got)
 	}
-	if !top.Graph.Connected() {
+	if len(top.Graph.Components()) != 1 {
 		t.Fatal("generated topology disconnected")
 	}
 }
@@ -103,7 +105,7 @@ func TestScaledConfigSizes(t *testing.T) {
 		if top.NumCompute() != n {
 			t.Fatalf("generated %d compute nodes, want %d", top.NumCompute(), n)
 		}
-		if !top.Graph.Connected() {
+		if len(top.Graph.Components()) != 1 {
 			t.Fatalf("scaled topology n=%d disconnected", n)
 		}
 	}
@@ -177,7 +179,7 @@ func TestGenerateInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !top.Graph.Connected() {
+		if len(top.Graph.Components()) != 1 {
 			return false
 		}
 		for _, id := range top.ComputeNodes {
@@ -230,55 +232,6 @@ func TestNodeKindString(t *testing.T) {
 	}
 }
 
-func TestWaxman(t *testing.T) {
-	g, pts, err := Waxman(WaxmanConfig{Nodes: 60, Alpha: 0.4, Beta: 0.3, DelayPerUnitDistance: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 60 || len(pts) != 60 {
-		t.Fatalf("waxman built %d nodes, %d points", g.NumNodes(), len(pts))
-	}
-	if !g.Connected() {
-		t.Fatal("waxman graph disconnected after repair")
-	}
-	for _, p := range pts {
-		if p[0] < 0 || p[0] > 1 || p[1] < 0 || p[1] > 1 {
-			t.Fatalf("point %v outside unit square", p)
-		}
-	}
-}
-
-func TestWaxmanValidation(t *testing.T) {
-	bad := []WaxmanConfig{
-		{Nodes: 1, Alpha: 0.5, Beta: 0.5, DelayPerUnitDistance: 1},
-		{Nodes: 10, Alpha: 0, Beta: 0.5, DelayPerUnitDistance: 1},
-		{Nodes: 10, Alpha: 1.1, Beta: 0.5, DelayPerUnitDistance: 1},
-		{Nodes: 10, Alpha: 0.5, Beta: 0, DelayPerUnitDistance: 1},
-		{Nodes: 10, Alpha: 0.5, Beta: 0.5, DelayPerUnitDistance: 0},
-	}
-	for i, c := range bad {
-		if _, _, err := Waxman(c); err == nil {
-			t.Fatalf("bad waxman config %d accepted", i)
-		}
-	}
-}
-
-// Property: Waxman with higher alpha is denser on average (checked pairwise
-// with identical seeds so the point sets coincide).
-func TestWaxmanDensityMonotoneInAlpha(t *testing.T) {
-	lo, _, err := Waxman(WaxmanConfig{Nodes: 80, Alpha: 0.1, Beta: 0.4, DelayPerUnitDistance: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, _, err := Waxman(WaxmanConfig{Nodes: 80, Alpha: 0.9, Beta: 0.4, DelayPerUnitDistance: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi.NumEdges() <= lo.NumEdges() {
-		t.Fatalf("alpha=0.9 produced %d edges, alpha=0.1 produced %d", hi.NumEdges(), lo.NumEdges())
-	}
-}
-
 func TestComputeNodesAscendingAndTyped(t *testing.T) {
 	top := MustGenerate(DefaultConfig())
 	for i := 1; i < len(top.ComputeNodes); i++ {
@@ -298,7 +251,7 @@ func TestGenerateNoSwitches(t *testing.T) {
 	c := DefaultConfig()
 	c.Switches = 0
 	top := MustGenerate(c)
-	if !top.Graph.Connected() {
+	if len(top.Graph.Components()) != 1 {
 		t.Fatal("switchless topology disconnected")
 	}
 }
@@ -314,7 +267,9 @@ func TestGenerateWithBaseStations(t *testing.T) {
 	for _, n := range top.Nodes {
 		if n.Kind == BaseStation {
 			bs++
-			if top.Graph.Degree(n.ID) == 0 {
+			deg := 0
+			top.Graph.Neighbors(n.ID, func(graph.NodeID, float64) { deg++ })
+			if deg == 0 {
 				t.Fatalf("base station %d isolated", n.ID)
 			}
 		}

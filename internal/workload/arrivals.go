@@ -28,12 +28,6 @@ type ArrivalConfig struct {
 	Seed        int64
 }
 
-// DefaultArrivalConfig returns a gentle default: one query every 2 seconds
-// on average with diurnal shape and 10-second holds.
-func DefaultArrivalConfig() ArrivalConfig {
-	return ArrivalConfig{MeanRatePerSec: 0.5, Diurnal: true, MeanHoldSec: 10, Seed: 1}
-}
-
 // Validate reports the first configuration error, or nil.
 func (c ArrivalConfig) Validate() error {
 	if c.MeanRatePerSec <= 0 {

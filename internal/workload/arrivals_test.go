@@ -7,6 +7,12 @@ import (
 	"edgerep/internal/topology"
 )
 
+// DefaultArrivalConfig returns a gentle default: one query every 2 seconds
+// on average with diurnal shape and 10-second holds.
+func DefaultArrivalConfig() ArrivalConfig {
+	return ArrivalConfig{MeanRatePerSec: 0.5, Diurnal: true, MeanHoldSec: 10, Seed: 1}
+}
+
 func arrivalWorkload(t testing.TB, nq int) *Workload {
 	t.Helper()
 	top := topology.MustGenerate(topology.DefaultConfig())
