@@ -3,7 +3,8 @@
 # copied mutexes; edgerepvet's lockdiscipline checks only the unlock on
 # every path), repo-specific analyzers (edgerepvet),
 # build, race-enabled tests, pricing-table gates (zero-alloc pricing,
-# table-vs-reference-scan equivalence incl. the exact-tie case, stale-table
+# table-vs-reference-scan equivalence incl. the exact-tie case and the
+# 500-node streams, stale-table
 # fuzz, chaos-on latency smoke, one allocation per admitted offer, the
 # Dijkstra / matrix / table-build / dual-ascent oracles),
 # attribution gates (zero-alloc off path, byte-identical traces, flight-ring
@@ -17,7 +18,8 @@
 # gates (3-region kill-the-leader drill byte-identity + multi-process kill -9
 # follower promotion, with the same probes and snapshot), docs link and
 # edgerepd mode-and-flag checks, example smoke, bench smoke (incl. admit cost
-# flat in history, pinned allocations of the cold-start kernels).
+# flat in history, pinned allocations of the cold-start kernels, pricing on
+# the 500-node instance).
 # Run before every commit. See ARCHITECTURE.md, "CI".
 set -eu
 
@@ -66,12 +68,12 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case; stale-table fuzz under -race; one allocation per admit; kernel, matrix, table-build and dual-ascent oracles under -race)"
+echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case, and what the early exit stands on; stale-table fuzz under -race; one allocation per admit; kernel, matrix, table-build and dual-ascent oracles under -race)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
-go test -run 'TestFastPathEquivalence' ./internal/online
+go test -run 'TestFastPathEquivalence|TestPickFastExitKeepsTies|TestCandidateTablesAreDelayOrdered' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
 go test -run 'TestFastPathChaosLatencySmoke' ./internal/server
-go test -run '^$' -bench 'BenchmarkFastPathPlan' -benchtime 1x ./internal/online
+go test -run '^$' -bench '^BenchmarkFastPathPlan$/(fast|slow)$' -benchtime 1x ./internal/online
 # The commit step after pricing: an admitted offer allocates its decision's
 # assignment slice and nothing else, a rejected one nothing, journaled or not
 # (typed release heap, no sort in Admit, records encoded into a reused buffer).
@@ -348,6 +350,8 @@ go test -run '^$' -bench 'BenchmarkSolutionAdmit' -benchtime 3x ./internal/place
 # build its tables and nothing per candidate).
 go test -run '^$' -bench '^BenchmarkDijkstra$/v500' -benchtime 533x ./internal/graph
 go test -run '^$' -bench '^BenchmarkFastPathBuild$/v500' -benchtime 5x ./internal/online
+# Pricing on the same instance, tables and reference, one plan per query.
+go test -run '^$' -bench '^BenchmarkFastPathPlan$/v500' -benchtime 400x ./internal/online
 # One Appro-G solve of the same instance; fails above its pinned objects and
 # bytes (the candidate lists and little else).
 go test -run '^$' -bench '^BenchmarkApproG$/v500' -benchtime 5x ./internal/core

@@ -393,9 +393,6 @@ func (j *Journal) LSN() int64 { return j.lsn.Load() }
 // read concurrently with AppendUnsynced and Commit.
 func (j *Journal) DurableLSN() int64 { return j.durable.Load() }
 
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // AppendUnsynced frames payload, writes it to the active segment with one
 // write(2), and returns its LSN. The record survives a process crash from
 // here on (it is in the page cache) but not a power cut: it is durable once a

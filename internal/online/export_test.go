@@ -149,3 +149,8 @@ func (e *Engine) TestReleaseNodes() []graph.NodeID {
 
 // TestLoadState installs a canonical state dump, as recovery does.
 func (e *Engine) TestLoadState(st *EngineState) { e.loadState(st) }
+
+// Engine exposes the standby engine for read-only inspection (state dumps,
+// decision counts). Mutating it directly would desynchronize the replica;
+// only Apply and Promote may advance it.
+func (r *Rehydrator) Engine() *Engine { return r.e }

@@ -11,9 +11,10 @@
 // arithmetic: each (demand, node) delay is evaluated once, straight off the
 // topology's delay matrix, and feeds all three things a table keeps (the
 // admission set, the classification set, the closest finite-delay node); each
-// admission set is sorted once, by a typed comparison; and queries are built
-// on every core (newFastPath, demandTable). Every table exists when NewEngine
-// returns — the first Offer pays nothing.
+// admission set is sorted once, by a typed comparison, into the delay order
+// pickFast's early exit stands on; and queries are built on every core
+// (newFastPath, demandTable). Every table exists when NewEngine returns — the
+// first Offer pays nothing.
 //
 // What stays dynamic is mirrored, not recomputed:
 //
@@ -90,7 +91,7 @@ type fpDemand struct {
 	need   float64
 	size25 float64
 	// cands is the admission candidate set, sorted by ascending delay
-	// (ties by node ID) — the delay-sorted table the scan walks.
+	// (ties by node ID). pickFast's early exit depends on the order.
 	cands []fpCand
 	// class is the classification candidate set in ascending node order
 	// (ClassifyRejection scans nodes ascending; order is part of its
@@ -270,9 +271,10 @@ func newFastPath(e *Engine) *fastPath {
 // the compute nodes, ascending: each node's delay is evaluated once and feeds
 // the closest finite-delay node, the classification set (MeetsDeadline's
 // ε-tolerant predicate) and the admission set (the reference scan's strict
-// one). The admission set is then sorted into delay order; nodes are distinct,
-// so (delay, node) is a total order and the result does not depend on the
-// order the pass visited them in.
+// one). The admission set is then sorted into delay order; nodes are distinct
+// and admitted delays are never NaN, so (delay, node) is a total order and the
+// result does not depend on the order the pass visited them in. pickFast's
+// early exit relies on that order.
 func (e *Engine) demandTable(qid workload.QueryID, ds workload.DatasetID, procDelay []float64) fpDemand {
 	size := e.p.Datasets[ds].SizeGB
 	deadline := e.p.Queries[qid].DeadlineSec
@@ -293,7 +295,7 @@ func (e *Engine) demandTable(qid workload.QueryID, ds workload.DatasetID, procDe
 		if delay <= deadline+1e-12 {
 			d.class = append(d.class, fpClassCand{node: v, delay: delay})
 		}
-		if delay > deadline {
+		if !(delay <= deadline) { // NaN fails too: the sort below needs comparable delays
 			continue
 		}
 		d.cands = append(d.cands, fpCand{
@@ -359,12 +361,13 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 	demands := f.perQuery[qid]
 	for di := range demands {
 		d := &demands[di]
-		v, ok := e.pickFast(d, s)
+		reps := e.sol.Replicas[d.dataset]
+		v, ok := e.pickFast(d, reps, s)
 		if !ok {
 			return false, nil
 		}
 		s.addTent(v, d.need)
-		if !e.sol.HasReplica(d.dataset, v) && !s.openHas(d.dataset, v) {
+		if !slices.Contains(reps, v) && !s.openHas(d.dataset, v) {
 			s.openDs = append(s.openDs, d.dataset)
 			s.openNode = append(s.openNode, v)
 		}
@@ -379,18 +382,36 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 }
 
 // pickFast selects the cheapest feasible node for one demand from its
-// precomputed candidate table. Every float expression mirrors the reference
-// scan's associativity exactly, and the explicit lowest-node tie-break
-// reproduces the ascending scan's strict-< argmin (the table is in delay
-// order, not node order), so both select identical nodes at identical costs.
-func (e *Engine) pickFast(d *fpDemand, s *fpScratch) (graph.NodeID, bool) {
+// precomputed candidate table; reps is the demand's dataset's committed
+// replica set, read once by the caller. Every float expression mirrors the
+// reference scan's associativity exactly, and the explicit lowest-node
+// tie-break reproduces the ascending scan's strict-< argmin (the table is in
+// delay order, not node order), so both select identical nodes at identical
+// costs.
+//
+// The delay order is load-bearing: the scan stops at the first candidate
+// whose delay term alone exceeds the best price so far, and no candidate at
+// or after it can win. A candidate's price is fl(fl(need·θ + delayCost) +
+// rep) with need·θ ≥ 0 (θ is (base^u − 1)/(base − 1) for u ≥ 0, giveBack
+// clamps load at zero) and rep ≥ 0, and rounding is monotone, so
+// fl(a + b) ≥ b for a ≥ 0: price ≥ delayCost. delayCost is w·size·(delay /
+// deadline) with w·size ≥ 0 and deadline > 0, IEEE division and
+// multiplication are monotone, and demandTable sorts by (delay, node), so
+// delayCost never decreases along the table. Every later candidate
+// therefore prices above bestCost and neither beats it nor ties it. The test
+// is strict: a candidate whose delay term equals bestCost can still tie it
+// at a lower node ID and must be priced.
+func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, s *fpScratch) (graph.NodeID, bool) {
 	f := e.fast
-	openCount := e.sol.ReplicaCount(d.dataset) + s.openCountFor(d.dataset)
+	openCount := len(reps) + s.openCountFor(d.dataset)
 	kBound := e.p.MaxReplicas
 	var best graph.NodeID = -1
 	bestCost := math.Inf(1)
 	for i := range d.cands {
 		c := &d.cands[i]
+		if c.delayCost > bestCost {
+			break
+		}
 		v := c.node
 		if f.down[v] {
 			continue
@@ -399,7 +420,7 @@ func (e *Engine) pickFast(d *fpDemand, s *fpScratch) (graph.NodeID, bool) {
 			continue
 		}
 		rep := 0.0
-		if !e.sol.HasReplica(d.dataset, v) && !s.openHas(d.dataset, v) {
+		if !slices.Contains(reps, v) && !s.openHas(d.dataset, v) {
 			if openCount >= kBound {
 				continue
 			}
@@ -426,6 +447,7 @@ func (e *Engine) classifyFast(q workload.QueryID) (instrument.Reason, workload.D
 	kRepl := e.p.MaxReplicas
 	for di := range f.perQuery[q] {
 		d := &f.perQuery[q][di]
+		reps := e.sol.Replicas[d.dataset]
 		crashNode := graph.NodeID(-1)
 		capNode := graph.NodeID(-1)
 		capBest := math.Inf(-1)
@@ -453,7 +475,7 @@ func (e *Engine) classifyFast(q workload.QueryID) (instrument.Reason, workload.D
 			if cc.delay < kBestDelay {
 				kNode, kBestDelay = v, cc.delay
 			}
-			if e.sol.HasReplica(d.dataset, v) || e.sol.ReplicaCount(d.dataset) < kRepl {
+			if len(reps) < kRepl || slices.Contains(reps, v) {
 				servable = true
 				break
 			}

@@ -54,46 +54,79 @@ func offerChecked(t *testing.T, e *Engine, arr Arrival) Decision {
 // a hand-built symmetric instance whose candidates price identically, which
 // pins the lowest-node tie-break the table order does not give for free. Any
 // divergence means the tables drifted from the pricing math they mirror.
+//
+// The small streams have short tables. The two on the bench's 500-node
+// instance have 192 candidates a table on average, so pickFast's early exit
+// skips most of a table; a third of their arrivals hold forever, so load
+// builds up across the stream and θ differs from node to node. One runs with
+// a forecast, whose preferred sites open at no replica price (rep = 0), and
+// one without.
 func TestFastPathEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 7, 21, 42} {
 		t.Run(fmt.Sprintf("churn/seed=%d", seed), func(t *testing.T) {
 			p, w := NewTestProblem(t, seed, 80)
-			e := NewEngine(p, len(w.Queries), Options{})
-			rng := rand.New(rand.NewSource(seed))
-			compute := p.Cloud.ComputeNodes()
-			var down []graph.NodeID
-			at := 0.0
-			for i := range w.Queries {
-				at += rng.ExpFloat64()
-				hold := rng.ExpFloat64() * 50
-				if i%9 == 4 {
-					// Liveness churn: alternate crashing a random node with
-					// restoring the oldest crashed one.
-					if len(down) > 0 && rng.Intn(2) == 0 {
-						v := down[0]
-						down = down[1:]
-						if err := e.Restore(v); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						v := compute[rng.Intn(len(compute))]
-						wasDown := e.Liveness().IsDown(v)
-						if _, err := e.Crash(at, v); err != nil {
-							t.Fatalf("crash(%d): %v", v, err)
-						}
-						if !wasDown {
-							down = append(down, v)
-						}
-					}
-				}
-				offerChecked(t, e, Arrival{Query: workload.QueryID(i), AtSec: at, HoldSec: hold})
+			churnStream(t, NewEngine(p, len(w.Queries), Options{}), seed, len(w.Queries), false)
+		})
+	}
+	bench := benchProblem(t)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"bench 500 nodes", Options{}},
+		{"bench 500 nodes forecast", Options{Forecast: bench.Queries[:100]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(bench, 2*len(bench.Queries), tc.opt)
+			if tc.opt.Forecast != nil && !hasPreferred(e.fast) {
+				t.Fatal("the forecast marked no candidate preferred; rep = 0 is not exercised")
 			}
-			if res := e.Result(); res.Rejected == 0 || res.Admitted == 0 {
-				t.Fatalf("%d admitted, %d rejected; stream exercises one outcome only", res.Admitted, res.Rejected)
-			}
+			churnStream(t, e, 11, 2*len(bench.Queries), true)
 		})
 	}
 	t.Run("tie", testFastPathTie)
+}
+
+// churnStream offers n arrivals through offerChecked, query i mod |Q| for the
+// i-th, at exponential gaps with exponential holds (mean 50 s). Every ninth
+// arrival is preceded by liveness churn: a random compute node crashes, or the
+// oldest crashed one is restored. With forever, every third arrival holds its
+// capacity for good. The stream must both admit and reject.
+func churnStream(t *testing.T, e *Engine, seed int64, n int, forever bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	compute := e.p.Cloud.ComputeNodes()
+	var down []graph.NodeID
+	at := 0.0
+	for i := 0; i < n; i++ {
+		at += rng.ExpFloat64()
+		hold := rng.ExpFloat64() * 50
+		if forever && i%3 == 0 {
+			hold = 0
+		}
+		if i%9 == 4 {
+			if len(down) > 0 && rng.Intn(2) == 0 {
+				v := down[0]
+				down = down[1:]
+				if err := e.Restore(v); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				v := compute[rng.Intn(len(compute))]
+				wasDown := e.Liveness().IsDown(v)
+				if _, err := e.Crash(at, v); err != nil {
+					t.Fatalf("crash(%d): %v", v, err)
+				}
+				if !wasDown {
+					down = append(down, v)
+				}
+			}
+		}
+		offerChecked(t, e, Arrival{Query: workload.QueryID(i % len(e.p.Queries)), AtSec: at, HoldSec: hold})
+	}
+	if res := e.Result(); res.Rejected == 0 || res.Admitted == 0 {
+		t.Fatalf("%d admitted, %d rejected; stream exercises one outcome only", res.Admitted, res.Rejected)
+	}
 }
 
 // tieTopology is a star: base station 0 is every query's home, cloudlets
@@ -237,15 +270,20 @@ func TestFastPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkFastPathPlan prices one saturated-engine offer per op, table scan
-// against the full per-offer search it replaced, on the same engine state.
-// The fast side is the ci.sh-gated zero-alloc path; the slow side is the
-// reference scan the equivalence test compares against.
+// BenchmarkFastPathPlan plans offers with the table scan (fast) and with the
+// full per-offer search it replaced (slow, the reference scan the equivalence
+// test compares against), on the same engine state. The unnamed pair prices
+// one saturated-engine rejection per op on the small instance: the
+// ci.sh-gated zero-alloc path. v500 is the bench's 500-node instance after a
+// hold-forever pass over half its queries; each op plans the next query in
+// turn, so admissions (one allocation each: the assignments) and rejections
+// mix, and the candidate tables are as long as the daemon's.
 func BenchmarkFastPathPlan(b *testing.B) {
-	for _, mode := range []struct {
+	modes := []struct {
 		name string
 		plan func(*Engine, workload.QueryID) (bool, []placement.Assignment)
-	}{{"fast", (*Engine).planFast}, {"slow", (*Engine).planSlow}} {
+	}{{"fast", (*Engine).planFast}, {"slow", (*Engine).planSlow}}
+	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			p, w := NewTestProblem(b, 5, 120)
 			e := NewEngine(p, len(w.Queries), Options{})
@@ -269,6 +307,24 @@ func BenchmarkFastPathPlan(b *testing.B) {
 			}
 		})
 	}
+	b.Run("v500", func(b *testing.B) {
+		p := benchProblem(b)
+		nq := len(p.Queries)
+		e := NewEngine(p, 2*nq, Options{})
+		for i := 0; i < nq; i += 2 {
+			if _, err := e.Offer(Arrival{Query: workload.QueryID(i), AtSec: float64(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, mode := range modes {
+			b.Run(mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					mode.plan(e, workload.QueryID(i%nq))
+				}
+			})
+		}
+	})
 }
 
 // TestFastPathStats covers the /state payload source: an engine reports its
@@ -473,6 +529,74 @@ func TestFastPathTablesMatchReference(t *testing.T) {
 				len(d.cands), len(d.class))
 		}
 	})
+}
+
+// TestCandidateTablesAreDelayOrdered checks, table by table, what pickFast's
+// early exit stands on: every admission candidate's delay is finite, each
+// table is strictly ascending by (delay, node), and delayCost never decreases
+// along it. On the bench's 500-node instance and on a forecast instance.
+func TestCandidateTablesAreDelayOrdered(t *testing.T) {
+	forecastP, forecastW := NewTestProblem(t, 9, 80)
+	for _, tc := range []struct {
+		name string
+		p    *placement.Problem
+		opt  Options
+	}{
+		{"bench 500 nodes", benchProblem(t), Options{}},
+		{"forecast", forecastP, Options{Forecast: forecastW.Queries[:40], MaxUtilization: 0.8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewEngine(tc.p, len(tc.p.Queries), tc.opt).fast
+			for qi, demands := range f.perQuery {
+				for di := range demands {
+					cands := demands[di].cands
+					for i, c := range cands {
+						if math.IsNaN(c.delay) || math.IsInf(c.delay, 0) {
+							t.Fatalf("query %d demand %d: candidate %d has delay %v", qi, di, i, c.delay)
+						}
+						if i == 0 {
+							continue
+						}
+						prev := cands[i-1]
+						if !(prev.delay < c.delay || prev.delay == c.delay && prev.node < c.node) {
+							t.Fatalf("query %d demand %d: candidate %d %+v does not follow %+v by (delay, node)", qi, di, i, c, prev)
+						}
+						if !(prev.delayCost <= c.delayCost) {
+							t.Fatalf("query %d demand %d: delayCost falls from %v to %v at candidate %d", qi, di, prev.delayCost, c.delayCost, i)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPickFastExitKeepsTies pins why pickFast's exit test is strict. Two
+// delays one ulp apart can round to the same delay term. On an idle engine
+// (θ = 0) at preferred sites (rep = 0) both candidates then price exactly that
+// term, and the one later in delay order has the lower node ID, so the
+// reference's ascending scan picks it. Exiting on delayCost >= bestCost would
+// stop before pricing it.
+func TestPickFastExitKeepsTies(t *testing.T) {
+	e := NewEngine(edgeProblem(t), 3, Options{})
+	const size, deadline = 2.0, 10.0
+	delayCost := func(delay float64) float64 { return delayPriceWeight * size * (delay / deadline) }
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	d0 := 7.0
+	for n := 0; delayCost(d0) != delayCost(up(d0)); n++ {
+		if n == 64 {
+			t.Fatal("no two adjacent delays from 7 s on share a delay term")
+		}
+		d0 = up(d0)
+	}
+	d := fpDemand{dataset: 0, need: 1, size25: 0.25 * size, cands: []fpCand{
+		{node: 5, delay: d0, delayCost: delayCost(d0), preferred: true},
+		{node: 2, delay: up(d0), delayCost: delayCost(up(d0)), preferred: true},
+	}}
+	e.fast.scr.reset()
+	if v, ok := e.pickFast(&d, nil, &e.fast.scr); !ok || v != 2 {
+		t.Fatalf("picked node %d (ok=%v) from two candidates that tie at %v; want node 2, the lower ID", v, ok, d.cands[0].delayCost)
+	}
 }
 
 // fastPathBuildAllocs bounds what building the bench instance's tables

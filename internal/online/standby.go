@@ -74,11 +74,6 @@ func (r *Rehydrator) Apply(payload []byte) error {
 // leader's.
 func (r *Rehydrator) LSN() int64 { return r.lsn }
 
-// Engine exposes the standby engine for read-only inspection (state dumps,
-// decision counts). Mutating it directly would desynchronize the replica;
-// only Apply and Promote may advance it.
-func (r *Rehydrator) Engine() *Engine { return r.e }
-
 // Promote ends replay and returns the engine live: journaling to
 // opt.Journal with opt.SnapshotEvery cadence, exactly as a Recover-ed
 // engine would continue. The Rehydrator must not be used after Promote.

@@ -761,10 +761,3 @@ func (s *Server) Epochs() int64 {
 	defer s.mu.Unlock()
 	return s.epochs
 }
-
-// Offers returns how many admission decisions have been made.
-func (s *Server) Offers() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.offers
-}

@@ -32,6 +32,13 @@ func newTestServer(t *testing.T, cfg Config) (*placement.Problem, *Server) {
 	return p, New(p, online.NewEngine(p, 10000, online.Options{}), cfg)
 }
 
+// Offers returns how many admission decisions have been made.
+func (s *Server) Offers() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.offers
+}
+
 func TestAdmitShape(t *testing.T) {
 	_, s := newTestServer(t, Config{})
 	admits, rejects := 0, 0
