@@ -4,7 +4,8 @@
 # every path), repo-specific analyzers (edgerepvet),
 # build, race-enabled tests, pricing-table gates (zero-alloc pricing,
 # table-vs-reference-scan equivalence incl. the exact-tie case and the
-# 500-node streams, stale-table
+# 500-node streams, failover repair against its reference scan on the same
+# streams and at a preferred site, stale-table
 # fuzz, chaos-on latency smoke, one allocation per admitted offer, the
 # Dijkstra / matrix / table-build / dual-ascent oracles),
 # attribution gates (zero-alloc off path, byte-identical traces, flight-ring
@@ -68,9 +69,13 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case, and what the early exit stands on; stale-table fuzz under -race; one allocation per admit; kernel, matrix, table-build and dual-ascent oracles under -race)"
+echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case, and what the early exit stands on; repair-vs-reference on the same streams; stale-table fuzz under -race; one allocation per admit; kernel, matrix, table-build and dual-ascent oracles under -race)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
-go test -run 'TestFastPathEquivalence|TestPickFastExitKeepsTies|TestCandidateTablesAreDelayOrdered' ./internal/online
+# TestFastPathEquivalence also plans every failover repair of its streams
+# with the reference repair scan (pickRepairNode) at the same state;
+# TestRepairOpensPreferredSiteFree is the repair that a preferred site's zero
+# opening price decides.
+go test -run 'TestFastPathEquivalence|TestPickFastExitKeepsTies|TestCandidateTablesAreDelayOrdered|TestRepairOpensPreferredSiteFree' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
 go test -run 'TestFastPathChaosLatencySmoke' ./internal/server
 go test -run '^$' -bench '^BenchmarkFastPathPlan$/(fast|slow)$' -benchtime 1x ./internal/online

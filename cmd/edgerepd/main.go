@@ -125,7 +125,14 @@ type daemonFlags struct {
 func (d *daemonFlags) bind(fs *flag.FlagSet) {
 	bindInstance(fs, &d.fed.Instance)
 	fs.IntVar(&d.fed.ExpectedArrivals, "expected", 0, "expected total arrivals for the capacity price base (0: 1e6, or -count in selfdrive)")
-	fs.Float64Var(&d.fed.MaxUtilization, "max-util", 0, "reject admissions pushing a node above this utilization (0 = 1.0)")
+	fs.Func("max-util", "reject admissions pushing a node above this utilization, in [0, 1] (0 = 1.0)", func(s string) error {
+		u, err := strconv.ParseFloat(s, 64)
+		if err == nil && !(u >= 0 && u <= 1) { // NaN fails too
+			err = fmt.Errorf("%v is outside [0, 1]", u)
+		}
+		d.fed.MaxUtilization = u
+		return err
+	})
 	fs.IntVar(&d.fed.EpochMaxQueries, "epoch-max", 256, "micro-epoch size bound (queries)")
 
 	fs.StringVar(&d.journal, "journal", "", "journal every admission decision to a WAL in this directory; whatever it already holds is recovered first")

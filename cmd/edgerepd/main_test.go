@@ -56,6 +56,10 @@ func TestRunRejects(t *testing.T) {
 		{"serve with a stray argument", []string{"serve", "-http", ":0", "-journal", tmp, "extra"}, "1 arguments after the flags, want 0"},
 		{"malformed -peers", []string{"serve", "-peers", "0:http://a"}, "not shard=baseURL"},
 		{"crash without a journal", []string{"selfdrive", "-proc-crash-after", "10"}, "needs -journal"},
+		{"-max-util above 1", []string{"selfdrive", "-max-util", "5", "-journal", filepath.Join(tmp, "util")}, "outside [0, 1]"},
+		{"negative -max-util", []string{"serve", "-max-util", "-1", "-http", ":0", "-journal", tmp}, "outside [0, 1]"},
+		{"NaN -max-util", []string{"selfdrive", "-max-util", "NaN"}, "outside [0, 1]"},
+		{"-max-util not a number", []string{"follow", "-max-util", "most"}, "invalid value"},
 		{"dump without a directory", []string{"dump"}, "0 arguments after the flags, want 1"},
 		{"dump -journal", []string{"dump", "-journal", tmp}, "not defined: -journal"},
 		{"dump of a missing directory", []string{"dump", filepath.Join(tmp, "nowhere")}, "no such file or directory"},

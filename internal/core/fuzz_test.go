@@ -1,8 +1,9 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"edgerep/internal/core"
 	"edgerep/internal/invariant"
 )
 
@@ -22,12 +23,12 @@ func FuzzApproGInvariants(f *testing.F) {
 		nq := 1 + int(nqRaw)%80
 		nd := 1 + int(ndRaw)%20
 
-		p := problem(t, seed, nq, nd, k)
-		res, err := ApproG(p, Options{})
+		p := core.Problem(t, seed, nq, nd, k)
+		res, err := core.ApproG(p, core.Options{})
 		if err != nil {
 			t.Fatalf("ApproG(seed=%d nq=%d nd=%d k=%d): %v", seed, nq, nd, k, err)
 		}
-		requireMatchesReference(t, p, Options{}, "appro-g")
+		core.RequireMatchesReference(t, p, core.Options{}, "appro-g")
 		vol := res.Solution.Volume(p)
 		if err := invariant.CheckSolution(p, res.Solution, vol); err != nil {
 			t.Fatalf("ApproG(seed=%d nq=%d nd=%d k=%d) violates invariants: %v",
@@ -37,12 +38,12 @@ func FuzzApproGInvariants(f *testing.F) {
 			t.Fatalf("volume %v exceeds trivial bound %v", vol, p.UpperBoundVolume())
 		}
 
-		sp := singleProblem(t, seed, nq, nd, k)
-		sres, err := ApproS(sp, Options{})
+		sp := core.SingleProblem(t, seed, nq, nd, k)
+		sres, err := core.ApproS(sp, core.Options{})
 		if err != nil {
 			t.Fatalf("ApproS(seed=%d nq=%d nd=%d k=%d): %v", seed, nq, nd, k, err)
 		}
-		requireMatchesReference(t, sp, Options{}, "appro-s")
+		core.RequireMatchesReference(t, sp, core.Options{}, "appro-s")
 		if err := invariant.CheckSolution(sp, sres.Solution, sres.Solution.Volume(sp)); err != nil {
 			t.Fatalf("ApproS(seed=%d nq=%d nd=%d k=%d) violates invariants: %v",
 				seed, nq, nd, k, err)

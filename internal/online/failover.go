@@ -1,10 +1,11 @@
 // Failover repair for the online engine: when a node crashes it takes its
 // replicas and its in-flight allocations with it. Crash releases the ledger
-// state, then a repair loop re-serves every stranded assignment using the
-// same instantaneous dual prices as admission — an existing surviving
-// replica if one meets the deadline, otherwise a new replica within the
-// freed K budget (re-replication priced like any lazy replica open, and
-// re-synced from the origin when a consistency manager is attached).
+// state, then a repair loop re-serves every stranded assignment through
+// admission's own pricing (pickFast over the admission tables, at the
+// instantaneous dual prices) — an existing surviving replica if one meets the
+// deadline, otherwise a new replica within the freed K budget (priced like
+// any lazy replica open, free at a preferred site, and re-synced from the
+// origin when a consistency manager is attached).
 // Queries that cannot be repaired are evicted: their admission is undone and
 // their volume given back, which is exactly the degradation the ext-chaos
 // experiment measures.
@@ -12,7 +13,6 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"edgerep/internal/cluster"
@@ -156,6 +156,17 @@ func (e *Engine) Crash(atSec float64, v graph.NodeID) (CrashReport, error) {
 	return rep, e.journalCrash(atSec, v, rep)
 }
 
+// repairMove is one planned repair: the stranded assignment of dataset moves
+// to node, which opens a replica of it when fresh; a live hold moves with it
+// and keeps its expiry.
+type repairMove struct {
+	dataset workload.DatasetID
+	node    graph.NodeID
+	fresh   bool
+	expiry  float64
+	active  bool
+}
+
 // repairQuery re-serves query q's stranded datasets, or evicts it. The
 // solution's assignments are not touched here: each repair is appended to
 // reassign, which is returned for Crash to apply.
@@ -167,38 +178,13 @@ func (e *Engine) repairQuery(q workload.QueryID, datasets []workload.DatasetID,
 		return reassign
 	}
 	slices.Sort(datasets)
-	type move struct {
-		dataset workload.DatasetID
-		node    graph.NodeID
-		fresh   bool
-		expiry  float64
-		active  bool
+	moves, ok := e.planRepair(q, datasets, holds)
+	if e.repairPlanned != nil {
+		e.repairPlanned(q, datasets, holds, moves, ok)
 	}
-	var moves []move
-	// Plan all of the query's stranded datasets first (all-or-nothing, like
-	// admission): tentative capacity keeps two datasets of one query from
-	// both claiming the last GHz of a node.
-	tentative := make(map[graph.NodeID]float64)
-	tentOpen := make(map[workload.DatasetID]map[graph.NodeID]bool)
-	for _, n := range datasets {
-		expiry, active := holds[n]
-		w, fresh, ok := e.pickRepairNode(q, n, active, tentative, tentOpen)
-		if !ok {
-			e.evict(q, rep)
-			return reassign
-		}
-		if active {
-			tentative[w] += e.p.ComputeNeed(q, n)
-		}
-		if fresh {
-			m := tentOpen[n]
-			if m == nil {
-				m = make(map[graph.NodeID]bool)
-				tentOpen[n] = m
-			}
-			m[w] = true
-		}
-		moves = append(moves, move{dataset: n, node: w, fresh: fresh, expiry: expiry, active: active})
+	if !ok {
+		e.evict(q, rep)
+		return reassign
 	}
 	for _, mv := range moves {
 		if mv.fresh {
@@ -227,50 +213,42 @@ func (e *Engine) repairQuery(q workload.QueryID, datasets []workload.DatasetID,
 	return reassign
 }
 
-// pickRepairNode selects the cheapest live node that can take over one
-// stranded (query, dataset) under the same dual pricing as admission.
-// needsCapacity is false for queries whose hold already expired — their
-// compute is done; only replica presence and the deadline must be restored.
-func (e *Engine) pickRepairNode(q workload.QueryID, n workload.DatasetID, needsCapacity bool,
-	tentative map[graph.NodeID]float64, tentOpen map[workload.DatasetID]map[graph.NodeID]bool) (graph.NodeID, bool, bool) {
+// planRepair plans all of query q's stranded datasets before any is moved
+// (all-or-nothing, like admission), each priced by pickFast off the query's
+// admission table for the dataset: the cheapest live node within the
+// deadline, the K bound and capacity, at admission's prices, preferred sites
+// included. The scratch's tentative load keeps two datasets of one query
+// from both claiming the last GHz of a node. A hold that already expired
+// needs no capacity — its compute is done; only replica presence and the
+// deadline must be restored — so it is priced against no capacity bound and
+// claims none. Planning changes nothing but the scratch.
+func (e *Engine) planRepair(q workload.QueryID, datasets []workload.DatasetID,
+	holds map[workload.DatasetID]float64) ([]repairMove, bool) {
 
-	need := e.p.ComputeNeed(q, n)
-	size := e.p.Datasets[n].SizeGB
-	deadline := e.p.Queries[q].DeadlineSec
-	openCount := e.sol.ReplicaCount(n) + len(tentOpen[n])
-	maxU := e.opt.maxUtil()
-
-	var best graph.NodeID = -1
-	bestFresh := false
-	bestCost := math.Inf(1)
-	for _, w := range e.p.Cloud.ComputeNodes() {
-		if e.live.IsDown(w) {
-			continue
+	f := e.fast
+	f.refresh(e)
+	s := &f.scr
+	s.reset()
+	moves := make([]repairMove, 0, len(datasets))
+	for _, n := range datasets {
+		expiry, active := holds[n]
+		d := f.table(q, n)
+		capBound := f.capEps
+		if !active {
+			capBound = f.uncapped
 		}
-		delay, ok := e.p.EvalDelay(q, n, w)
-		if !ok || delay > deadline {
-			continue
+		reps := e.sol.Replicas[n]
+		w, ok := e.pickFast(d, reps, capBound, s)
+		if !ok {
+			return moves, false
 		}
-		if needsCapacity {
-			capGHz := e.p.Cloud.Capacity(w)
-			if e.usedGHz(w)+tentative[w]+need > capGHz*maxU+1e-9 {
-				continue
-			}
+		if active {
+			s.addTent(w, d.need)
 		}
-		has := e.sol.HasReplica(n, w) || tentOpen[n][w]
-		repPrice := 0.0
-		if !has {
-			if openCount >= e.p.MaxReplicas {
-				continue
-			}
-			repPrice = 0.25 * size * float64(openCount+1) / float64(e.p.MaxReplicas)
-		}
-		cost := need*e.theta(w) + delayPriceWeight*size*(delay/deadline) + repPrice
-		if cost < bestCost {
-			best, bestFresh, bestCost = w, !has, cost
-		}
+		fresh := s.noteOpen(n, w, reps)
+		moves = append(moves, repairMove{dataset: n, node: w, fresh: fresh, expiry: expiry, active: active})
 	}
-	return best, bestFresh, best != -1
+	return moves, true
 }
 
 // evict undoes query q's admission: its remaining allocations are released,

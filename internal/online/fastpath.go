@@ -5,7 +5,8 @@
 // except load and liveness is static for the life of the engine: the
 // topology is immutable, EvalDelay is a pure function of (query, dataset,
 // node), the deadline and the replica-open price seeds are fixed per demand,
-// and the preferred-site set is frozen after prePlace.
+// and the preferred sites are chosen before the tables are built. Failover
+// repair prices off the same tables (failover.go): there is one pricing path.
 //
 // Building them is most of what NewEngine costs, so the build is kept to its
 // arithmetic: each (demand, node) delay is evaluated once, straight off the
@@ -44,6 +45,7 @@ package online
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -71,7 +73,9 @@ type fpCand struct {
 	// w·size·(delay/deadline), evaluated with the reference scan's exact
 	// expression shape.
 	delayCost float64
-	// preferred marks forecast-derived proactive sites (zero µ price).
+	// preferred marks the sites core's proactive phase chose from the
+	// forecast (NewEngine): a replica opens there at zero µ price, in
+	// admission and in repair alike.
 	preferred bool
 }
 
@@ -165,6 +169,18 @@ func (s *fpScratch) openHas(ds workload.DatasetID, v graph.NodeID) bool {
 	return false
 }
 
+// noteOpen records serving ds from v as a replica opening, unless ds is held
+// at v (reps is its committed replica set) or already planned to open there,
+// and reports whether it did.
+func (s *fpScratch) noteOpen(ds workload.DatasetID, v graph.NodeID, reps []graph.NodeID) bool {
+	if slices.Contains(reps, v) || s.openHas(ds, v) {
+		return false
+	}
+	s.openDs = append(s.openDs, ds)
+	s.openNode = append(s.openNode, v)
+	return true
+}
+
 // fastPath holds the engine's precomputed tables plus the fenced dynamic
 // mirrors. The epoch loop is the single writer; the stats fields observers
 // read lock-free are atomics.
@@ -174,8 +190,11 @@ type fastPath struct {
 	// capEps[v] = Capacity(v)·maxU + 1e-9, the admission headroom bound;
 	// capMaxU[v] = Capacity(v)·maxU, the classification Avail minuend.
 	// Both are the exact subexpressions the reference computes inline.
-	capEps  []float64
-	capMaxU []float64
+	// uncapped is +Inf at every node: the bound of a repair whose hold
+	// already expired, which no load can exceed.
+	capEps   []float64
+	capMaxU  []float64
+	uncapped []float64
 
 	// down mirrors the liveness tracker's crashed set densely; liveGen is
 	// the generation the mirror was built at (the epoch fence), liveDirty
@@ -229,7 +248,11 @@ func newFastPath(e *Engine) *fastPath {
 		perQuery: make([][]fpDemand, len(e.p.Queries)),
 		capEps:   make([]float64, n),
 		capMaxU:  make([]float64, n),
+		uncapped: make([]float64, n),
 		down:     make([]bool, n),
+	}
+	for v := range f.uncapped {
+		f.uncapped[v] = math.Inf(1)
 	}
 	maxU := e.opt.maxUtil()
 	compute := e.p.Cloud.ComputeNodes()
@@ -302,7 +325,7 @@ func (e *Engine) demandTable(qid workload.QueryID, ds workload.DatasetID, procDe
 			node:      v,
 			delay:     delay,
 			delayCost: delayPriceWeight * size * (delay / deadline),
-			preferred: preferred[v],
+			preferred: slices.Contains(preferred, v),
 		})
 	}
 	slices.SortFunc(d.cands, func(a, b fpCand) int {
@@ -343,6 +366,18 @@ func (f *fastPath) refresh(e *Engine) {
 	statFastRefreshes.Inc()
 }
 
+// table returns query q's first table for dataset n, the demand EvalDelay
+// prices n by; q must demand n.
+func (f *fastPath) table(q workload.QueryID, n workload.DatasetID) *fpDemand {
+	demands := f.perQuery[q]
+	for i := range demands {
+		if demands[i].dataset == n {
+			return &demands[i]
+		}
+	}
+	panic(fmt.Sprintf("online: query %d does not demand dataset %d", q, n))
+}
+
 // invalidate forces the next refresh to rebuild the mirror even on a
 // matching generation — loadState bulk-replays downs into the tracker.
 func (f *fastPath) invalidate() { f.liveDirty = true }
@@ -362,15 +397,12 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 	for di := range demands {
 		d := &demands[di]
 		reps := e.sol.Replicas[d.dataset]
-		v, ok := e.pickFast(d, reps, s)
+		v, ok := e.pickFast(d, reps, f.capEps, s)
 		if !ok {
 			return false, nil
 		}
 		s.addTent(v, d.need)
-		if !slices.Contains(reps, v) && !s.openHas(d.dataset, v) {
-			s.openDs = append(s.openDs, d.dataset)
-			s.openNode = append(s.openNode, v)
-		}
+		s.noteOpen(d.dataset, v, reps)
 		s.assign = append(s.assign, placement.Assignment{Query: qid, Dataset: d.dataset, Node: v})
 	}
 	if len(s.assign) == 0 {
@@ -383,7 +415,9 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 
 // pickFast selects the cheapest feasible node for one demand from its
 // precomputed candidate table; reps is the demand's dataset's committed
-// replica set, read once by the caller. Every float expression mirrors the
+// replica set, read once by the caller, and capBound the per-node load bound
+// (capEps; uncapped for a repair that needs no capacity). Admission and
+// failover repair both price through it. Every float expression mirrors the
 // reference scan's associativity exactly, and the explicit lowest-node
 // tie-break reproduces the ascending scan's strict-< argmin (the table is in
 // delay order, not node order), so both select identical nodes at identical
@@ -401,7 +435,7 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 // therefore prices above bestCost and neither beats it nor ties it. The test
 // is strict: a candidate whose delay term equals bestCost can still tie it
 // at a lower node ID and must be priced.
-func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, s *fpScratch) (graph.NodeID, bool) {
+func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, capBound []float64, s *fpScratch) (graph.NodeID, bool) {
 	f := e.fast
 	openCount := len(reps) + s.openCountFor(d.dataset)
 	kBound := e.p.MaxReplicas
@@ -416,7 +450,7 @@ func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, s *fpScratch) (graph
 		if f.down[v] {
 			continue
 		}
-		if e.usedGHz(v)+s.tentFor(v)+d.need > f.capEps[v] {
+		if e.usedGHz(v)+s.tentFor(v)+d.need > capBound[v] {
 			continue
 		}
 		rep := 0.0

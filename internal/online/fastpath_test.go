@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,11 +47,57 @@ func offerChecked(t *testing.T, e *Engine, arr Arrival) Decision {
 	return dec
 }
 
+// repairChecks counts what checkRepairs compared.
+type repairChecks struct {
+	picks, fresh, expired, evictions int
+}
+
+// checkRepairs makes every query repair e plans from here on answer to the
+// reference planner (reference_test.go), run at the state the plan was made
+// in — before it is applied, which planning leaves untouched but for the
+// θ cache's bit-exact entries: the same moves, node, opening and hold alike,
+// and the same eviction.
+func checkRepairs(t *testing.T, e *Engine) *repairChecks {
+	t.Helper()
+	c := new(repairChecks)
+	e.repairPlanned = func(q workload.QueryID, datasets []workload.DatasetID,
+		holds map[workload.DatasetID]float64, moves []repairMove, ok bool) {
+		want, wantOK := e.planRepairReference(q, datasets, holds)
+		if ok != wantOK || !slices.Equal(moves, want) {
+			t.Fatalf("repair of query %d at %.3fs diverges from the reference:\ntables    ok=%v %+v\nreference ok=%v %+v",
+				q, e.now, ok, moves, wantOK, want)
+		}
+		c.picks += len(moves)
+		for _, mv := range moves {
+			if mv.fresh {
+				c.fresh++
+			}
+			if !mv.active {
+				c.expired++
+			}
+		}
+		if !ok {
+			c.evictions++
+		}
+	}
+	return c
+}
+
+// requireRepairsChecked fails unless the checked repairs covered moves that
+// open a replica, moves of expired holds and evictions.
+func requireRepairsChecked(t *testing.T, c *repairChecks) {
+	t.Helper()
+	if c.picks == 0 || c.fresh == 0 || c.expired == 0 || c.evictions == 0 {
+		t.Fatalf("checked repairs %+v; the stream does not exercise every repair outcome", *c)
+	}
+}
+
 // TestFastPathEquivalence is the check behind the byte-identity contract:
 // every decision and every rejection classification the precomputed tables
-// produce equals the reference scan's at the same engine state. It runs on
-// one engine — planning is side-effect free, so the reference is taken just
-// before each Offer — over seeded streams with crash/restore churn, and over
+// produce equals the reference scan's at the same engine state, and so does
+// every failover repair plan (checkRepairs). It runs on one engine —
+// planning is side-effect free, so the reference is taken just before each
+// Offer — over seeded streams with crash/restore churn, and over
 // a hand-built symmetric instance whose candidates price identically, which
 // pins the lowest-node tie-break the table order does not give for free. Any
 // divergence means the tables drifted from the pricing math they mirror.
@@ -65,7 +112,9 @@ func TestFastPathEquivalence(t *testing.T) {
 	for _, seed := range []int64{3, 7, 21, 42} {
 		t.Run(fmt.Sprintf("churn/seed=%d", seed), func(t *testing.T) {
 			p, w := NewTestProblem(t, seed, 80)
-			churnStream(t, NewEngine(p, len(w.Queries), Options{}), seed, len(w.Queries), false)
+			e := NewEngine(p, len(w.Queries), Options{})
+			checkRepairs(t, e)
+			churnStream(t, e, seed, len(w.Queries), false)
 		})
 	}
 	bench := benchProblem(t)
@@ -81,7 +130,9 @@ func TestFastPathEquivalence(t *testing.T) {
 			if tc.opt.Forecast != nil && !hasPreferred(e.fast) {
 				t.Fatal("the forecast marked no candidate preferred; rep = 0 is not exercised")
 			}
+			c := checkRepairs(t, e)
 			churnStream(t, e, 11, 2*len(bench.Queries), true)
+			requireRepairsChecked(t, c)
 		})
 	}
 	t.Run("tie", testFastPathTie)
@@ -177,6 +228,7 @@ func testFastPathTie(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := NewEngine(p, len(w.Queries), Options{})
+		checkRepairs(t, e)
 		cands := e.fast.perQuery[0][0].cands
 		if len(cands) != 4 {
 			t.Fatalf("query 0 has %d candidates, want all 4 cloudlets", len(cands))
@@ -594,7 +646,7 @@ func TestPickFastExitKeepsTies(t *testing.T) {
 		{node: 2, delay: up(d0), delayCost: delayCost(up(d0)), preferred: true},
 	}}
 	e.fast.scr.reset()
-	if v, ok := e.pickFast(&d, nil, &e.fast.scr); !ok || v != 2 {
+	if v, ok := e.pickFast(&d, nil, e.fast.capEps, &e.fast.scr); !ok || v != 2 {
 		t.Fatalf("picked node %d (ok=%v) from two candidates that tie at %v; want node 2, the lower ID", v, ok, d.cands[0].delayCost)
 	}
 }

@@ -2,9 +2,11 @@
 // dynamic setting its §2.4 gestures at: queries arrive over time, hold their
 // computing allocation only while executing, and must be admitted or
 // rejected irrevocably on arrival. Replicas are still placed proactively —
-// either by the offline coverage phase over a forecast workload, or lazily
-// up to the K bound — and the admission decision reuses the same dual
-// prices as internal/core, evaluated against the *instantaneous* load.
+// either at the sites internal/core's proactive phase (core.ProactiveSites)
+// chooses over a forecast workload, or lazily up to the K bound — and the
+// admission decision reuses the same dual prices as internal/core, evaluated
+// against the *instantaneous* load. Failover repair prices through the same
+// tables as admission (fastpath.go, failover.go).
 //
 // The admission rule is admit-if-feasible: an arrival is admitted whenever
 // every demand has a feasible node (alive, within the deadline, within
@@ -27,6 +29,7 @@ import (
 
 	"edgerep/internal/cluster"
 	"edgerep/internal/consistency"
+	"edgerep/internal/core"
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
 	"edgerep/internal/journal"
@@ -46,8 +49,11 @@ type Arrival struct {
 // Options tunes the online engine.
 type Options struct {
 	// Forecast, when non-nil, is the workload used to pre-place preferred
-	// replica sites (the proactive phase run on a forecast instead of the
-	// actual arrivals). Nil means fully lazy replication.
+	// replica sites: core.ProactiveSites, the offline algorithm's proactive
+	// phase, runs on it in place of the actual arrivals (its queries in
+	// order; their IDs are not read). A replica opens at a preferred site at
+	// no replica price, in admission and in repair. Nil means fully lazy
+	// replication.
 	Forecast []workload.Query
 	// MaxUtilization rejects any admission that would push a node above
 	// this fraction of capacity; zero means 1.0 (no headroom reserved).
@@ -237,9 +243,9 @@ type Engine struct {
 	res  Result
 	peak float64
 
-	// preferredSites are the forecast-derived proactive sites; replicas at
-	// a preferred site open at zero µ price.
-	preferredSites map[workload.DatasetID]map[graph.NodeID]bool
+	// preferredSites are the forecast-derived proactive sites per dataset,
+	// in ascending node ID; replicas at a preferred site open at zero µ price.
+	preferredSites map[workload.DatasetID][]graph.NodeID
 
 	// traceRun identifies this engine's span in emitted trace events
 	// (trace.go).
@@ -251,6 +257,12 @@ type Engine struct {
 	live *cluster.Liveness
 	// cons, when attached, accounts re-replication traffic for repairs.
 	cons *consistency.Manager
+	// repairPlanned, when set, is handed each query's repair plan at the
+	// state it was made in, before it is applied or the query evicted (ok
+	// false): what the repair-vs-reference test checks through. Nil outside
+	// tests.
+	repairPlanned func(q workload.QueryID, datasets []workload.DatasetID,
+		holds map[workload.DatasetID]float64, moves []repairMove, ok bool)
 
 	// jn and snapEvery make the engine durable (durable.go); replaying is
 	// set while Recover drives the input paths from the journal so they do
@@ -295,96 +307,20 @@ func NewEngine(p *placement.Problem, expectedArrivals int, opt Options) *Engine 
 		snapEvery:  opt.SnapshotEvery,
 	}
 	if opt.Forecast != nil {
-		e.prePlace(opt.Forecast)
+		// core's proactive phase over the forecast: it indexes queries by
+		// ID, so they are renumbered to their positions.
+		queries := slices.Clone(opt.Forecast)
+		for i := range queries {
+			queries[i].ID = workload.QueryID(i)
+		}
+		e.preferredSites = core.ProactiveSites(&placement.Problem{
+			Cloud: p.Cloud, Datasets: p.Datasets, Queries: queries, MaxReplicas: p.MaxReplicas,
+		})
 	}
-	// Tables are built after prePlace: the preferred-site set they bake in
-	// is frozen from here on.
+	// The tables bake the preferred sites in: they are frozen from here on.
 	e.fast = newFastPath(e)
 	e.beginTrace()
 	return e
-}
-
-// prePlace derives preferred sites from the forecast with the same
-// capacity-capped volume-weighted maximum-coverage rule as the offline
-// proactive phase (internal/core); replicas still materialize lazily.
-func (e *Engine) prePlace(forecast []workload.Query) {
-	type demandRef struct {
-		qi, di int
-		need   float64
-	}
-	perDataset := make(map[workload.DatasetID][]demandRef)
-	for qi := range forecast {
-		q := &forecast[qi]
-		for di, dm := range q.Demands {
-			need := e.p.Datasets[dm.Dataset].SizeGB * q.ComputePerGB
-			perDataset[dm.Dataset] = append(perDataset[dm.Dataset], demandRef{qi, di, need})
-		}
-	}
-	feasible := func(d demandRef, v graph.NodeID) bool {
-		q := &forecast[d.qi]
-		return e.evalDelayForecast(q, q.Demands[d.di], v) <= q.DeadlineSec
-	}
-	claimed := make(map[graph.NodeID]float64)
-	e.preferredSites = make(map[workload.DatasetID]map[graph.NodeID]bool)
-	for n := range e.p.Datasets {
-		ds := workload.DatasetID(n)
-		demands := perDataset[ds]
-		if len(demands) == 0 {
-			continue
-		}
-		covered := make([]bool, len(demands))
-		for slot := 0; slot < e.p.MaxReplicas; slot++ {
-			var bestNode graph.NodeID = -1
-			bestEff := 0.0
-			for _, v := range e.p.Cloud.ComputeNodes() {
-				if e.preferredSites[ds][v] {
-					continue
-				}
-				cover := 0.0
-				for i, d := range demands {
-					if !covered[i] && feasible(d, v) {
-						cover += d.need
-					}
-				}
-				if cover <= 0 {
-					continue
-				}
-				eff := math.Min(cover, e.p.Cloud.Capacity(v)-claimed[v])
-				if eff > bestEff {
-					bestNode, bestEff = v, eff
-				}
-			}
-			if bestNode == -1 || bestEff <= 0 {
-				break
-			}
-			if e.preferredSites[ds] == nil {
-				e.preferredSites[ds] = make(map[graph.NodeID]bool)
-			}
-			e.preferredSites[ds][bestNode] = true
-			budget := e.p.Cloud.Capacity(bestNode) - claimed[bestNode]
-			marked := 0.0
-			for i, d := range demands {
-				if covered[i] || !feasible(d, bestNode) {
-					continue
-				}
-				if marked+d.need > budget && marked > 0 {
-					break
-				}
-				covered[i] = true
-				marked += d.need
-			}
-			claimed[bestNode] += marked
-		}
-	}
-}
-
-// evalDelayForecast evaluates the model delay for a forecast query that may
-// not be part of the problem's query list.
-func (e *Engine) evalDelayForecast(q *workload.Query, dm workload.Demand, v graph.NodeID) float64 {
-	size := e.p.Datasets[dm.Dataset].SizeGB
-	proc := size * e.p.Cloud.ProcDelayPerGB(v)
-	trans := size * dm.Selectivity * e.p.Cloud.TransferDelayPerGB(v, q.Home)
-	return proc + trans
 }
 
 // theta prices node v at the current instantaneous utilization. The value

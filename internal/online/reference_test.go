@@ -4,6 +4,9 @@
 // agree with. TestFastPathEquivalence prices every arrival of its streams
 // with this scan at the exact state Offer is about to price it at and
 // requires the table path to match; BenchmarkFastPathPlan/slow times it.
+// Failover repair's own scan, which repair ran before it priced off the same
+// tables, is here too: the same streams plan every repair with it at the
+// state repair planned in and require the same moves.
 //
 // Also the v0 record encoder, the JSON the engine journaled before the binary
 // codec of record.go, and V0Journal, which writes whole journals in it: what
@@ -15,6 +18,7 @@ package online
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 
 	"edgerep/internal/graph"
@@ -215,7 +219,7 @@ func (e *Engine) pickNode(q workload.QueryID, dm workload.Demand,
 			if openCount >= e.p.MaxReplicas {
 				continue
 			}
-			if e.preferredSites == nil || !e.preferredSites[dm.Dataset][v] {
+			if !slices.Contains(e.preferredSites[dm.Dataset], v) {
 				rep = 0.25 * size * float64(openCount+1) / float64(e.p.MaxReplicas)
 			}
 		}
@@ -225,6 +229,91 @@ func (e *Engine) pickNode(q workload.QueryID, dm workload.Demand,
 		}
 	}
 	return best, best != -1
+}
+
+// planRepairReference is the planning half of repairQuery before repair
+// priced off the admission tables, verbatim: tentative capacity and openings
+// kept in maps, one pickRepairNode per stranded dataset, the first failure
+// ending the plan.
+func (e *Engine) planRepairReference(q workload.QueryID, datasets []workload.DatasetID,
+	holds map[workload.DatasetID]float64) ([]repairMove, bool) {
+
+	var moves []repairMove
+	tentative := make(map[graph.NodeID]float64)
+	tentOpen := make(map[workload.DatasetID]map[graph.NodeID]bool)
+	for _, n := range datasets {
+		expiry, active := holds[n]
+		w, fresh, ok := e.pickRepairNode(q, n, active, tentative, tentOpen)
+		if !ok {
+			return moves, false
+		}
+		if active {
+			tentative[w] += e.p.ComputeNeed(q, n)
+		}
+		if fresh {
+			m := tentOpen[n]
+			if m == nil {
+				m = make(map[graph.NodeID]bool)
+				tentOpen[n] = m
+			}
+			m[w] = true
+		}
+		moves = append(moves, repairMove{dataset: n, node: w, fresh: fresh, expiry: expiry, active: active})
+	}
+	return moves, true
+}
+
+// pickRepairNode selects the cheapest live node that can take over one
+// stranded (query, dataset) under the same dual pricing as admission.
+// needsCapacity is false for queries whose hold already expired — their
+// compute is done; only replica presence and the deadline must be restored.
+//
+// Verbatim but for one line: it charged the replica-open price at a
+// preferred site too, where admission (pickNode) charges none. Repair now
+// prices as admission does, so the reference skips the charge there, as
+// pickNode does; on an engine without a forecast the line never fires.
+func (e *Engine) pickRepairNode(q workload.QueryID, n workload.DatasetID, needsCapacity bool,
+	tentative map[graph.NodeID]float64, tentOpen map[workload.DatasetID]map[graph.NodeID]bool) (graph.NodeID, bool, bool) {
+
+	need := e.p.ComputeNeed(q, n)
+	size := e.p.Datasets[n].SizeGB
+	deadline := e.p.Queries[q].DeadlineSec
+	openCount := e.sol.ReplicaCount(n) + len(tentOpen[n])
+	maxU := e.opt.maxUtil()
+
+	var best graph.NodeID = -1
+	bestFresh := false
+	bestCost := math.Inf(1)
+	for _, w := range e.p.Cloud.ComputeNodes() {
+		if e.live.IsDown(w) {
+			continue
+		}
+		delay, ok := e.p.EvalDelay(q, n, w)
+		if !ok || delay > deadline {
+			continue
+		}
+		if needsCapacity {
+			capGHz := e.p.Cloud.Capacity(w)
+			if e.usedGHz(w)+tentative[w]+need > capGHz*maxU+1e-9 {
+				continue
+			}
+		}
+		has := e.sol.HasReplica(n, w) || tentOpen[n][w]
+		repPrice := 0.0
+		if !has {
+			if openCount >= e.p.MaxReplicas {
+				continue
+			}
+			if !slices.Contains(e.preferredSites[n], w) {
+				repPrice = 0.25 * size * float64(openCount+1) / float64(e.p.MaxReplicas)
+			}
+		}
+		cost := need*e.theta(w) + delayPriceWeight*size*(delay/deadline) + repPrice
+		if cost < bestCost {
+			best, bestFresh, bestCost = w, !has, cost
+		}
+	}
+	return best, bestFresh, best != -1
 }
 
 // classifyReference is the generic rejection classification in
@@ -326,7 +415,7 @@ func newFastPathReference(e *Engine) *fastPath {
 					node:      v,
 					delay:     delay,
 					delayCost: delayPriceWeight * size * (delay / deadline),
-					preferred: e.preferredSites != nil && e.preferredSites[dm.Dataset][v],
+					preferred: slices.Contains(e.preferredSites[dm.Dataset], v),
 				})
 			}
 			sort.Slice(d.cands, func(i, j int) bool {
