@@ -13,7 +13,9 @@
 # snapshot + v0, v1 and mixed-format journals + the record codec against its
 # JSON reference and under fuzz + the solution layer against its
 # sort-per-admit reference + group commit/power-loss/commit-fail drills +
-# kill-and-resume byte-identity), the edgerepd daemon drill
+# kill-and-resume byte-identity), the /admit wire codec against its
+# encoding/json reference (decode fuzz, reply bytes, journals through both
+# handlers, allocation pins, body cap), the edgerepd daemon drill
 # (selfdrive byte-identity + HTTP serve/kill -9/same-command-line restart +
 # live /slo and /debug/flight probes + SIGTERM flight snapshot), federation
 # gates (3-region kill-the-leader drill byte-identity + multi-process kill -9
@@ -118,11 +120,23 @@ go test -race -run 'TestSolutionMatchesReference' ./internal/placement
 go test -race -run 'TestRecordCodecMatchesJSON|TestRecoverV0Journal|TestRecoverMixedJournal' ./internal/online
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 5s ./internal/journal
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/online
+# The /admit request decoder against the encoding/json path it replaced.
+go test -run '^$' -fuzz '^FuzzAdmitDecode$' -fuzztime 5s ./internal/server
 # Group commit: one fsync per epoch with acks after it, every byte offset of
 # a power cut recovers every acked decision, a failed commit fails closed, a
 # lone offer pays no timer, a POST is one queue entry, and Drain terminates
 # against a saturated queue.
 go test -race -run 'GroupCommit|PowerLoss|CommitFail|LoneOffer|PostIsOneQueueEntry|DrainUnderSaturation' ./internal/journal ./internal/online ./internal/server
+
+echo "== wire codec gates (/admit decode and reply bytes against encoding/json; same journals through both handlers; allocation pins; body cap)"
+# The hand-written /admit codec against the encoding/json path it replaced
+# (reference_test.go): every decode hazard and its seeds, byte-identical
+# replies for every response shape, and one server per handler fed the same
+# POSTs leaving equal replies and equal journals. A 256-offer body decodes
+# with no allocation and a 256-offer POST allocates a few objects plus one per
+# admit; a body that names no query is a 400, an oversized one a 413.
+go test -race -run 'FuzzAdmitDecode|TestDecodeNestingLimit|TestAdmitEncodeMatchesReference|TestAdmitHandlerMatchesReference|TestAdmitRefusesRequestsNamingNoQuery|TestAdmitBodyCap' ./internal/server
+go test -run 'TestDecodeAllocs|TestAdmitPostAllocs' ./internal/server
 
 echo "== kill-and-resume gate (traced sweep killed mid-write resumes byte-identical)"
 go build -o "$tmp/edgerepsim" ./cmd/edgerepsim

@@ -62,7 +62,7 @@ func isSend(n ast.Node) bool {
 func reorderServer(t *testing.T, src []byte, earlier, later func(ast.Node) bool, laterFirst bool) string {
 	t.Helper()
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "server.go", src, 0)
+	file, err := parser.ParseFile(fset, "server.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +115,27 @@ func reorderServer(t *testing.T, src []byte, earlier, later func(ast.Node) bool,
 // requires a finding that names the result send.
 func requireUnackedSendFlagged(t *testing.T, src, what string) {
 	t.Helper()
-	scratch, err := NewRepoFromSource("internal/server/server.go", src)
+	requireAckFlagged(t, map[string]string{"internal/server/server.go": src}, "result send", what)
+}
+
+// requireAckFlagged runs ackorder over rewritten server sources and requires
+// a finding that names the ack kind.
+func requireAckFlagged(t *testing.T, files map[string]string, kind, what string) {
+	t.Helper()
+	scratch, err := NewRepoFromSources(files)
 	if err != nil {
-		t.Fatalf("reordered server.go does not parse: %v", err)
+		t.Fatalf("reordered server sources do not parse: %v", err)
 	}
 	findings := scratch.Run([]*Analyzer{ByName("ackorder")})
 	if len(findings) == 0 {
 		t.Fatalf("%s, but ackorder stayed silent", what)
 	}
 	for _, f := range findings {
-		if f.Analyzer == "ackorder" && strings.Contains(f.Message, "result send is not preceded") {
+		if f.Analyzer == "ackorder" && strings.Contains(f.Message, kind+" is not preceded") {
 			return
 		}
 	}
-	t.Fatalf("no ackorder finding names the reordered result send; got: %v", findings)
+	t.Fatalf("no ackorder finding names the reordered %s; got: %v", kind, findings)
 }
 
 // TestAckOrderCatchesReorderedAck is the acceptance check for the
@@ -152,4 +159,69 @@ func TestAckOrderCatchesCommitBelowSend(t *testing.T) {
 	src := readPristineServer(t)
 	reordered := reorderServer(t, src, callsNamed("Commit"), isSend, false)
 	requireUnackedSendFlagged(t, reordered, "commit barrier moved below the first ack send")
+}
+
+// isReplyStore matches the store of a decision into its POST's reply slot.
+func isReplyStore(n ast.Node) bool {
+	as, ok := n.(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 {
+		return false
+	}
+	ix, ok := as.Lhs[0].(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ix.X.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "replies"
+}
+
+// TestAckOrderCatchesReplyStoreAboveCommit: a POST's decisions are acked by
+// the store into its reply slots, so moving the delivery loop that stores
+// them above the epoch's Commit — the handler could answer before the fsync —
+// must be flagged as an unacked reply store.
+func TestAckOrderCatchesReplyStoreAboveCommit(t *testing.T) {
+	src := readPristineServer(t)
+	reordered := reorderServer(t, src, callsNamed("Commit"), isReplyStore, true)
+	requireAckFlagged(t, map[string]string{"internal/server/server.go": reordered},
+		"reply store", "reply store moved above the commit barrier")
+}
+
+// serverSources reads the real internal/server package, tests excluded, by
+// repo-relative path, and requires ackorder to pass it as it stands.
+func serverSources(t *testing.T) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir("../../internal/server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			src, err := os.ReadFile("../../internal/server/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files["internal/server/"+name] = string(src)
+		}
+	}
+	pristine, err := NewRepoFromSources(files)
+	if err != nil {
+		t.Fatalf("internal/server does not parse: %v", err)
+	}
+	if findings := pristine.Run([]*Analyzer{ByName("ackorder")}); len(findings) != 0 {
+		t.Fatalf("pristine internal/server already flagged: %v", findings)
+	}
+	return files
+}
+
+// TestAckOrderCatchesWriteAboveDispatch: /admit acks by writing the bytes
+// its AdmitResponses were appended into, so moving that write above dispatch
+// in http.go — the client told before its decisions are durable — must be
+// flagged as an unacked AdmitResponse write. The package is checked whole,
+// so the write is recognised through resolved types.
+func TestAckOrderCatchesWriteAboveDispatch(t *testing.T) {
+	files := serverSources(t)
+	const httpGo = "internal/server/http.go"
+	files[httpGo] = reorderServer(t, []byte(files[httpGo]), callsNamed("dispatch"), callsNamed("Write"), true)
+	requireAckFlagged(t, files, "AdmitResponse write", "ResponseWriter write moved above dispatch")
 }

@@ -13,6 +13,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 const serverPkg = "internal/server"
@@ -51,18 +52,20 @@ func inspectShallow(body *ast.BlockStmt, fn func(ast.Node) bool) {
 
 // ackOrder is the exactly-once invariant as a static rule: in
 // internal/server, every ack — a send of a server result value to a
-// waiter, or a JSON encode of an AdmitResponse onto the HTTP response —
-// must be dominated in its function by the durability barrier: the engine
-// (or journal) Commit that fsyncs the epoch's records, or the receive of an
-// already-committed result. Offer and Append do not count: under group
-// commit they only write the record, and acking between the write and the
-// commit would tell the client "admitted" before the decision is durable,
-// so a power cut in between loses an acknowledged decision.
+// waiter, a store of one into a POST's reply slot, a JSON encode of an
+// AdmitResponse onto the HTTP response, or a write to the ResponseWriter of
+// bytes an AdmitResponse was appended into — must be dominated in its
+// function by the durability barrier: the engine (or journal) Commit that
+// fsyncs the epoch's records, or the receive of an already-committed result.
+// Offer and Append do not count: under group commit they only write the
+// record, and acking between the write and the commit would tell the client
+// "admitted" before the decision is durable, so a power cut in between loses
+// an acknowledged decision.
 // Dominance is lexical order within the scope, which the server's
 // straight-line handler shapes make exact.
 var ackOrder = &Analyzer{
 	Name: "ackorder",
-	Doc:  "in internal/server, ack writes (result sends, AdmitResponse encodes) must be preceded by the journal commit barrier (Commit) or a committed-result receive on the same path",
+	Doc:  "in internal/server, ack writes (result sends and reply-slot stores, AdmitResponse encodes and ResponseWriter writes of appended AdmitResponses) must be preceded by the journal commit barrier (Commit) or a committed-result receive on the same path",
 	Run: func(r *Repo) []Finding {
 		var out []Finding
 		for _, f := range r.Files {
@@ -76,6 +79,15 @@ var ackOrder = &Analyzer{
 					what string
 				}
 				var acks []ack
+				// encoded holds the variables an AdmitResponse was appended
+				// into; writes lists the ResponseWriter writes and the
+				// variable each writes out.
+				encoded := make(map[any]bool)
+				type write struct {
+					pos  token.Pos
+					root any
+				}
+				var writes []write
 				inspectShallow(body, func(n ast.Node) bool {
 					switch v := n.(type) {
 					case *ast.UnaryExpr:
@@ -94,6 +106,23 @@ var ackOrder = &Analyzer{
 							if len(v.Args) == 1 && r.isAdmitResponse(v.Args[0]) {
 								acks = append(acks, ack{v.Pos(), "AdmitResponse encode"})
 							}
+						case "Write":
+							if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok && len(v.Args) == 1 && r.isResponseWriter(sel.X) {
+								writes = append(writes, write{v.Pos(), r.rootKey(v.Args[0])})
+							}
+						}
+					case *ast.AssignStmt:
+						for _, rhs := range v.Rhs {
+							if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && slices.ContainsFunc(call.Args, r.isAdmitResponse) {
+								for _, lhs := range v.Lhs {
+									encoded[r.rootKey(lhs)] = true
+								}
+							}
+						}
+						if len(v.Lhs) == 1 && len(v.Rhs) == 1 && r.isResultValue(v.Rhs[0]) {
+							if _, slot := ast.Unparen(v.Lhs[0]).(*ast.IndexExpr); slot {
+								acks = append(acks, ack{v.Pos(), "reply store"})
+							}
 						}
 					case *ast.SendStmt:
 						if r.isResultValue(v.Value) {
@@ -102,6 +131,11 @@ var ackOrder = &Analyzer{
 					}
 					return true
 				})
+				for _, w := range writes {
+					if w.root != nil && encoded[w.root] {
+						acks = append(acks, ack{w.pos, "AdmitResponse write"})
+					}
+				}
 				for _, a := range acks {
 					dominated := false
 					for _, d := range dominators {
@@ -167,6 +201,42 @@ func (r *Repo) isAdmitResponse(e ast.Expr) bool {
 	}
 	pkg, name, ok := namedPathName(t)
 	return ok && pkg == serverImportPath && name == "AdmitResponse"
+}
+
+// isResponseWriter reports whether e is an http.ResponseWriter (untyped
+// fallback: an identifier named w, the handlers' convention).
+func (r *Repo) isResponseWriter(e ast.Expr) bool {
+	if t := r.typeOf(e); t != nil {
+		pkg, name, ok := namedPathName(t)
+		return ok && pkg == "net/http" && name == "ResponseWriter"
+	}
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "w"
+}
+
+// rootKey identifies the variable an expression reads or stores through
+// (sc in sc.out[:n]): its resolved object, else its name; nil when the
+// expression has no variable at its root.
+func (r *Repo) rootKey(e ast.Expr) any {
+	for {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.SliceExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		case *ast.Ident:
+			if o := r.obj(v); o != nil {
+				return o
+			}
+			return v.Name
+		default:
+			return nil
+		}
+	}
 }
 
 // --- goroexit ---------------------------------------------------------------

@@ -12,14 +12,22 @@ import (
 // enclosing module on disk (found from the working directory), so typed
 // fixtures can reference real packages like edgerep/internal/graph.
 func NewRepoFromSource(filename, src string) (*Repo, error) {
+	return NewRepoFromSources(map[string]string{filename: src})
+}
+
+// NewRepoFromSources is NewRepoFromSource for several files, keyed by
+// repo-relative path; files of one directory type-check as one package.
+func NewRepoFromSources(files map[string]string) (*Repo, error) {
 	r := &Repo{Fset: token.NewFileSet()}
 	if wd, err := os.Getwd(); err == nil {
 		if base := moduleRoot(wd); base != wd || fileExists(filepath.Join(base, "go.mod")) {
 			r.diskRoot = base
 		}
 	}
-	if err := r.addFile(filename, src); err != nil {
-		return nil, err
+	for name, src := range files {
+		if err := r.addFile(name, src); err != nil {
+			return nil, err
+		}
 	}
 	r.finish()
 	return r, nil

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -95,33 +96,37 @@ func (rt *Router) Forward(shard int, reqs []AdmitRequest) ([]AdmitResponse, erro
 // the local epoch loop as one queue entry (enqueued in order before any
 // decision is awaited, preserving the ordering contract), requests owned by
 // another shard are forwarded in one batch per peer. Responses come back in
-// request order. On error the returned status is the HTTP code the handler
+// request order, in sc.resps. Once dispatch has enqueued anything it waits
+// for every local decision before it returns, error or not, so the caller
+// may reuse sc. On error the returned status is the HTTP code the handler
 // should answer.
-func (s *Server) dispatch(reqs []AdmitRequest) ([]AdmitResponse, int, error) {
+func (s *Server) dispatch(reqs []AdmitRequest, sc *admitScratch) ([]AdmitResponse, int, error) {
 	rt := s.router.Load()
-	resps := make([]AdmitResponse, len(reqs))
+	resps := slices.Grow(sc.resps[:0], len(reqs))[:len(reqs)]
+	sc.resps = resps
 	// own is the locally owned part of reqs; local[k] is own[k]'s index in
-	// reqs.
-	own := make([]AdmitRequest, 0, len(reqs))
-	local := make([]int, 0, len(reqs))
-	remote := make(map[int][]int)
-	for i, req := range reqs {
-		if rt != nil && rt.Owner != nil {
+	// reqs, or nil when every request is owned here (own is reqs).
+	own, local := reqs, []int(nil)
+	var remote map[int][]int
+	if rt != nil && rt.Owner != nil {
+		own, local = nil, nil
+		remote = make(map[int][]int)
+		for i, req := range reqs {
 			if shard := rt.Owner(req.Query); shard != rt.Self {
 				remote[shard] = append(remote[shard], i)
 				continue
 			}
+			own = append(own, req)
+			local = append(local, i)
 		}
-		own = append(own, req)
-		local = append(local, i)
 	}
-	var post []pending
 	if len(own) > 0 {
-		var err error
-		if post, err = s.enqueuePost(own); err != nil {
+		if err := s.enqueuePost(&sc.post, own); err != nil {
 			return nil, enqueueStatus(err), err
 		}
 	}
+	var status int
+	var err error
 	shards := make([]int, 0, len(remote))
 	for shard := range remote {
 		shards = append(shards, shard)
@@ -133,20 +138,30 @@ func (s *Server) dispatch(reqs []AdmitRequest) ([]AdmitResponse, int, error) {
 		for k, i := range idxs {
 			batch[k] = reqs[i]
 		}
-		out, err := rt.Forward(shard, batch)
-		if err != nil {
-			return nil, http.StatusBadGateway, err
+		out, ferr := rt.Forward(shard, batch)
+		if ferr != nil {
+			status, err = http.StatusBadGateway, ferr
+			break
 		}
 		for k, i := range idxs {
 			resps[i] = out[k]
 		}
 	}
-	for k := range post {
-		res := <-post[k].resp
-		if res.err != nil {
-			return nil, http.StatusInternalServerError, res.err
+	if len(own) > 0 {
+		<-sc.post.done
+		for k, res := range sc.post.replies {
+			if res.err != nil && err == nil {
+				status, err = http.StatusInternalServerError, res.err
+			}
+			i := k
+			if local != nil {
+				i = local[k]
+			}
+			resps[i] = res.resp
 		}
-		resps[local[k]] = res.resp
+	}
+	if err != nil {
+		return nil, status, err
 	}
 	return resps, http.StatusOK, nil
 }

@@ -63,7 +63,7 @@ func TestGroupCommitOneFsyncPerEpoch(t *testing.T) {
 	const epochs = 6
 	for e := 0; e < epochs; e++ {
 		sent := instrument.Mono()
-		resps, status, err := s.dispatch(epochBatch(p, e))
+		resps, status, err := s.dispatch(epochBatch(p, e), new(admitScratch))
 		observed := int64(instrument.Mono() - sent)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("epoch %d: status %d, %v", e, status, err)
@@ -233,7 +233,7 @@ func TestPostIsOneQueueEntry(t *testing.T) {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				resps[k], _, errs[k] = s.dispatch(posts[k])
+				resps[k], _, errs[k] = s.dispatch(posts[k], new(admitScratch))
 			}(k)
 		}
 		deadline := time.Now().Add(10 * time.Second)
@@ -298,7 +298,7 @@ func TestPostIsOneQueueEntry(t *testing.T) {
 		for i := range post {
 			post[i] = AdmitRequest{Query: workload.QueryID(i % len(p.Queries)), AtSec: float64(i+1) * 0.001, HoldSec: 0.01}
 		}
-		resps, status, err := s.dispatch(post)
+		resps, status, err := s.dispatch(post, new(admitScratch))
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("status %d, %v", status, err)
 		}
@@ -341,6 +341,7 @@ func TestDrainUnderSaturation(t *testing.T) {
 	const senders, perSender, postLen = 8, 560, 4
 	type sent struct {
 		chans    []<-chan result
+		posts    []*postEntry
 		draining bool
 		err      error
 	}
@@ -359,14 +360,12 @@ func TestDrainUnderSaturation(t *testing.T) {
 					for j := range reqs {
 						reqs[j] = req
 					}
-					pds, err := s.enqueuePost(reqs)
-					if err != nil {
+					pe := new(postEntry)
+					if err := s.enqueuePost(pe, reqs); err != nil {
 						o.draining, o.err = errors.Is(err, ErrDraining), err
 						return
 					}
-					for j := range pds {
-						o.chans = append(o.chans, pds[j].resp)
-					}
+					o.posts = append(o.posts, pe)
 					continue
 				}
 				ch, err := s.enqueue(req)
@@ -421,6 +420,15 @@ func TestDrainUnderSaturation(t *testing.T) {
 				t.Fatalf("sender %d offer %d: %v", k, i, r.err)
 			}
 			decisions++
+		}
+		for i, pe := range o.posts {
+			<-pe.done
+			for j, r := range pe.replies {
+				if r.err != nil {
+					t.Fatalf("sender %d POST %d offer %d: %v", k, i, j, r.err)
+				}
+				decisions++
+			}
 		}
 	}
 	if decisions <= queueDepth {

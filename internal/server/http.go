@@ -9,8 +9,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
 	"edgerep/internal/instrument"
@@ -31,7 +34,23 @@ func (s *Server) Handler(fallback http.Handler) http.Handler {
 	return mux
 }
 
-// admitHandler accepts one AdmitRequest object or a JSON array of them. A
+// admitScratch is one /admit request's reusable memory: the body, the
+// decoded requests, the POST's queue entry and replies, the responses and
+// the encoded reply. The handler takes one from admitScratchPool and puts it
+// back when it returns, by which time dispatch has seen every local decision
+// stored, so the epoch loop no longer touches it.
+type admitScratch struct {
+	body  []byte
+	reqs  []AdmitRequest
+	post  postEntry
+	resps []AdmitResponse
+	out   []byte
+}
+
+var admitScratchPool = sync.Pool{New: func() any { return new(admitScratch) }}
+
+// admitHandler accepts one AdmitRequest object or a JSON array of them (see
+// codec.go for the wire format and OPERATIONS.md for what it refuses). A
 // batch is enqueued as one queue entry before any decision is awaited, so it
 // lands in as few micro-epochs as the size bound allows.
 func (s *Server) admitHandler(w http.ResponseWriter, r *http.Request) {
@@ -39,29 +58,27 @@ func (s *Server) admitHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var raw json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
+	sc := admitScratchPool.Get().(*admitScratch)
+	defer func() {
+		// Drop what the replies point at (the epochs' arenas) before pooling.
+		clear(sc.post.replies)
+		clear(sc.resps)
+		admitScratchPool.Put(sc)
+	}()
+	var err error
+	if sc.body, err = readBody(sc.body, http.MaxBytesReader(w, r.Body, maxAdmitBody), r.ContentLength); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", maxAdmitBody), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, fmt.Sprintf("read request: %v", err), http.StatusBadRequest)
 		return
 	}
-	var reqs []AdmitRequest
-	single := false
-	if len(raw) > 0 && raw[0] == '[' {
-		if err := json.Unmarshal(raw, &reqs); err != nil {
-			http.Error(w, fmt.Sprintf("decode batch: %v", err), http.StatusBadRequest)
-			return
-		}
-	} else {
-		var one AdmitRequest
-		if err := json.Unmarshal(raw, &one); err != nil {
-			http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
-			return
-		}
-		reqs = []AdmitRequest{one}
-		single = true
-	}
-	if len(reqs) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
+	reqs, single, err := decodeAdmit(sc.body, sc.reqs)
+	sc.reqs = reqs
+	if err != nil {
+		http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
 		return
 	}
 	// Failover fence: every request's term is compared BEFORE anything is
@@ -70,11 +87,11 @@ func (s *Server) admitHandler(w http.ResponseWriter, r *http.Request) {
 	// is answered 409 with the current term and the client re-offers.
 	for _, req := range reqs {
 		if err := s.CheckTerm(req.Term); err != nil {
-			s.writeTermFence(w, reqs, single)
+			s.writeTermFence(w, reqs, single, sc)
 			return
 		}
 	}
-	resps, status, err := s.dispatch(reqs)
+	resps, status, err := s.dispatch(reqs, sc)
 	if err != nil {
 		// Decisions already enqueued still execute (and journal); the
 		// client sees the whole batch fail and may safely re-offer —
@@ -82,16 +99,35 @@ func (s *Server) admitHandler(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if single {
-		if err := enc.Encode(resps[0]); err != nil {
-			return
-		}
+	if sc.out, err = appendAdmitReply(sc.out[:0], resps, single); err != nil {
 		return
 	}
-	if err := enc.Encode(resps); err != nil {
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(sc.out); err != nil {
 		return
+	}
+}
+
+// readBody reads r to its end into buf[:0], growing it as needed; size, when
+// positive, is the expected length (the request's Content-Length).
+func readBody(buf []byte, r io.Reader, size int64) ([]byte, error) {
+	buf = buf[:0]
+	if size > 0 && size < maxAdmitBody {
+		// One byte past the body, so the read that meets EOF needs no growth.
+		buf = slices.Grow(buf, int(size)+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
 }
 
@@ -107,9 +143,10 @@ func enqueueStatus(err error) int {
 // writeTermFence answers a stale-term batch: 409 Conflict, every member
 // rejected with ReasonLeaderFailover and the server's current term so the
 // client can re-offer correctly fenced. Nothing was enqueued or journaled.
-func (s *Server) writeTermFence(w http.ResponseWriter, reqs []AdmitRequest, single bool) {
+func (s *Server) writeTermFence(w http.ResponseWriter, reqs []AdmitRequest, single bool, sc *admitScratch) {
 	cur := s.Term()
-	resps := make([]AdmitResponse, len(reqs))
+	resps := slices.Grow(sc.resps[:0], len(reqs))[:len(reqs)]
+	sc.resps = resps
 	for i, req := range reqs {
 		resps[i] = AdmitResponse{
 			Query:   req.Query,
@@ -122,16 +159,12 @@ func (s *Server) writeTermFence(w http.ResponseWriter, reqs []AdmitRequest, sing
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusConflict)
-	enc := json.NewEncoder(w)
-	if single {
-		//lint:ignore ackorder a fenced batch is rejected before anything is enqueued or journaled; there is no decision to make durable
-		if err := enc.Encode(resps[0]); err != nil {
-			return
-		}
+	var err error
+	if sc.out, err = appendAdmitReply(sc.out[:0], resps, single); err != nil {
 		return
 	}
 	//lint:ignore ackorder a fenced batch is rejected before anything is enqueued or journaled; there is no decision to make durable
-	if err := enc.Encode(resps); err != nil {
+	if _, err := w.Write(sc.out); err != nil {
 		return
 	}
 }

@@ -279,3 +279,50 @@ func TestConcurrentAdmitScrapeRestart(t *testing.T) {
 			res.Admitted+res.Rejected, acked1+acked2)
 	}
 }
+
+// TestAdmitRefusesRequestsNamingNoQuery: a body that names no query — null,
+// an empty object, a null batch member, an object whose only query is null
+// — is answered 400, and nothing is priced or journaled for it or for the
+// rest of its batch.
+func TestAdmitRefusesRequestsNamingNoQuery(t *testing.T) {
+	_, jn, s, _ := newNoSyncServer(t, 64)
+	ts := httptest.NewServer(s.Handler(nil))
+	defer ts.Close()
+	for _, body := range []string{`null`, `{}`, `[null]`, `{"at_sec":1}`, `{"query":null}`, `[{"query":1},{}]`, `[{"query":1},null]`} {
+		if code, data := post(t, ts.URL+"/admit", body); code != http.StatusBadRequest {
+			t.Fatalf("%s: %d %s, want 400", body, code, data)
+		}
+	}
+	if n := s.Offers(); n != 0 || jn.LSN() != 0 {
+		t.Fatalf("refused bodies priced %d offers and journaled %d records", n, jn.LSN())
+	}
+	if code, data := post(t, ts.URL+"/admit", `{"query":0}`); code != http.StatusOK {
+		t.Fatalf("a request naming query 0: %d %s", code, data)
+	}
+	if jn.LSN() != 1 {
+		t.Fatalf("journal LSN %d after one admitted request", jn.LSN())
+	}
+}
+
+// TestAdmitBodyCap: a body over maxAdmitBody is answered 413 and nothing of
+// it is journaled, even when its first value is a well-formed batch.
+func TestAdmitBodyCap(t *testing.T) {
+	_, jn, s, _ := newNoSyncServer(t, 64)
+	ts := httptest.NewServer(s.Handler(nil))
+	defer ts.Close()
+	var b strings.Builder
+	b.WriteString(`[{"query":1}`)
+	for b.Len() <= maxAdmitBody {
+		b.WriteString(`,{"query":2,"at_sec":0.5,"hold_sec":0.25}`)
+	}
+	b.WriteString(`]`)
+	if code, data := post(t, ts.URL+"/admit", b.String()); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: %d %.80s, want 413", b.Len(), code, data)
+	}
+	if n := s.Offers(); n != 0 || jn.LSN() != 0 {
+		t.Fatalf("an oversized body priced %d offers and journaled %d records", n, jn.LSN())
+	}
+	if code, data := post(t, ts.URL+"/admit", `[{"query":1},{"query":2}]`); code != http.StatusOK {
+		t.Fatalf("a small batch after the oversized one: %d %s", code, data)
+	}
+}

@@ -28,6 +28,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,16 +169,35 @@ type result struct {
 }
 
 type pending struct {
-	req  AdmitRequest
-	enq  time.Time
+	req AdmitRequest
+	enq time.Time
+	// resp carries the decision of an offer queued alone (enqueue).
 	resp chan result
+	// post is set instead for an offer of a POST: its decision is stored in
+	// post.replies[idx].
+	post *postEntry
+	idx  int
 	// enqMono is the sanctioned-monotonic-clock enqueue stamp, taken instead
 	// of enq while attribution is active (queue stage = batch close−enqMono).
 	enqMono time.Duration
 	// rest is the remainder of a multi-offer POST, in request order, when
 	// this pending is its head: the whole POST is one queue entry, which the
 	// epoch loop unpacks (see enqueuePost).
-	rest []*pending
+	rest []pending
+}
+
+// postEntry is one POST's locally owned offers: their pendings, queued as one
+// entry, and a reply slot each. The epoch loop stores every decision in its
+// slot and sends on done once, after the last store; the handler reads
+// replies after that receive. A postEntry is reused across POSTs (the handler
+// pools it), so a POST allocates no channel and no slice of its own.
+type postEntry struct {
+	pds     []pending
+	replies []result
+	// left counts the decisions not yet stored; once the post is queued only
+	// the epoch loop touches it.
+	left int
+	done chan struct{}
 }
 
 // Server owns the cluster state (one online engine) and serves admission.
@@ -289,31 +309,31 @@ func (s *Server) enqueue(req AdmitRequest) (<-chan result, error) {
 }
 
 // enqueuePost pushes a POST's offers (at least one) onto the admission queue
-// as one entry, in request order, and returns their pendings, whose resp
-// channels carry the decisions. Every query is checked before anything is enqueued, so a
-// POST is queued whole or not at all. Being one entry, a POST is never
-// interleaved with another sender's offers and never cut into more epochs
-// than EpochMaxQueries forces.
-func (s *Server) enqueuePost(reqs []AdmitRequest) ([]pending, error) {
+// as one entry, in request order, filling p; after a receive on p.done,
+// p.replies holds their decisions in the same order. Every query is checked
+// before anything is enqueued, so a POST is queued whole or not at all. Being
+// one entry, a POST is never interleaved with another sender's offers and
+// never cut into more epochs than EpochMaxQueries forces.
+func (s *Server) enqueuePost(p *postEntry, reqs []AdmitRequest) error {
 	for _, req := range reqs {
 		if err := s.checkQuery(req.Query); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	pds := make([]pending, len(reqs))
-	for i := range pds {
-		pds[i] = pending{req: reqs[i], resp: make(chan result, 1)}
-		pds[i].stamp()
+	if p.done == nil {
+		p.done = make(chan struct{}, 1)
 	}
-	rest := make([]*pending, len(pds)-1)
-	for i := range rest {
-		rest[i] = &pds[i+1]
+	p.pds = slices.Grow(p.pds[:0], len(reqs))[:len(reqs)]
+	p.replies = slices.Grow(p.replies[:0], len(reqs))[:len(reqs)]
+	p.left = len(reqs)
+	// One enqueue stamp serves the whole POST: its offers arrive together.
+	var head pending
+	head.stamp()
+	for i := range p.pds {
+		p.pds[i] = pending{req: reqs[i], enq: head.enq, enqMono: head.enqMono, post: p, idx: i}
 	}
-	pds[0].rest = rest
-	if err := s.push(&pds[0]); err != nil {
-		return nil, err
-	}
-	return pds, nil
+	p.pds[0].rest = p.pds[1:]
+	return s.push(&p.pds[0])
 }
 
 // checkQuery refuses a query ID outside the instance's query list.
@@ -369,7 +389,7 @@ func (s *Server) run() {
 	defer close(s.done)
 	max := s.cfg.epochMax()
 	batch := make([]*pending, 0, max)
-	var carry []*pending
+	var carry []pending
 	for {
 		batch = batch[:0]
 		if len(carry) == 0 {
@@ -382,7 +402,10 @@ func (s *Server) run() {
 	collect:
 		for {
 			n := min(max-len(batch), len(carry))
-			batch, carry = append(batch, carry[:n]...), carry[n:]
+			for i := range carry[:n] {
+				batch = append(batch, &carry[i])
+			}
+			carry = carry[n:]
 			if len(carry) > 0 || len(batch) == max {
 				break
 			}
@@ -452,6 +475,10 @@ func (s *Server) processEpoch(batch []*pending) {
 	slots := s.slots[:len(batch)]
 	var tl instrument.StageTimeline
 	var stageArena []int64
+	// asgArena backs the epoch's responses' Assignments the way stageArena
+	// backs their StageNs: a chunk is allocated when the last one is full,
+	// never reused, so a reply keeps its assignments however long it lives.
+	var asgArena []Assignment
 	var batchClose, commitStart, commitEnd time.Duration
 
 	// Phase 1: price, journal and commit under the epoch lock.
@@ -516,8 +543,15 @@ func (s *Server) processEpoch(batch []*pending) {
 		}
 		if dec.Admitted {
 			statAdmitted.Inc()
-			for _, asg := range dec.Assignments {
-				sl.resp.Assignments = append(sl.resp.Assignments, Assignment{Dataset: asg.Dataset, Node: asg.Node})
+			if n := len(dec.Assignments); n > 0 {
+				if cap(asgArena)-len(asgArena) < n {
+					asgArena = make([]Assignment, 0, max(n, 2*len(batch)))
+				}
+				k := len(asgArena)
+				for _, asg := range dec.Assignments {
+					asgArena = append(asgArena, Assignment{Dataset: asg.Dataset, Node: asg.Node})
+				}
+				sl.resp.Assignments = asgArena[k:len(asgArena):len(asgArena)]
 			}
 		} else {
 			statRejected.Inc()
@@ -572,50 +606,60 @@ func (s *Server) processEpoch(batch []*pending) {
 	for i := range slots {
 		sl := &slots[i]
 		pd := batch[i]
-		if commitErr != nil {
-			// Fail closed: what this epoch decided may not be on disk.
-			pd.resp <- result{err: commitErr}
-			continue
+		// Fail closed on a failed commit: what this epoch decided may not
+		// be on disk.
+		res := result{err: commitErr}
+		if commitErr == nil {
+			res.err = sl.err
 		}
-		if sl.err != nil {
-			pd.resp <- result{err: sl.err}
-			continue
-		}
-		var e2e float64
-		var end time.Duration
-		if attributed {
-			end = instrument.Mono()
-			ack := clampNs(int64(commitStart-sl.t1)) + clampNs(int64(end-commitEnd))
-			sl.tl[instrument.StageFsync] = commitNs
-			sl.tl[instrument.StageAck] = ack
-			sl.resp.StageNs[instrument.StageFsync] = commitNs
-			sl.resp.StageNs[instrument.StageAck] = ack
-			for j := range s.stageBatch {
-				s.stageBatch[j].Observe(float64(sl.tl[j])*1e-9, sl.id)
-			}
-			// The attributed end-to-end observation is the stage sum — the
-			// seven stages telescope back to enqueue→response on one clock.
-			e2e = float64(sl.tl.TotalNs()) * 1e-9
-			s.admitBatch.Observe(e2e, sl.id)
-		} else if !pd.enq.IsZero() {
-			e2e = time.Since(pd.enq).Seconds()
-			histAdmitLatency.Observe(e2e)
-		}
-		if tr != nil {
-			s.sloBatch.Observe(e2e, sl.admitted, sl.resp.Reason)
-		}
-		if fr != nil {
-			kind := instrument.EventAdmit
-			if !sl.admitted {
-				kind = instrument.EventReject
-			}
-			var stages *instrument.StageTimeline
+		if res.err == nil {
+			var e2e float64
+			var end time.Duration
 			if attributed {
-				stages = &sl.tl
+				end = instrument.Mono()
+				ack := clampNs(int64(commitStart-sl.t1)) + clampNs(int64(end-commitEnd))
+				sl.tl[instrument.StageFsync] = commitNs
+				sl.tl[instrument.StageAck] = ack
+				sl.resp.StageNs[instrument.StageFsync] = commitNs
+				sl.resp.StageNs[instrument.StageAck] = ack
+				for j := range s.stageBatch {
+					s.stageBatch[j].Observe(float64(sl.tl[j])*1e-9, sl.id)
+				}
+				// The attributed end-to-end observation is the stage sum — the
+				// seven stages telescope back to enqueue→response on one clock.
+				e2e = float64(sl.tl.TotalNs()) * 1e-9
+				s.admitBatch.Observe(e2e, sl.id)
+			} else if !pd.enq.IsZero() {
+				e2e = time.Since(pd.enq).Seconds()
+				histAdmitLatency.Observe(e2e)
 			}
-			fr.RecordDecisionAt(kind, int64(pd.req.Query), epoch, sl.admitted, sl.resp.Reason, stages, int64(end))
+			if tr != nil {
+				s.sloBatch.Observe(e2e, sl.admitted, sl.resp.Reason)
+			}
+			if fr != nil {
+				kind := instrument.EventAdmit
+				if !sl.admitted {
+					kind = instrument.EventReject
+				}
+				var stages *instrument.StageTimeline
+				if attributed {
+					stages = &sl.tl
+				}
+				fr.RecordDecisionAt(kind, int64(pd.req.Query), epoch, sl.admitted, sl.resp.Reason, stages, int64(end))
+			}
+			res.resp = sl.resp
 		}
-		pd.resp <- result{resp: sl.resp}
+		if p := pd.post; p != nil {
+			// The store is the decision's ack to its POST; done, sent after
+			// the POST's last store, hands the replies over. Nothing here
+			// touches p or pd after that send: the handler reuses both.
+			p.replies[pd.idx] = res
+			if p.left--; p.left == 0 {
+				p.done <- struct{}{}
+			}
+			continue
+		}
+		pd.resp <- res
 	}
 	if attributed {
 		for i := range s.stageBatch {
