@@ -26,7 +26,6 @@ import (
 	"edgerep/internal/metrics"
 	"edgerep/internal/placement"
 	"edgerep/internal/reactive"
-	"edgerep/internal/routing"
 	"edgerep/internal/topology"
 	"edgerep/internal/workload"
 )
@@ -407,39 +406,6 @@ func BenchmarkProactiveVsReactive(b *testing.B) {
 	if reSum > 0 {
 		b.ReportMetric(proSum/reSum, "proactive_x")
 	}
-}
-
-// BenchmarkBottleneckRouting measures how much load-aware multipath routing
-// flattens the worst link versus plain shortest-path transfers.
-func BenchmarkBottleneckRouting(b *testing.B) {
-	tc := topology.DefaultConfig()
-	top := topology.MustGenerate(tc)
-	wc := workload.DefaultConfig()
-	wc.NumDatasets = 12
-	wc.NumQueries = 60
-	wc.MaxDatasetsPerQuery = 5
-	w := workload.MustGenerate(wc, top)
-	p, err := placement.NewProblem(cluster.New(top), w, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := core.ApproG(p, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var single, multi *routing.Footprint
-	for i := 0; i < b.N; i++ {
-		single, err = routing.MeasureFootprint(p, res.Solution, routing.NewRouter(top))
-		if err != nil {
-			b.Fatal(err)
-		}
-		multi, err = routing.MeasureFootprintMultipath(p, res.Solution, top, 3, 1.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(single.MaxLinkGB, "bottleneck_shortest_gb")
-	b.ReportMetric(multi.MaxLinkGB, "bottleneck_loadaware_gb")
 }
 
 // BenchmarkAlgorithmsHeadToHead times all four algorithms on the same

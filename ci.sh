@@ -100,14 +100,17 @@ go test -race -run 'TestAscentMatchesReference|TestAdmissionBoundsHold|TestHandB
 go test -run 'TestAscentPlansAThird' ./internal/core
 go test -run 'TestDemandDelaysMatchEvalDelay' ./internal/placement
 
-echo "== chaos gates (seeded crash sweep replays clean; failover paths race-clean; wall-clock smoke)"
+echo "== chaos gates (seeded crash sweep replays clean; failover paths race-clean; testbed transport faults race-clean)"
 go test -run 'TestExtChaosTraceDeterministicAndValid' ./internal/experiments
-go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./internal/testbed ./internal/invariant
-go run ./cmd/edgereptestbed -chaos
+go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./internal/invariant
+# The testbed's transport faults: a hung peer or replica is cut off by the
+# call budget, cancelling a fanout unblocks its calls, a dead replica fails
+# the query, and closing the cluster mid-fanout leaks no dial.
+go test -race -run 'HungPeer|HungReplica|CloseDuring|ReplicaDown' ./internal/testbed
 
 echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot, v0 and mixed-format journals; solution-layer and record-codec oracles; decode fuzz smokes)"
 go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|StateDump' \
-    ./internal/journal ./internal/online ./internal/invariant ./internal/experiments ./internal/testbed
+    ./internal/journal ./internal/online ./internal/invariant ./internal/experiments
 # Recovery through a snapshot is bit-exact (tied expiries pop in one order
 # however the heap was built), and the solution layer under it agrees with its
 # sort-per-admit reference, repeated query IDs included.

@@ -12,39 +12,33 @@
 //	edgereptestbed -fig 7 -noexec    # tables only, skip TCP execution
 //	edgereptestbed -fig 8 -quick -trace fig8.jsonl  # admission trace (JSONL)
 //	edgereptestbed -http localhost:8080             # live ops endpoint
-//	edgereptestbed -chaos -chaos-seed 7             # wall-clock chaos smoke
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
-	"edgerep/internal/analytics"
 	"edgerep/internal/experiments"
 	"edgerep/internal/instrument"
 	"edgerep/internal/ops"
 	"edgerep/internal/testbed"
-	"edgerep/internal/workload"
 )
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 7, 8, or all")
-		quick     = flag.Bool("quick", false, "reduced seeds and sweep points")
-		noexec    = flag.Bool("noexec", false, "skip real TCP execution (tables only)")
-		describe  = flag.Bool("describe", false, "print the emulated testbed layout (paper Fig. 6) and exit")
-		scale     = flag.Float64("latency-scale", 0, "wall-clock scale of injected latencies (0 = config default)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		stats     = flag.Bool("stats", false, "collect runtime counters (cache hits, ascent rounds) and print them to stderr on exit")
-		traceOut  = flag.String("trace", "", "write the admission trace (deterministic JSONL) to this file")
-		httpAddr  = flag.String("http", "", "serve the live ops endpoint (/metrics, /progress, /debug/pprof) on this address, e.g. localhost:8080")
-		chaos     = flag.Bool("chaos", false, "run the wall-clock chaos smoke: seeded kills/restarts and a latency spike against a live cluster while queries keep flowing")
-		chaosSeed = flag.Int64("chaos-seed", 1, "seed of the chaos smoke schedule")
-		jdir      = flag.String("journal", "", "journal finished sweep cells to a WAL in this directory (crash-consistent; resume with -resume)")
-		resume    = flag.Bool("resume", false, "resume a killed journaled run: replay finished model cells from -journal, run the rest (real execution is not repeated for replayed cells)")
+		fig      = flag.String("fig", "all", "figure to regenerate: 7, 8, or all")
+		quick    = flag.Bool("quick", false, "reduced seeds and sweep points")
+		noexec   = flag.Bool("noexec", false, "skip real TCP execution (tables only)")
+		describe = flag.Bool("describe", false, "print the emulated testbed layout (paper Fig. 6) and exit")
+		scale    = flag.Float64("latency-scale", 0, "wall-clock scale of injected latencies (0 = config default)")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		stats    = flag.Bool("stats", false, "collect runtime counters (cache hits, ascent rounds) and print them to stderr on exit")
+		traceOut = flag.String("trace", "", "write the admission trace (deterministic JSONL) to this file")
+		httpAddr = flag.String("http", "", "serve the live ops endpoint (/metrics, /progress, /debug/pprof) on this address, e.g. localhost:8080")
+		jdir     = flag.String("journal", "", "journal finished sweep cells to a WAL in this directory (crash-consistent; resume with -resume)")
+		resume   = flag.Bool("resume", false, "resume a killed journaled run: replay finished model cells from -journal, run the rest (real execution is not repeated for replayed cells)")
 	)
 	flag.Parse()
 	if *stats {
@@ -92,14 +86,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "edgereptestbed: ops endpoint on http://%s\n", addr)
-	}
-
-	if *chaos {
-		if err := chaosSmoke(*chaosSeed); err != nil {
-			fmt.Fprintf(os.Stderr, "edgereptestbed: chaos smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *describe {
@@ -179,110 +165,5 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "edgereptestbed: unknown figure %q (want 7, 8, or all)\n", *fig)
 		os.Exit(2)
-	}
-}
-
-// chaosSmoke boots the 20-VM layout with fast injected latencies, plays a
-// seeded kill/restart + latency-spike schedule against it, and keeps issuing
-// queries the whole time. Every dataset has a data-center alternate — data
-// centers are never killed — so the deadline-aware fanout must ride through
-// every fault: the smoke fails if no query succeeds, the schedule stalls, or
-// any node is still dead once the schedule (which restarts every kill) ends.
-func chaosSmoke(seed int64) error {
-	cfg := testbed.DefaultClusterConfig()
-	cfg.Latency.Scale = 0.001
-	c, err := testbed.StartCluster(cfg)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = c.Close() }()
-
-	firstCloudlet := len(cfg.DataCenterRegions)
-	tcfg := workload.DefaultTraceConfig()
-	tcfg.Records = 200
-	recs, err := workload.GenerateTrace(tcfg)
-	if err != nil {
-		return err
-	}
-	// Each dataset: one killable cloudlet primary, one stable DC alternate.
-	const datasets = 4
-	type placement struct{ primary, alt int }
-	places := make([]placement, datasets)
-	for d := 0; d < datasets; d++ {
-		places[d] = placement{primary: firstCloudlet + d, alt: d % firstCloudlet}
-		if err := c.Place(places[d].primary, d, recs); err != nil {
-			return err
-		}
-		if err := c.Place(places[d].alt, d, recs); err != nil {
-			return err
-		}
-	}
-
-	schedule := testbed.GenerateChaosSchedule(testbed.ChaosConfig{
-		Nodes:         c.NumNodes(),
-		FirstKillable: firstCloudlet,
-		CrashFrac:     0.3,
-		DownSec:       1,
-		SpanSec:       3,
-		SpikeFactor:   2,
-		Seed:          seed,
-	})
-	if len(schedule) == 0 {
-		return fmt.Errorf("seed %d produced an empty schedule", seed)
-	}
-	cc := testbed.NewChaosController(c, schedule)
-	playDone := make(chan error, 1)
-	applied := 0
-	go func() {
-		n, err := cc.Play(context.Background())
-		applied = n
-		playDone <- err
-	}()
-
-	var ok, degraded, failed int
-	home := 0
-	for i := 0; ; i++ {
-		select {
-		case err := <-playDone:
-			if err != nil {
-				return fmt.Errorf("after %d events: %w", applied, err)
-			}
-			cc.Reset()
-			for v := 0; v < c.NumNodes(); v++ {
-				if pingErr := c.Ping(v); pingErr != nil {
-					return fmt.Errorf("node %d still unreachable after the schedule ended: %v", v, pingErr)
-				}
-			}
-			fmt.Printf("chaos smoke: seed=%d events=%d queries=%d ok=%d degraded=%d failed=%d\n",
-				seed, applied, ok+degraded+failed, ok, degraded, failed)
-			if ok == 0 {
-				return fmt.Errorf("no query succeeded under chaos")
-			}
-			return nil
-		default:
-		}
-		plan := testbed.QueryPlan{
-			HomeIndex:    home,
-			Query:        analytics.Request{Kind: analytics.DistinctUsers},
-			DeadlineSec:  2,
-			AllowPartial: true,
-		}
-		home = (home + 1) % firstCloudlet
-		for d := 0; d < datasets; d++ {
-			plan.Targets = append(plan.Targets, struct {
-				Dataset   int
-				NodeIndex int
-			}{Dataset: d, NodeIndex: places[d].primary})
-			plan.AltIndexes = append(plan.AltIndexes, []int{places[d].alt})
-		}
-		ev, evalErr := c.Evaluate(plan)
-		switch {
-		case evalErr != nil:
-			failed++
-		case ev.Degraded:
-			degraded++
-		default:
-			ok++
-		}
 	}
 }

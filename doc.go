@@ -12,10 +12,10 @@
 // extraction built on a from-scratch simplex (internal/lp, internal/ilp), a
 // discrete-event execution simulator (internal/sim), the threshold-based
 // replica-consistency manager (internal/consistency), an emulated
-// geo-distributed testbed over real TCP sockets with replica failover and
-// chaos injection (internal/testbed, internal/analytics), explicit routing with load-aware multipath spreading
-// (internal/routing, internal/graph), the online and reactive counterpoints
-// to the paper's proactive offline setting (internal/online,
+// geo-distributed testbed over real TCP sockets (internal/testbed,
+// internal/analytics), explicit shortest-path routing with per-link load
+// accounting (internal/routing, internal/graph), the online and reactive
+// counterpoints to the paper's proactive offline setting (internal/online,
 // internal/reactive, internal/forecast), drivers that regenerate every
 // figure of the paper plus the ablations (internal/experiments), and the
 // runtime instrumentation behind the repository's performance trajectory

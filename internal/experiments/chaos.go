@@ -2,9 +2,7 @@
 // crash schedule, comparing fault-free operation, crash-with-failover-repair
 // (internal/online Crash), and crash-with-eviction-only. Everything runs in
 // model time — crashes are events on the same clock as arrivals — so tables
-// and traces are bit-reproducible; wall-clock chaos against real sockets
-// lives in internal/testbed and is exercised by its tests and the
-// edgereptestbed -chaos smoke run.
+// and traces are bit-reproducible.
 package experiments
 
 import (

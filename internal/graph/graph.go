@@ -6,8 +6,8 @@
 // implements shortest paths (Dijkstra on a typed binary heap: no interface
 // dispatch, nothing boxed per push), the DistanceCache that memoizes their
 // trees and builds the all-pairs DistanceMatrix from them on every core,
-// k-shortest paths, connected components, and spanning-tree augmentation used
-// to repair disconnected random topologies.
+// connected components, and spanning-tree augmentation used to repair
+// disconnected random topologies.
 package graph
 
 import (
@@ -69,23 +69,6 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) {
 	g.adj[u] = append(g.adj[u], neighbor{to: v, w: w})
 	g.adj[v] = append(g.adj[v], neighbor{to: u, w: w})
 	g.edges++
-}
-
-// EdgeWeight returns the weight of the minimum-weight edge between u and v
-// and whether any edge exists.
-func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
-	g.check(u)
-	g.check(v)
-	best, found := math.Inf(1), false
-	for _, nb := range g.adj[u] {
-		if nb.to == v && nb.w < best {
-			best, found = nb.w, true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return best, true
 }
 
 // Neighbors calls fn for every neighbor of u with the connecting edge weight.

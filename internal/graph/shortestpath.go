@@ -82,8 +82,7 @@ type ShortestPaths struct {
 // that needs more.
 //
 // It is unexported so that every other package gets its trees from a
-// DistanceCache, which memoizes them; only the cache and the k-shortest
-// search call it.
+// DistanceCache, which memoizes them; only the cache calls it.
 func (g *Graph) dijkstra(src NodeID) *ShortestPaths {
 	g.check(src)
 	dijkstraCalls.Inc()

@@ -1,10 +1,10 @@
 // Package retry implements capped exponential backoff with deterministic
-// jitter and a deadline-derived budget. It exists so the testbed fanout, the
-// online admission path, and the chaos experiment driver all retry with the
-// same arithmetic: the sequence of delays is a pure function of the Policy
-// (including its Seed), which keeps real-socket behaviour and model-time
-// simulations in agreement and makes backoff schedules assertable in tests
-// without sleeping.
+// jitter and a deadline-derived budget. It exists so federation's WAL
+// shipping and the chaos experiment driver retry with the same arithmetic:
+// the sequence of delays is a pure function of the Policy (including its
+// Seed), which keeps real-socket behaviour and model-time simulations in
+// agreement and makes backoff schedules assertable in tests without
+// sleeping.
 //
 // Budget semantics: a caller that must answer within the query's remaining
 // DeadlineSec converts it to a time.Duration budget. Do gives up — returning
@@ -24,10 +24,6 @@ import (
 // could no longer fit the next backoff delay) before any attempt succeeded.
 // Callers translate it to instrument.ReasonRetryExhausted.
 var ErrBudgetExhausted = errors.New("retry budget exhausted")
-
-// ErrCancelled is wrapped by Do when the Runner's Done channel closed before
-// any attempt succeeded (e.g. the surrounding evaluate was abandoned).
-var ErrCancelled = errors.New("retry cancelled")
 
 // Policy is a capped exponential backoff schedule with deterministic jitter.
 // The zero value is usable: defaults are 50ms base, 2s cap, 2x growth, ±25%
@@ -155,24 +151,8 @@ type Runner struct {
 	Policy Policy
 	// Now defaults to time.Now.
 	Now func() time.Time
-	// Sleep defaults to time.Sleep (interrupted by Done when both are set).
+	// Sleep defaults to time.Sleep.
 	Sleep Sleeper
-	// Done, when non-nil, aborts the loop between attempts and interrupts
-	// backoff sleeps — callers pass ctx.Done() so abandoned fanouts stop
-	// retrying immediately.
-	Done <-chan struct{}
-}
-
-func (r Runner) cancelled() bool {
-	if r.Done == nil {
-		return false
-	}
-	select {
-	case <-r.Done:
-		return true
-	default:
-		return false
-	}
 }
 
 // Run calls fn until it succeeds, the attempt cap is hit, or the budget can
@@ -189,17 +169,11 @@ func (r Runner) Run(budget time.Duration, fn func(attempt int, remaining time.Du
 	}
 	sleep := r.Sleep
 	if sleep == nil {
-		sleep = r.realSleep
+		sleep = time.Sleep
 	}
 	start := now()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if r.cancelled() {
-			if lastErr == nil {
-				return fmt.Errorf("before first attempt: %w", ErrCancelled)
-			}
-			return fmt.Errorf("after %d attempts: %w: %w", attempt, ErrCancelled, lastErr)
-		}
 		remaining := budget - now().Sub(start)
 		if remaining <= 0 {
 			if lastErr == nil {
@@ -224,20 +198,5 @@ func (r Runner) Run(budget time.Duration, fn func(attempt int, remaining time.Du
 			return fmt.Errorf("after %d attempts: %w: %w", attempt+1, ErrBudgetExhausted, lastErr)
 		}
 		sleep(d)
-	}
-}
-
-// realSleep is the default Sleeper: time.Sleep, interrupted early when Done
-// closes (the post-sleep cancellation check turns the wake-up into a stop).
-func (r Runner) realSleep(d time.Duration) {
-	if r.Done == nil {
-		time.Sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-r.Done:
 	}
 }

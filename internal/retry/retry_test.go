@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// fakeClock is the injected sleeper/clock of satellite 4: Sleep advances
+// fakeClock is the injected sleeper/clock: Sleep advances
 // virtual time instead of blocking, so backoff schedules are asserted
 // exactly and the test suite never waits on real backoff.
 type fakeClock struct {
@@ -185,30 +185,6 @@ func TestDoMaxAttempts(t *testing.T) {
 	}
 	if errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, budget was not the stopper", err)
-	}
-}
-
-// TestDoCancelled: a closed Done channel stops the loop between attempts
-// with ErrCancelled wrapping the last attempt error.
-func TestDoCancelled(t *testing.T) {
-	p := Policy{Base: time.Millisecond, Cap: time.Second, Multiplier: 2, JitterFrac: 0.0001}
-	clk := &fakeClock{now: time.Unix(0, 0)}
-	done := make(chan struct{})
-	r := Runner{Policy: p, Now: clk.Now, Sleep: clk.Sleep, Done: done}
-	sentinel := errors.New("unreachable")
-	calls := 0
-	err := r.Run(time.Hour, func(int, time.Duration) error {
-		calls++
-		if calls == 2 {
-			close(done)
-		}
-		return sentinel
-	})
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
-	}
-	if !errors.Is(err, ErrCancelled) || !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want ErrCancelled wrapping attempt error", err)
 	}
 }
 

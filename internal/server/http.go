@@ -94,8 +94,8 @@ func (s *Server) admitHandler(w http.ResponseWriter, r *http.Request) {
 	resps, status, err := s.dispatch(reqs, sc)
 	if err != nil {
 		// Decisions already enqueued still execute (and journal); the
-		// client sees the whole batch fail and may safely re-offer —
-		// re-offering is an ordinary arrival, never a double-admit.
+		// client sees the whole batch fail. A re-offer is an ordinary
+		// arrival, so a request that was admitted here is admitted again.
 		http.Error(w, err.Error(), status)
 		return
 	}

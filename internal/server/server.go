@@ -580,9 +580,10 @@ func (s *Server) processEpoch(batch []*pending) {
 		if s.crashAfter > 0 && s.offers == s.crashAfter && s.crashFn != nil {
 			// The chaos fault fires with the decision journaled but its
 			// epoch uncommitted and its response undelivered — exactly the
-			// window the recovery drill must tolerate (journaled-but-unacked
-			// replays identically; the client saw no ack, so nothing
-			// double-admits).
+			// window the recovery drill must tolerate: journaled-but-unacked
+			// replays identically. The client saw no ack, and a request
+			// carries no id, so one it re-offers is admitted a second time
+			// (TestReofferAfterCrashAdmitsTwice).
 			if fr != nil {
 				fr.Record(instrument.FlightEntry{Kind: instrument.EventChaos})
 			}

@@ -3,7 +3,6 @@ package testbed
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,42 +22,6 @@ type LatencyModel struct {
 	// Scale multiplies every injected delay; tests use small scales to
 	// stay fast, experiments use 1.0.
 	Scale float64
-
-	// chaos holds the current fault-injection state (latency spikes,
-	// dropped links). nil — the default — means no disturbance and the
-	// model behaves exactly as before chaos existed; ChaosController is the
-	// only writer.
-	chaos atomic.Pointer[chaosState]
-}
-
-// chaosState is an immutable snapshot of active disturbances; the controller
-// swaps whole snapshots so readers never lock.
-type chaosState struct {
-	// SpikeFactor multiplies every injected delay (on top of Scale);
-	// values <= 0 are treated as 1.
-	SpikeFactor float64
-	// Dropped holds region pairs (key "from|to", symmetric lookup) whose
-	// connections fail immediately, emulating a severed WAN link.
-	Dropped map[string]bool
-}
-
-func (m *LatencyModel) setChaos(st *chaosState) { m.chaos.Store(st) }
-
-// chaosFactor returns the active latency-spike multiplier (1 when no chaos).
-func (m *LatencyModel) chaosFactor() float64 {
-	if st := m.chaos.Load(); st != nil && st.SpikeFactor > 0 {
-		return st.SpikeFactor
-	}
-	return 1
-}
-
-// linkDropped reports whether chaos has severed the a↔b link.
-func (m *LatencyModel) linkDropped(a, b string) bool {
-	st := m.chaos.Load()
-	if st == nil || len(st.Dropped) == 0 {
-		return false
-	}
-	return st.Dropped[a+"|"+b] || st.Dropped[b+"|"+a]
 }
 
 // DefaultLatencyModel returns one-way delays derived from public inter-region
@@ -119,7 +82,7 @@ func (m *LatencyModel) Delay(a, b string, bytes int) time.Duration {
 	if m.BytesPerSec > 0 {
 		total += time.Duration(float64(bytes) / m.BytesPerSec * float64(time.Second))
 	}
-	return time.Duration(float64(total) * m.Scale * m.chaosFactor())
+	return time.Duration(float64(total) * m.Scale)
 }
 
 // sleep blocks for the injected delay of a message.

@@ -6,27 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"edgerep/internal/analytics"
-	"edgerep/internal/instrument"
-	"edgerep/internal/retry"
 	"edgerep/internal/workload"
 )
 
-// Fault-tolerance metrics: retry traffic, budget exhaustion, and graceful
-// degradation on the real-socket path.
-var (
-	statFanoutRetries    = instrument.NewCounter("testbed.fanout_retries")
-	statRetryExhausted   = instrument.NewCounter("testbed.retry_exhausted")
-	statDegradedResps    = instrument.NewCounter("testbed.degraded_responses")
-	histFanoutBackoffSec = instrument.NewHistogram("testbed.fanout_backoff_seconds", instrument.DefaultDelayBuckets...)
-)
-
-// defaultCallBudget bounds a call when the request carries no deadline
-// budget (controller plumbing ops like store/stats/ping).
+// defaultCallBudget bounds a call, and an evaluate's whole fanout when the
+// request carries no BudgetMillis.
 const defaultCallBudget = 10 * time.Second
 
 // Node is one emulated VM: a TCP server storing dataset replicas and
@@ -35,18 +23,11 @@ type Node struct {
 	Name   string
 	Region string
 
-	// Retry is the fanout backoff policy used by evaluate. StartNode seeds
-	// it deterministically from the node name; tests may override before
-	// the first request.
-	Retry retry.Policy
-
 	lat *LatencyModel
 	ln  net.Listener
 
-	mu       sync.Mutex
-	store    map[int][]workload.UsageRecord
-	aggCalls int
-	evalCall int
+	mu    sync.Mutex
+	store map[int][]workload.UsageRecord
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -67,10 +48,6 @@ func StartNode(name, region string, lat *LatencyModel) (*Node, error) {
 	n := &Node{
 		Name:   name,
 		Region: region,
-		// Default: 4 attempts (~50/100/200ms backoffs) so a dead replica
-		// set fails in well under a second; deadline-budgeted requests are
-		// additionally bounded by BudgetMillis.
-		Retry:  retry.Policy{MaxAttempts: 4, Seed: nameSeed(name)},
 		lat:    lat,
 		ln:     ln,
 		store:  make(map[int][]workload.UsageRecord),
@@ -79,17 +56,6 @@ func StartNode(name, region string, lat *LatencyModel) (*Node, error) {
 	n.wg.Add(1)
 	go n.serve()
 	return n, nil
-}
-
-// nameSeed hashes a node name into a jitter seed (FNV-1a), so every node
-// retries on its own deterministic schedule and restarts reproduce it.
-func nameSeed(name string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return int64(h)
 }
 
 // Addr returns the node's TCP address.
@@ -130,9 +96,8 @@ func (n *Node) serve() {
 }
 
 func (n *Node) handle(conn net.Conn) {
-	// Bound the whole exchange: a client that connects and then hangs (or a
-	// chaos-delayed response path) cannot pin this goroutine past the
-	// server timeout.
+	// Bound the whole exchange: a client that connects and then hangs
+	// cannot pin this goroutine past the server timeout.
 	_ = conn.SetDeadline(time.Now().Add(serverConnTimeout))
 	r := bufio.NewReader(conn)
 	var req Request
@@ -141,8 +106,8 @@ func (n *Node) handle(conn net.Conn) {
 		return
 	}
 	if req.BudgetMillis > 0 {
-		// The client granted a longer retry budget (evaluate fanout);
-		// extend the exchange deadline to cover it plus write slack.
+		// The client granted an evaluate a fanout budget; extend the
+		// exchange deadline to cover it plus write slack.
 		_ = conn.SetDeadline(time.Now().Add(time.Duration(req.BudgetMillis)*time.Millisecond + serverConnTimeout))
 	}
 	resp := n.dispatch(&req)
@@ -163,21 +128,9 @@ func (n *Node) dispatch(req *Request) *Response {
 		n.store[req.Dataset] = req.Records
 		n.mu.Unlock()
 		return &Response{OK: true}
-	case OpAppend:
-		n.mu.Lock()
-		_, ok := n.store[req.Dataset]
-		if ok {
-			n.store[req.Dataset] = append(n.store[req.Dataset], req.Records...)
-		}
-		n.mu.Unlock()
-		if !ok {
-			return &Response{OK: false, Error: fmt.Sprintf("node %s: no replica of dataset %d to append to", n.Name, req.Dataset)}
-		}
-		return &Response{OK: true}
 	case OpAggregate:
 		n.mu.Lock()
 		recs, ok := n.store[req.Dataset]
-		n.aggCalls++
 		n.mu.Unlock()
 		if !ok {
 			return &Response{OK: false, Error: fmt.Sprintf("node %s: no replica of dataset %d", n.Name, req.Dataset)}
@@ -189,23 +142,7 @@ func (n *Node) dispatch(req *Request) *Response {
 		}
 		return &Response{OK: true, Partial: p, AggregateNanos: time.Since(start).Nanoseconds()}
 	case OpEvaluate:
-		n.mu.Lock()
-		n.evalCall++
-		n.mu.Unlock()
 		return n.evaluate(req)
-	case OpStats:
-		n.mu.Lock()
-		st := &NodeStats{
-			AggregateCalls: n.aggCalls,
-			EvaluateCalls:  n.evalCall,
-		}
-		for ds, recs := range n.store {
-			st.Datasets = append(st.Datasets, ds)
-			st.RecordsStored += len(recs)
-		}
-		n.mu.Unlock()
-		sort.Ints(st.Datasets)
-		return &Response{OK: true, Stats: st}
 	default:
 		return &Response{OK: false, Error: fmt.Sprintf("testbed: unknown op %q", req.Op)}
 	}
@@ -213,11 +150,10 @@ func (n *Node) dispatch(req *Request) *Response {
 
 // evaluate runs a query at this (home) node: fan out to every replica in
 // parallel — the paper's model processes demanded datasets in parallel
-// (§2.3) — merge the partials, finalize. Each fanout worker retries its
-// replica candidates under the request's deadline budget with capped
-// exponential backoff; on a fatal failure the shared context cancels the
-// sibling workers so no sub-request outlives the response (the pre-context
-// version raced those dials against Cluster.Close).
+// (§2.3) — merge the partials, finalize. The whole fanout runs under the
+// request's budget (BudgetMillis, else defaultCallBudget); the first failure
+// cancels the sibling workers so no sub-request outlives the response and
+// races a Cluster.Close.
 func (n *Node) evaluate(req *Request) *Response {
 	if len(req.Fanout) == 0 {
 		return &Response{OK: false, Error: "testbed: evaluate with empty fanout"}
@@ -229,9 +165,8 @@ func (n *Node) evaluate(req *Request) *Response {
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	type fanoutResult struct {
-		dataset int
-		p       *analytics.Partial
-		err     error
+		p   *analytics.Partial
+		err error
 	}
 	// Buffered to len(Fanout): workers always complete their send, so the
 	// early-error path below can cancel, drain, and still join every
@@ -248,60 +183,27 @@ func (n *Node) evaluate(req *Request) *Response {
 				Query:      req.Query,
 				FromRegion: n.Region,
 			}
-			// Primary first, then alternates in order: a replica that is
-			// down (dial error) or missing the dataset falls through to
-			// the next candidate; when a whole sweep fails the worker
-			// backs off and retries until the deadline budget runs out.
-			candidates := append([]Endpoint{{Addr: tgt.Addr, Region: tgt.Region}}, tgt.Alternates...)
-			pol := n.Retry
-			pol.Seed ^= int64(tgt.Dataset) // per-dataset jitter stream
-			runner := retry.Runner{Policy: pol, Done: ctx.Done(), Sleep: n.backoffSleep(ctx)}
-			err := runner.Run(budget, func(attempt int, remaining time.Duration) error {
-				if attempt > 0 {
-					statFanoutRetries.Inc()
-				}
-				var lastErr error
-				for _, cand := range candidates {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					resp, err := callCtx(ctx, n.lat, n.Region, cand.Region, cand.Addr, sub, remaining)
-					if err != nil {
-						lastErr = err
-						continue
-					}
-					if !resp.OK {
-						lastErr = errors.New(resp.Error)
-						continue
-					}
-					results <- fanoutResult{dataset: tgt.Dataset, p: resp.Partial}
-					return nil
-				}
-				return fmt.Errorf("all %d replicas failed for dataset %d: %w",
-					len(candidates), tgt.Dataset, lastErr)
-			})
-			if err != nil {
-				if errors.Is(err, retry.ErrBudgetExhausted) {
-					statRetryExhausted.Inc()
-				}
-				results <- fanoutResult{dataset: tgt.Dataset, err: err}
+			resp, err := callCtx(ctx, n.lat, n.Region, tgt.Region, tgt.Addr, sub, budget)
+			if err == nil && !resp.OK {
+				err = errors.New(resp.Error)
 			}
+			if err != nil {
+				results <- fanoutResult{err: fmt.Errorf("dataset %d: %w", tgt.Dataset, err)}
+				return
+			}
+			results <- fanoutResult{p: resp.Partial}
 		}(target)
 	}
 	var merged *analytics.Partial
-	var failed []int
 	var firstErr error
 	for range req.Fanout {
 		r := <-results
 		if r.err != nil {
-			failed = append(failed, r.dataset)
 			if firstErr == nil {
+				// Stop sibling workers now; the loop keeps draining
+				// their (buffered) results.
 				firstErr = r.err
-				if !req.AllowPartial {
-					// Fatal: stop sibling workers now; the loop keeps
-					// draining their (buffered) results.
-					cancel()
-				}
+				cancel()
 			}
 			continue
 		}
@@ -313,37 +215,15 @@ func (n *Node) evaluate(req *Request) *Response {
 	}
 	// Every worker has sent; join them so no goroutine (or its open conns)
 	// outlives this response.
-	cancel()
 	workers.Wait()
-	if firstErr != nil && (!req.AllowPartial || merged == nil) {
+	if firstErr != nil {
 		return &Response{OK: false, Error: firstErr.Error()}
 	}
 	res, err := analytics.Finalize(merged, req.Query)
 	if err != nil {
 		return &Response{OK: false, Error: err.Error()}
 	}
-	resp := &Response{OK: true, Result: res}
-	if firstErr != nil {
-		sort.Ints(failed)
-		resp.Degraded = true
-		resp.FailedDatasets = failed
-		statDegradedResps.Inc()
-	}
-	return resp
-}
-
-// backoffSleep returns the fanout backoff sleeper: a ctx-aware sleep that
-// also records the schedule in the backoff histogram.
-func (n *Node) backoffSleep(ctx context.Context) retry.Sleeper {
-	return func(d time.Duration) {
-		histFanoutBackoffSec.Observe(d.Seconds())
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
-	}
+	return &Response{OK: true, Result: res}
 }
 
 // call dials addr, injects the request-path latency, sends the request and
@@ -358,9 +238,6 @@ func call(lat *LatencyModel, fromRegion, toRegion, addr string, req *Request) (*
 // a peer that accepts and then hangs returns an i/o timeout instead of
 // stalling the fanout), and cancelling ctx aborts the exchange immediately.
 func callCtx(ctx context.Context, lat *LatencyModel, fromRegion, toRegion, addr string, req *Request, budget time.Duration) (*Response, error) {
-	if lat.linkDropped(fromRegion, toRegion) {
-		return nil, fmt.Errorf("testbed: link %s->%s dropped by chaos", fromRegion, toRegion)
-	}
 	lat.sleepCtx(ctx, fromRegion, toRegion, messageBytes(req))
 	if err := ctx.Err(); err != nil {
 		return nil, err

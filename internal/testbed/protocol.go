@@ -33,31 +33,16 @@ const (
 	// home; it fans out OpAggregate calls to replica nodes, merges the
 	// partials and finalizes the result.
 	OpEvaluate Op = "evaluate"
-	// OpAppend appends newly generated records to a locally stored
-	// dataset replica (consistency update propagation).
-	OpAppend Op = "append"
-	// OpStats returns node-side counters.
-	OpStats Op = "stats"
 	// OpPing checks liveness.
 	OpPing Op = "ping"
 )
 
-// FanoutTarget names one replica a home node must contact during OpEvaluate,
-// with optional alternates tried in order when the primary is unreachable
-// (node crash, connection refused) — the testbed counterpart of the
-// simulator's redispatch-on-failure.
+// FanoutTarget names the replica a home node must contact for one dataset
+// during OpEvaluate.
 type FanoutTarget struct {
 	Dataset int    `json:"dataset"`
 	Addr    string `json:"addr"`
 	Region  string `json:"region"`
-	// Alternates lists fallback replicas of the same dataset.
-	Alternates []Endpoint `json:"alternates,omitempty"`
-}
-
-// Endpoint locates one node.
-type Endpoint struct {
-	Addr   string `json:"addr"`
-	Region string `json:"region"`
 }
 
 // Request is the wire request. One JSON object per connection.
@@ -70,22 +55,10 @@ type Request struct {
 	// FromRegion tells the receiver where the message came from so the
 	// response path latency can be injected symmetrically.
 	FromRegion string `json:"from_region,omitempty"`
-	// BudgetMillis is the wall-clock budget for serving this request,
-	// derived from the query's remaining DeadlineSec; 0 means the default
-	// call budget. The home node spends it across fanout retries.
+	// BudgetMillis is the wall-clock budget for serving this request; 0
+	// means the default call budget. An evaluating home node bounds its
+	// whole fanout by it.
 	BudgetMillis int64 `json:"budget_millis,omitempty"`
-	// AllowPartial lets an evaluate answer with the replicas it could reach
-	// (Response.Degraded) instead of failing the whole query when one
-	// dataset's replicas are all down.
-	AllowPartial bool `json:"allow_partial,omitempty"`
-}
-
-// NodeStats are node-side counters returned by OpStats.
-type NodeStats struct {
-	Datasets       []int `json:"datasets"`
-	RecordsStored  int   `json:"records_stored"`
-	AggregateCalls int   `json:"aggregate_calls"`
-	EvaluateCalls  int   `json:"evaluate_calls"`
 }
 
 // Response is the wire response.
@@ -94,15 +67,8 @@ type Response struct {
 	Error   string             `json:"error,omitempty"`
 	Partial *analytics.Partial `json:"partial,omitempty"`
 	Result  *analytics.Result  `json:"result,omitempty"`
-	Stats   *NodeStats         `json:"stats,omitempty"`
 	// AggregateNanos is the server-side time spent scanning records.
 	AggregateNanos int64 `json:"aggregate_nanos,omitempty"`
-	// Degraded marks a partial evaluate result: the query was answered from
-	// the reachable replicas only (AllowPartial graceful degradation).
-	Degraded bool `json:"degraded,omitempty"`
-	// FailedDatasets lists the demanded datasets whose replicas were all
-	// unreachable in a Degraded response, sorted ascending.
-	FailedDatasets []int `json:"failed_datasets,omitempty"`
 }
 
 // serverConnTimeout bounds how long a node keeps one accepted connection
@@ -111,7 +77,7 @@ type Response struct {
 const serverConnTimeout = 30 * time.Second
 
 // writeMsg sends one JSON value followed by newline. I/O deadlines are the
-// caller's job: clients derive them from the retry budget (callCtx), servers
+// caller's job: clients derive them from the call budget (callCtx), servers
 // set serverConnTimeout in handle.
 func writeMsg(conn net.Conn, v interface{}) error {
 	b, err := json.Marshal(v)

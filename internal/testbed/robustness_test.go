@@ -4,19 +4,16 @@ import (
 	"context"
 	"errors"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"edgerep/internal/analytics"
-	"edgerep/internal/retry"
 )
 
 // hungListener accepts connections and never answers — the pathological
-// peer of satellite task 1: before conn deadlines, a call to it blocked the
-// fanout forever.
+// peer: before conn deadlines, a call to it blocked the fanout forever.
 func hungListener(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -96,8 +93,7 @@ func TestCallCtxCancelUnblocksHungPeer(t *testing.T) {
 }
 
 // TestEvaluateBudgetBoundsHungReplica: a fanout whose only replica hangs
-// must come back within the plan's deadline budget (plus retry backoff), not
-// after the old 10s+ default.
+// must come back within the request's budget, not after the 10s default.
 func TestEvaluateBudgetBoundsHungReplica(t *testing.T) {
 	c := smallCluster(t)
 	ln := hungListener(t)
@@ -125,10 +121,9 @@ func TestEvaluateBudgetBoundsHungReplica(t *testing.T) {
 	}
 }
 
-// TestCloseDuringFailingEvaluateRace is satellite task 2 under -race: a
-// failing evaluate (dead primary, no alternates, several targets) must not
-// leave sub-request goroutines dialing after the response, so closing the
-// cluster mid-flight is clean.
+// TestCloseDuringFailingEvaluateRace, under -race: a failing evaluate (a
+// dead replica among several targets) must not leave sub-request goroutines
+// dialing after the response, so closing the cluster mid-flight is clean.
 func TestCloseDuringFailingEvaluateRace(t *testing.T) {
 	cfg := ClusterConfig{
 		DataCenterRegions: []string{"san-francisco", "singapore"},
@@ -172,231 +167,23 @@ func TestCloseDuringFailingEvaluateRace(t *testing.T) {
 	}
 }
 
-// TestEvaluateDegradedPartial: with AllowPartial, losing every replica of
-// one demanded dataset degrades the answer instead of failing it.
-func TestEvaluateDegradedPartial(t *testing.T) {
+// TestEvaluateFailsWhenReplicaDown: a query whose replica is down fails
+// with an error that names the dataset.
+func TestEvaluateFailsWhenReplicaDown(t *testing.T) {
 	c := smallCluster(t)
-	recs := testTrace(t, 400)
+	recs := testTrace(t, 200)
 	if err := c.Place(1, 0, recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Place(2, 1, recs); err != nil {
+	if err := c.Node(1).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Node(2).Close(); err != nil { // dataset 1 now unreachable
-		t.Fatal(err)
-	}
-	plan := QueryPlan{
-		HomeIndex:    3,
-		Query:        analytics.Request{Kind: analytics.DistinctUsers},
-		AllowPartial: true,
-		DeadlineSec:  2,
-	}
-	for ds, idx := range []int{1, 2} {
-		plan.Targets = append(plan.Targets, struct {
-			Dataset   int
-			NodeIndex int
-		}{Dataset: ds, NodeIndex: idx})
-	}
-	ev, err := c.Evaluate(plan)
-	if err != nil {
-		t.Fatalf("partial evaluate failed outright: %v", err)
-	}
-	if !ev.Degraded {
-		t.Fatal("response not marked degraded")
-	}
-	if !reflect.DeepEqual(ev.FailedDatasets, []int{1}) {
-		t.Fatalf("failed datasets %v, want [1]", ev.FailedDatasets)
-	}
-	if ev.Result.TotalRecords != 400 {
-		t.Fatalf("degraded result covers %d records, want 400 from the live replica", ev.Result.TotalRecords)
-	}
-}
-
-// TestEvaluateRetryRecoversRestartedReplica: the fanout backoff must bridge
-// a replica that comes back (chaos restart + re-place) within the budget.
-func TestEvaluateRetryRecoversRestartedReplica(t *testing.T) {
-	c := smallCluster(t)
-	recs := testTrace(t, 250)
-	if err := c.Place(1, 0, recs); err != nil {
-		t.Fatal(err)
-	}
-	// Give the home node a patient retry policy.
-	home := c.Node(3)
-	home.Retry = retry.Policy{Base: 50 * time.Millisecond, Cap: 200 * time.Millisecond, Multiplier: 2, JitterFrac: 0.0001, Seed: 9}
-	if err := c.KillNode(1); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		if err := c.RestartNode(1); err != nil {
-			return
-		}
-		_ = c.Place(1, 0, recs)
-	}()
-	plan := QueryPlan{
-		HomeIndex:   3,
-		Query:       analytics.Request{Kind: analytics.DistinctUsers},
-		DeadlineSec: 10,
-	}
+	plan := QueryPlan{HomeIndex: 3, Query: analytics.Request{Kind: analytics.DistinctUsers}}
 	plan.Targets = append(plan.Targets, struct {
 		Dataset   int
 		NodeIndex int
 	}{Dataset: 0, NodeIndex: 1})
-	// The plan holds the dead node's old address; the retried dial must hit
-	// the restarted address, so refresh targets the way a repair loop would:
-	// via a fresh plan after restart. Here we wait for the restart and then
-	// evaluate — retries bridge the window where placement lags.
-	time.Sleep(300 * time.Millisecond)
-	plan.Targets[0].NodeIndex = 1
-	ev, err := c.Evaluate(plan)
-	if err != nil {
-		t.Fatalf("evaluate after restart: %v", err)
-	}
-	if ev.Result.TotalRecords != 250 {
-		t.Fatalf("served %d records, want 250", ev.Result.TotalRecords)
-	}
-}
-
-// --- chaos controller ---
-
-func TestChaosKillRestartCycle(t *testing.T) {
-	c := smallCluster(t)
-	cc := NewChaosController(c, nil)
-	if err := c.Ping(1); err != nil {
-		t.Fatalf("pre-chaos ping: %v", err)
-	}
-	if err := cc.Apply(ChaosEvent{Kind: ChaosKill, Node: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ping(1); err == nil {
-		t.Fatal("killed node still answers pings")
-	}
-	if err := cc.Apply(ChaosEvent{Kind: ChaosRestart, Node: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ping(1); err != nil {
-		t.Fatalf("restarted node unreachable: %v", err)
-	}
-	// A reboot loses replicas: the store must come back empty.
-	st, err := c.Stats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.RecordsStored != 0 {
-		t.Fatalf("restarted node kept %d records", st.RecordsStored)
-	}
-}
-
-func TestChaosLatencySpikeAndClear(t *testing.T) {
-	c := smallCluster(t)
-	cc := NewChaosController(c, nil)
-	base := c.lat.Delay("metro", "san-francisco", 1000)
-	if err := cc.Apply(ChaosEvent{Kind: ChaosLatencySpike, Factor: 3}); err != nil {
-		t.Fatal(err)
-	}
-	spiked := c.lat.Delay("metro", "san-francisco", 1000)
-	if spiked != 3*base {
-		t.Fatalf("spiked delay %v, want 3x base %v", spiked, base)
-	}
-	if err := cc.Apply(ChaosEvent{Kind: ChaosClearSpike}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.lat.Delay("metro", "san-francisco", 1000); got != base {
-		t.Fatalf("delay after clear %v, want %v", got, base)
-	}
-}
-
-func TestChaosDropLink(t *testing.T) {
-	c := smallCluster(t)
-	cc := NewChaosController(c, nil)
-	if err := cc.Apply(ChaosEvent{Kind: ChaosDropLink, From: "metro", To: "singapore"}); err != nil {
-		t.Fatal(err)
-	}
-	n := c.Node(1) // dc-singapore
-	if n.Region != "singapore" {
-		t.Fatalf("node 1 region %q, want singapore", n.Region)
-	}
-	_, err := callCtx(context.Background(), c.lat, "metro", "singapore", n.Addr(),
-		&Request{Op: OpPing}, time.Second)
-	if err == nil || !strings.Contains(err.Error(), "dropped by chaos") {
-		t.Fatalf("dropped link still connects: %v", err)
-	}
-	// Reverse direction is severed too.
-	if _, err := callCtx(context.Background(), c.lat, "singapore", "metro", n.Addr(),
-		&Request{Op: OpPing}, time.Second); err == nil {
-		t.Fatal("reverse direction of dropped link still connects")
-	}
-	if err := cc.Apply(ChaosEvent{Kind: ChaosClearDrops}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := callCtx(context.Background(), c.lat, "metro", "singapore", n.Addr(),
-		&Request{Op: OpPing}, time.Second); err != nil {
-		t.Fatalf("link still severed after clear: %v", err)
-	}
-}
-
-func TestGenerateChaosScheduleDeterministic(t *testing.T) {
-	cfg := ChaosConfig{
-		Nodes: 20, FirstKillable: 4, CrashFrac: 0.25,
-		DownSec: 5, SpanSec: 60, SpikeFactor: 2, Seed: 77,
-	}
-	a := GenerateChaosSchedule(cfg)
-	b := GenerateChaosSchedule(cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same config produced different schedules")
-	}
-	kills := map[int]bool{}
-	restarts := 0
-	for _, ev := range a {
-		switch ev.Kind {
-		case ChaosKill:
-			if ev.Node < cfg.FirstKillable || ev.Node >= cfg.Nodes {
-				t.Fatalf("kill targets protected node %d", ev.Node)
-			}
-			if kills[ev.Node] {
-				t.Fatalf("node %d killed twice", ev.Node)
-			}
-			kills[ev.Node] = true
-		case ChaosRestart:
-			restarts++
-		}
-	}
-	if want := 4; len(kills) != want { // 16 killable × 0.25
-		t.Fatalf("%d kills, want %d", len(kills), want)
-	}
-	if restarts != len(kills) {
-		t.Fatalf("%d restarts for %d kills", restarts, len(kills))
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i].AtSec < a[i-1].AtSec {
-			t.Fatalf("schedule out of order at %d", i)
-		}
-	}
-	// A different seed picks a different schedule.
-	cfg2 := cfg
-	cfg2.Seed = 78
-	if reflect.DeepEqual(a, GenerateChaosSchedule(cfg2)) {
-		t.Fatal("seed does not influence the schedule")
-	}
-}
-
-func TestChaosPlayAppliesSchedule(t *testing.T) {
-	c := smallCluster(t)
-	sched := []ChaosEvent{
-		{AtSec: 0, Kind: ChaosKill, Node: 2},
-		{AtSec: 0.02, Kind: ChaosRestart, Node: 2},
-	}
-	cc := NewChaosController(c, sched)
-	cc.TimeScale = 1 // AtSec already tiny
-	applied, err := cc.Play(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != len(sched) {
-		t.Fatalf("applied %d events, want %d", applied, len(sched))
-	}
-	if err := c.Ping(2); err != nil {
-		t.Fatalf("node 2 unreachable after kill/restart cycle: %v", err)
+	if _, err := c.Evaluate(plan); err == nil || !strings.Contains(err.Error(), "dataset 0") {
+		t.Fatalf("expected replica failure, got %v", err)
 	}
 }

