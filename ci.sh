@@ -7,7 +7,7 @@
 # 500-node streams, failover repair against its reference scan on the same
 # streams and at a preferred site, stale-table
 # fuzz, chaos-on latency smoke, one allocation per admitted offer, the
-# Dijkstra / matrix / table-build / dual-ascent oracles),
+# Dijkstra / matrix / delay-row / table-build / dual-ascent oracles),
 # attribution gates (zero-alloc off path, byte-identical traces, flight-ring
 # race stress), durability (journal/recovery incl. bit-exact through a
 # snapshot + v0, v1 and mixed-format journals + the record codec against its
@@ -71,7 +71,7 @@ go test -run 'TestAttributionZeroAllocInactive' ./internal/instrument
 go test -run 'TestAttributionTraceBytesIdentical|TestAttributionOffNoStageNs' ./internal/server
 go test -race -run 'TestFlightRecorderRaceStress' ./internal/instrument
 
-echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case, and what the early exit stands on; repair-vs-reference on the same streams; stale-table fuzz under -race; one allocation per admit; kernel, matrix, table-build and dual-ascent oracles under -race)"
+echo "== pricing-table gates (zero-alloc pricing; table-vs-reference equivalence incl. the tie case, and what the early exit stands on; repair-vs-reference on the same streams; stale-table fuzz under -race; one allocation per admit; kernel, matrix, delay-row, table-build and dual-ascent oracles)"
 go test -run 'TestFastPathZeroAlloc' ./internal/online
 # TestFastPathEquivalence also plans every failover repair of its streams
 # with the reference repair scan (pickRepairNode) at the same state;
@@ -87,9 +87,12 @@ go test -run '^$' -bench '^BenchmarkFastPathPlan$/(fast|slow)$' -benchtime 1x ./
 go test -run 'TestAdmitPathAllocs' ./internal/online
 # What the tables are built from and how: the typed-heap Dijkstra against the
 # container/heap kernel it replaced (Dist bits and parents, ties included),
-# the parallel matrix against the serial all-pairs loop, the one-pass parallel
+# the parallel matrix against the serial all-pairs loop, cold-raced delay rows
+# costing one Dijkstra a target, every delay row against the matrix bit for
+# bit on every instance shape the repository builds, the one-pass parallel
 # table build against the two-loop serial one at 1, 2 and 8 workers.
-go test -race -run 'TestDijkstraMatchesReference|TestMatrixMatchesSerial' ./internal/graph
+go test -race -run 'TestDijkstraMatchesReference|TestMatrixMatchesSerial|TestDistanceCacheColdRowsConcurrent' ./internal/graph
+go test -run 'TestDelayRowsMatchMatrix' ./internal/experiments
 go test -race -run 'TestFastPathTablesMatchReference' ./internal/online
 # The paper's solver against the plan-everything ascent it replaced (result,
 # FinalTheta bits and trace bytes, on the figures' cells, the ablation rows,
@@ -372,6 +375,9 @@ go test -run '^$' -bench 'BenchmarkSolutionAdmit' -benchtime 3x ./internal/place
 # build its tables and nothing per candidate).
 go test -run '^$' -bench '^BenchmarkDijkstra$/v500' -benchtime 533x ./internal/graph
 go test -run '^$' -bench '^BenchmarkFastPathBuild$/v500' -benchtime 5x ./internal/online
+# One instance build at 500 nodes: its Dijkstra runs (one per query home or
+# dataset origin) and the bytes the built problem keeps.
+go test -run '^$' -bench '^BenchmarkBuildInstance$/v500' -benchtime 1x ./internal/server
 # Pricing on the same instance, tables and reference, one plan per query.
 go test -run '^$' -bench '^BenchmarkFastPathPlan$/v500' -benchtime 400x ./internal/online
 # One Appro-G solve of the same instance; fails above its pinned objects and

@@ -217,7 +217,7 @@ func GreedyS(p *placement.Problem) (*placement.Solution, error) {
 func GraphG(p *placement.Problem) (*placement.Solution, error) {
 	s := newState(p, "graph-g")
 	nodes := p.Cloud.ComputeNodes()
-	dmat := p.Cloud.Topology().Delays
+	dmat := p.Cloud.Topology().Matrix()
 	parts, err := partition.KWay(nodes, p.MaxReplicas, dmat)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: Graph partitioning failed: %w", err)

@@ -41,9 +41,16 @@ func (ec *EdgeCloud) ProcDelayPerGB(v graph.NodeID) float64 {
 	return ec.top.Node(v).ProcDelayPerGB
 }
 
-// TransferDelayPerGB returns dt(p_{u,v}) along the shortest path.
-func (ec *EdgeCloud) TransferDelayPerGB(u, v graph.NodeID) float64 {
-	return ec.top.TransferDelayPerGB(u, v)
+// DelayTo returns dt(p_{v,target}) along the shortest path for every node v,
+// indexed by node (topology.Topology.DelayTo).
+func (ec *EdgeCloud) DelayTo(target graph.NodeID) []float64 {
+	return ec.top.DelayTo(target)
+}
+
+// DelayFrom returns dt(p_{source,v}) along the shortest path for every node
+// v, indexed by node (topology.Topology.DelayFrom).
+func (ec *EdgeCloud) DelayFrom(source graph.NodeID) []float64 {
+	return ec.top.DelayFrom(source)
 }
 
 func (ec *EdgeCloud) mustCompute(v graph.NodeID) {

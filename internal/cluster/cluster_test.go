@@ -54,10 +54,13 @@ func TestDelaysExposed(t *testing.T) {
 	if d := ec.ProcDelayPerGB(nodes[0]); d <= 0 {
 		t.Fatalf("processing delay %v", d)
 	}
-	if d := ec.TransferDelayPerGB(nodes[0], nodes[1]); d <= 0 || math.IsInf(d, 1) {
+	if d := ec.DelayTo(nodes[1])[nodes[0]]; d <= 0 || math.IsInf(d, 1) {
 		t.Fatalf("transfer delay %v", d)
 	}
-	if d := ec.TransferDelayPerGB(nodes[0], nodes[0]); d != 0 {
+	if d := ec.DelayFrom(nodes[0])[nodes[1]]; d <= 0 || math.IsInf(d, 1) {
+		t.Fatalf("transfer delay from %v", d)
+	}
+	if d := ec.DelayTo(nodes[0])[nodes[0]]; d != 0 {
 		t.Fatalf("self transfer delay %v", d)
 	}
 }

@@ -105,13 +105,14 @@ func (m *Manager) sync(n workload.DatasetID) *SyncEvent {
 		return nil
 	}
 	origin := m.datasets[n].Origin
+	fromOrigin := m.top.DelayFrom(origin)
 	ev := SyncEvent{Dataset: n, VolumeGB: vol}
 	for _, v := range m.replicas[n] {
 		if v == origin {
 			continue
 		}
 		ev.Replicas = append(ev.Replicas, v)
-		ev.CostGBSec += vol * m.top.TransferDelayPerGB(origin, v)
+		ev.CostGBSec += vol * fromOrigin[v]
 	}
 	m.dirty[n] = 0
 	m.events = append(m.events, ev)
@@ -153,7 +154,7 @@ func (m *Manager) ResyncReplica(n workload.DatasetID, v graph.NodeID) (SyncEvent
 	origin := m.datasets[n].Origin
 	if v != origin {
 		ev.Replicas = []graph.NodeID{v}
-		ev.CostGBSec = vol * m.top.TransferDelayPerGB(origin, v)
+		ev.CostGBSec = vol * m.top.DelayFrom(origin)[v]
 	}
 	m.events = append(m.events, ev)
 	return ev, nil

@@ -85,7 +85,7 @@ func TestAppendCrossingThresholdSyncs(t *testing.T) {
 	wantCost := 0.0
 	for _, v := range sol.Replicas[0] {
 		if v != ds[0].Origin {
-			wantCost += vol * top.TransferDelayPerGB(ds[0].Origin, v)
+			wantCost += vol * top.DelayFrom(ds[0].Origin)[v]
 		}
 	}
 	if math.Abs(ev.CostGBSec-wantCost) > 1e-9 {

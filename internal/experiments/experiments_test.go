@@ -124,8 +124,8 @@ func TestBuildTestbedTopologyMatchesClusterLayout(t *testing.T) {
 		t.Fatalf("layout %d DCs / %d cloudlets, want 4/16", dcs, cls)
 	}
 	// Metro-to-metro must be far cheaper than metro-to-Singapore.
-	intra := top.TransferDelayPerGB(5, 6)
-	remote := top.TransferDelayPerGB(5, 3) // node 3 = dc-singapore
+	intra := top.DelayTo(6)[5]
+	remote := top.DelayTo(3)[5] // node 3 = dc-singapore
 	if intra >= remote {
 		t.Fatalf("intra-metro delay %v not below WAN delay %v", intra, remote)
 	}

@@ -141,15 +141,11 @@ func BuildTestbedTopology(lat *testbed.LatencyModel, seed int64) *topology.Topol
 			g.AddEdge(graph.NodeID(u), graph.NodeID(v), oneWay)
 		}
 	}
-	top := &topology.Topology{
+	return &topology.Topology{
 		Graph:        g,
 		Nodes:        nodes,
 		ComputeNodes: compute,
 	}
-	// Fill Delays through the topology's shared distance cache so routing
-	// and any later path reconstruction reuse the same Dijkstra trees.
-	top.Delays = top.DistanceCache().Matrix()
-	return top
 }
 
 // splitMix is a tiny deterministic PRNG so topology building does not pull

@@ -181,9 +181,9 @@ type Recovery struct {
 	// never acknowledged to any client.
 	Torn bool
 	// The cold-start timeline, in the order StartLeader pays it: building
-	// the instance (topology, distance matrix, workload), loading and
-	// opening the journal, and building the engine (pricing tables, then
-	// snapshot load and replay when Replayed). A warm standby's promotion
+	// the instance (topology, workload, delay rows of homes and origins),
+	// loading and opening the journal, and building the engine (pricing
+	// tables, then snapshot load and replay when Replayed). A warm standby's promotion
 	// pays none of the three.
 	InstanceBuild time.Duration
 	JournalOpen   time.Duration

@@ -207,6 +207,67 @@ func TestDistanceCacheColdShortestConcurrent(t *testing.T) {
 	}
 }
 
+// TestDistanceCacheColdRowsConcurrent races many goroutines on cold delay
+// rows, every goroutine asking for the same few targets in its own order, as
+// BuildRows' workers and a concurrent reader would: each target must cost
+// exactly one Dijkstra and one row build, every caller must receive the one
+// canonical row, and the row must equal the matrix column it stands for.
+// Run under -race (ci.sh does).
+func TestDistanceCacheColdRowsConcurrent(t *testing.T) {
+	instrument.Enable()
+	defer instrument.Disable()
+	defer instrument.Reset()
+	rng := rand.New(rand.NewSource(19))
+	targets := []NodeID{0, 3, 7, 11, 29}
+	for trial := 0; trial < 5; trial++ {
+		g := randomGraph(rng, 40, 0.1, trial%2 == 0)
+		c := NewDistanceCache(g)
+		const workers = 16
+		rows := make([][][]float64, workers) // [worker][target]
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(workers)
+		instrument.Reset()
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer done.Done()
+				rows[w] = make([][]float64, len(targets))
+				start.Wait() // line everyone up on the cold cache
+				for i := range targets {
+					j := (i + w) % len(targets)
+					rows[w][j] = c.To(targets[j])
+				}
+			}(w)
+		}
+		start.Done()
+		done.Wait()
+		snap := instrument.Snapshot()
+		want := int64(len(targets))
+		if got := snap["graph.dijkstra_calls"]; got != want {
+			t.Fatalf("trial %d: dijkstra calls = %d, want exactly %d (one per target)", trial, got, want)
+		}
+		if got := snap["graph.distcache_row_builds"]; got != want {
+			t.Fatalf("trial %d: row builds = %d, want exactly %d (duplicate cold row)", trial, got, want)
+		}
+		if got := snap["graph.distcache_misses"]; got != want {
+			t.Fatalf("trial %d: misses = %d, want exactly %d", trial, got, want)
+		}
+		m := g.AllPairsShortestPaths()
+		for j, tg := range targets {
+			for w := 1; w < workers; w++ {
+				if &rows[w][j][0] != &rows[0][j][0] {
+					t.Fatalf("trial %d: worker %d got a non-canonical row for target %d", trial, w, tg)
+				}
+			}
+			for v, got := range rows[0][j] {
+				if want := m.Between(NodeID(v), tg); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: To(%d)[%d] = %v, Between(%d, %d) = %v", trial, tg, v, got, v, tg, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDistanceCacheStats checks the hit/miss accounting the -stats flag and
 // bench/'s graph.dijkstra_calls surface.
 func TestDistanceCacheStats(t *testing.T) {

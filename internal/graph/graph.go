@@ -5,8 +5,10 @@
 // transmission delays on links of the two-tier edge cloud. The package
 // implements shortest paths (Dijkstra on a typed binary heap: no interface
 // dispatch, nothing boxed per push), the DistanceCache that memoizes their
-// trees and builds the all-pairs DistanceMatrix from them on every core,
-// connected components, and spanning-tree augmentation used to repair
+// trees, the delay row towards each target the model reads (built from the
+// target's tree alone, in the bits of the all-pairs matrix) and, for the
+// callers that need all pairs, the DistanceMatrix, built lazily on every
+// core; connected components, and spanning-tree augmentation used to repair
 // disconnected random topologies.
 package graph
 

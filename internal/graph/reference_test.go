@@ -3,9 +3,11 @@ package graph
 import "container/heap"
 
 // The kernel Dijkstra replaced and the serial all-pairs loop Matrix replaced,
-// kept verbatim as test oracles: TestDijkstraMatchesReference requires the
-// typed heap to reproduce DijkstraReference's Dist bits and parent array on
-// every source, TestMatrixMatchesSerial requires the parallel Matrix to equal
+// kept as test oracles (the kernel's one edit since is the element type of
+// its parent slice, which now carries the edge weight):
+// TestDijkstraMatchesReference requires the typed heap to reproduce
+// DijkstraReference's Dist bits and parent array on every source,
+// TestMatrixMatchesSerial requires the parallel Matrix to equal
 // AllPairsShortestPaths bit for bit.
 
 // pqItem is one entry of the Dijkstra priority queue.
@@ -38,11 +40,11 @@ func (g *Graph) DijkstraReference(src NodeID) *ShortestPaths {
 	sp := &ShortestPaths{
 		Source: src,
 		Dist:   make([]float64, n),
-		parent: make([]NodeID, n),
+		parent: make([]parentEdge, n),
 	}
 	for i := range sp.Dist {
 		sp.Dist[i] = Infinity
-		sp.parent[i] = -1
+		sp.parent[i].node = -1
 	}
 	sp.Dist[src] = 0
 	h := &pq{{node: src, dist: 0}}
@@ -54,7 +56,7 @@ func (g *Graph) DijkstraReference(src NodeID) *ShortestPaths {
 		for _, nb := range g.adj[it.node] {
 			if d := it.dist + nb.w; d < sp.Dist[nb.to] {
 				sp.Dist[nb.to] = d
-				sp.parent[nb.to] = it.node
+				sp.parent[nb.to] = parentEdge{node: it.node, w: nb.w}
 				heap.Push(h, pqItem{node: nb.to, dist: d})
 			}
 		}
@@ -75,4 +77,10 @@ func (g *Graph) AllPairsShortestPaths() *DistanceMatrix {
 
 // Parents exposes the shortest-path tree: Parents()[v] is v's predecessor on
 // its path from the source, -1 for the source and for unreachable nodes.
-func (sp *ShortestPaths) Parents() []NodeID { return sp.parent }
+func (sp *ShortestPaths) Parents() []NodeID {
+	out := make([]NodeID, len(sp.parent))
+	for v, e := range sp.parent {
+		out[v] = e.node
+	}
+	return out
+}

@@ -64,11 +64,21 @@ func (h *distHeap) pop() heapItem {
 	return top
 }
 
-// ShortestPaths holds single-source shortest-path distances and parents.
+// ShortestPaths holds single-source shortest-path distances and the tree
+// they were found on.
 type ShortestPaths struct {
 	Source NodeID
 	Dist   []float64
-	parent []NodeID
+	// parent[v] is v's predecessor on its path from Source (node -1 for the
+	// source and for unreachable nodes) and the weight of the edge between
+	// them, so a path's weights can be summed again in either direction.
+	parent []parentEdge
+}
+
+// parentEdge is one tree edge, stored beside its child node.
+type parentEdge struct {
+	node NodeID
+	w    float64
 }
 
 // dijkstra computes shortest paths from src using a binary heap; it runs in
@@ -90,11 +100,11 @@ func (g *Graph) dijkstra(src NodeID) *ShortestPaths {
 	sp := &ShortestPaths{
 		Source: src,
 		Dist:   make([]float64, n),
-		parent: make([]NodeID, n),
+		parent: make([]parentEdge, n),
 	}
 	for i := range sp.Dist {
 		sp.Dist[i] = Infinity
-		sp.parent[i] = -1
+		sp.parent[i].node = -1
 	}
 	sp.Dist[src] = 0
 	h := make(distHeap, 1, min(2*g.edges+1, 4*n))
@@ -107,7 +117,7 @@ func (g *Graph) dijkstra(src NodeID) *ShortestPaths {
 		for _, nb := range g.adj[it.node] {
 			if d := it.dist + nb.w; d < sp.Dist[nb.to] {
 				sp.Dist[nb.to] = d
-				sp.parent[nb.to] = it.node
+				sp.parent[nb.to] = parentEdge{node: it.node, w: nb.w}
 				h.push(heapItem{node: nb.to, dist: d})
 			}
 		}
@@ -122,7 +132,7 @@ func (sp *ShortestPaths) PathTo(dst NodeID) []NodeID {
 		return nil
 	}
 	var rev []NodeID
-	for v := dst; v != -1; v = sp.parent[v] {
+	for v := dst; v != -1; v = sp.parent[v].node {
 		rev = append(rev, v)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {

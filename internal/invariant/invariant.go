@@ -177,7 +177,7 @@ func Check(p *placement.Problem, s *placement.Solution, opt Options) []Violation
 			// Paper (4): evaluation delay, recomputed from first principles.
 			size := p.Datasets[dm.Dataset].SizeGB
 			delay := size*p.Cloud.ProcDelayPerGB(v) +
-				size*dm.Selectivity*p.Cloud.TransferDelayPerGB(v, query.Home)
+				size*dm.Selectivity*p.Cloud.DelayTo(query.Home)[v]
 			if math.IsInf(delay, 1) {
 				add("deadline", "query %d dataset %d at node %d is disconnected from home %d (delay = graph.Infinity)",
 					q, dm.Dataset, v, query.Home)

@@ -254,35 +254,49 @@ func isHugeLiteral(e ast.Expr) bool {
 	}
 }
 
-// distanceMethodNames are the repo's distance-producing call names; typed
-// resolution additionally requires the method to be declared in this repo
-// (graph, topology, or cluster own them all).
-var distanceMethodNames = map[string]bool{
-	"Between":            true,
-	"TransferDelayPerGB": true,
-}
+// distanceMethodNames are the repo's calls that return one distance, and
+// distanceRowNames those that return a row of distances indexed by node
+// (DistanceCache.To/From, the topology's and the cluster's DelayTo/DelayFrom),
+// so an element of their result is one. Typed resolution additionally
+// requires the method to be declared in this repo (graph, topology, or
+// cluster own them all).
+var (
+	distanceMethodNames = map[string]bool{"Between": true}
+	distanceRowNames    = map[string]bool{"To": true, "From": true, "DelayTo": true, "DelayFrom": true}
+)
 
 // isDistanceExpr recognizes the repo's distance-producing expressions: the
-// DistanceCache/DistanceMatrix lookups and ShortestPaths.Dist indexing. A
-// resolved call with a matching name counts only when it is declared in
-// this repository; unresolved calls fall back to the name alone.
+// DistanceMatrix lookup, an element of a delay row read straight off its
+// accessor, and ShortestPaths.Dist indexing.
 func isDistanceExpr(r *Repo, e ast.Expr) bool {
 	switch v := e.(type) {
 	case *ast.ParenExpr:
 		return isDistanceExpr(r, v.X)
 	case *ast.CallExpr:
-		if sel, ok := v.Fun.(*ast.SelectorExpr); ok && distanceMethodNames[sel.Sel.Name] {
-			if o := r.callee(v); o != nil {
-				return repoOwned(o)
-			}
-			return true
-		}
+		return isRepoCallNamed(r, v, distanceMethodNames)
 	case *ast.IndexExpr:
 		if sel, ok := v.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Dist" {
 			return true
 		}
+		if call, ok := ast.Unparen(v.X).(*ast.CallExpr); ok {
+			return isRepoCallNamed(r, call, distanceRowNames)
+		}
 	}
 	return false
+}
+
+// isRepoCallNamed reports whether call is a method call with one of names. A
+// resolved call counts only when it is declared in this repository;
+// unresolved calls fall back to the name alone.
+func isRepoCallNamed(r *Repo, call *ast.CallExpr, names map[string]bool) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !names[sel.Sel.Name] {
+		return false
+	}
+	if o := r.callee(call); o != nil {
+		return repoOwned(o)
+	}
+	return true
 }
 
 func isInfinityRef(e ast.Expr) bool {

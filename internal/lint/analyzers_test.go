@@ -109,6 +109,52 @@ func f(s sp, d float64) bool { return s.Dist[3] != d }
 		wantSub: "==/!= on a float64 distance",
 	},
 	{
+		name:     "delay row element equality flagged",
+		analyzer: "infsentinel",
+		src: `package fix
+func f(c interface{ DelayTo(int) []float64 }, d float64) bool { return c.DelayTo(3)[0] == d }
+`,
+		wantSub: "==/!= on a float64 distance",
+	},
+	{
+		name:     "distance cache row element inequality flagged",
+		analyzer: "infsentinel",
+		src: `package fix
+func f(c interface{ To(int) []float64 }, d float64) bool { return d != (c.To(1))[2] }
+`,
+		wantSub: "==/!= on a float64 distance",
+	},
+	{
+		name:     "origin row element equality flagged",
+		analyzer: "infsentinel",
+		src: `package fix
+func f(c interface{ DelayFrom(int) []float64 }, d float64) bool { return c.DelayFrom(0)[4] == d }
+`,
+		wantSub: "==/!= on a float64 distance",
+	},
+	{
+		name:     "huge constant against a delay row flagged",
+		analyzer: "infsentinel",
+		src: `package fix
+func f(c interface{ From(int) []float64 }) bool { return c.From(0)[1] >= 1e18 }
+`,
+		wantSub: "magic huge constant",
+	},
+	{
+		name:     "delay row element against Infinity ok",
+		analyzer: "infsentinel",
+		src: `package fix
+import "math"
+var Infinity = math.Inf(1)
+func f(c interface{ DelayTo(int) []float64 }, deadline float64) bool {
+	if c.DelayTo(3)[0] == Infinity {
+		return false
+	}
+	return c.DelayTo(3)[0] <= deadline
+}
+`,
+	},
+	{
 		name:     "Infinity sentinel and IsInf ok",
 		analyzer: "infsentinel",
 		src: `package fix

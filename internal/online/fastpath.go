@@ -10,7 +10,7 @@
 //
 // Building them is most of what NewEngine costs, so the build is kept to its
 // arithmetic: each (demand, node) delay is evaluated once, straight off the
-// topology's delay matrix, and feeds all three things a table keeps (the
+// home's delay row, and feeds all three things a table keeps (the
 // admission set, the classification set, the closest finite-delay node); each
 // admission set is sorted once, by a typed comparison, into the delay order
 // pickFast's early exit stands on; and queries are built on every core

@@ -26,7 +26,10 @@ type Problem struct {
 	MaxReplicas int
 }
 
-// NewProblem assembles a Problem and validates its shape.
+// NewProblem assembles a Problem and validates its shape. It builds the
+// delay rows of every query home and dataset origin on every core before it
+// returns (graph.DistanceCache.BuildRows), so no later reader — a solver, the
+// online engine's tables, an offer — pays for a row of its own.
 func NewProblem(ec *cluster.EdgeCloud, w *workload.Workload, k int) (*Problem, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("placement: K = %d, need K ≥ 1", k)
@@ -44,6 +47,28 @@ func NewProblem(ec *cluster.EdgeCloud, w *workload.Workload, k int) (*Problem, e
 			}
 		}
 	}
+	top := ec.Topology()
+	n := top.Graph.NumNodes()
+	target := make([]bool, n)
+	for _, q := range w.Queries {
+		if q.Home < 0 || int(q.Home) >= n {
+			return nil, fmt.Errorf("placement: query %d is homed at node %d, outside the topology's %d", q.ID, q.Home, n)
+		}
+		target[q.Home] = true
+	}
+	for _, ds := range w.Datasets {
+		if ds.Origin < 0 || int(ds.Origin) >= n {
+			return nil, fmt.Errorf("placement: dataset %d originates at node %d, outside the topology's %d", ds.ID, ds.Origin, n)
+		}
+		target[ds.Origin] = true
+	}
+	var targets []graph.NodeID
+	for v, ok := range target {
+		if ok {
+			targets = append(targets, graph.NodeID(v))
+		}
+	}
+	top.DistanceCache().BuildRows(targets)
 	return &Problem{Cloud: ec, Datasets: w.Datasets, Queries: w.Queries, MaxReplicas: k}, nil
 }
 
@@ -67,7 +92,7 @@ func (p *Problem) EvalDelay(q workload.QueryID, n workload.DatasetID, v graph.No
 		return 0, false
 	}
 	return evalDelay(p.Datasets[n].SizeGB, d.Selectivity,
-		p.Cloud.ProcDelayPerGB(v), p.Cloud.TransferDelayPerGB(v, p.Queries[q].Home)), true
+		p.Cloud.ProcDelayPerGB(v), p.Cloud.DelayTo(p.Queries[q].Home)[v]), true
 }
 
 // evalDelay is the delay model's arithmetic. Everything that prices a delay
@@ -79,13 +104,12 @@ func evalDelay(size, selectivity, procPerGB, transferPerGB float64) float64 {
 }
 
 // DemandDelays is EvalDelay for one (query, dataset) pair with everything but
-// the node hoisted — the demand scan, the dataset size, the home's row of the
-// delay matrix, the compute-node check — for builders that price the pair at
-// every compute node (the ascent's candidate lists, the engine's tables).
+// the node hoisted — the demand scan, the dataset size, the home's delay row,
+// the compute-node check — for builders that price the pair at every compute
+// node (the ascent's candidate lists, the engine's tables).
 type DemandDelays struct {
 	size, selectivity float64
-	home              graph.NodeID
-	transfer          *graph.DistanceMatrix
+	toHome            []float64 // dt(p_{v,home}), indexed by node
 	nodes             []graph.NodeID
 	procDelay         []float64
 }
@@ -97,8 +121,7 @@ func (p *Problem) DemandDelays(q workload.QueryID, n workload.DatasetID, procDel
 	return DemandDelays{
 		size:        p.Datasets[n].SizeGB,
 		selectivity: d.Selectivity,
-		home:        p.Queries[q].Home,
-		transfer:    p.Cloud.Topology().Delays,
+		toHome:      p.Cloud.DelayTo(p.Queries[q].Home),
 		nodes:       p.Cloud.ComputeNodes(),
 		procDelay:   procDelay,
 	}
@@ -107,7 +130,7 @@ func (p *Problem) DemandDelays(q workload.QueryID, n workload.DatasetID, procDel
 // At returns the delay at the i-th compute node: EvalDelay's value, bit for
 // bit.
 func (d *DemandDelays) At(i int) float64 {
-	return evalDelay(d.size, d.selectivity, d.procDelay[i], d.transfer.Between(d.nodes[i], d.home))
+	return evalDelay(d.size, d.selectivity, d.procDelay[i], d.toHome[d.nodes[i]])
 }
 
 // ComputeNeed returns |S_n|·r_m: the computing resource consumed on the node

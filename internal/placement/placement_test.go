@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,6 +56,19 @@ func TestNewProblemValidation(t *testing.T) {
 	if _, err := NewProblem(ec, bad2, 1); err == nil {
 		t.Fatal("dangling dataset reference accepted")
 	}
+	outside := graph.NodeID(top.Graph.NumNodes())
+	homeless := &workload.Workload{
+		Datasets: w.Datasets,
+		Queries:  []workload.Query{{ID: 0, Home: outside, Demands: w.Queries[0].Demands}},
+	}
+	if _, err := NewProblem(ec, homeless, 1); err == nil {
+		t.Fatal("query homed outside the topology accepted")
+	}
+	stray := &workload.Workload{Datasets: slices.Clone(w.Datasets), Queries: w.Queries}
+	stray.Datasets[0].Origin = -1
+	if _, err := NewProblem(ec, stray, 1); err == nil {
+		t.Fatal("dataset originating outside the topology accepted")
+	}
 	if _, err := NewProblem(ec, w, 3); err != nil {
 		t.Fatalf("valid problem rejected: %v", err)
 	}
@@ -71,7 +85,7 @@ func TestEvalDelayFormula(t *testing.T) {
 	}
 	size := p.Datasets[d.Dataset].SizeGB
 	want := size*p.Cloud.ProcDelayPerGB(v) +
-		size*d.Selectivity*p.Cloud.TransferDelayPerGB(v, q.Home)
+		size*d.Selectivity*p.Cloud.DelayTo(q.Home)[v]
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("EvalDelay = %v, want %v", got, want)
 	}
@@ -133,7 +147,7 @@ func TestDemandDelaysMatchEvalDelay(t *testing.T) {
 						t.Fatalf("query %d does not demand dataset %d", q.ID, dm.Dataset)
 					}
 					proc := size * p.Cloud.ProcDelayPerGB(v)
-					trans := size * first.Selectivity * p.Cloud.TransferDelayPerGB(v, q.Home)
+					trans := size * first.Selectivity * p.Cloud.DelayTo(q.Home)[v]
 					if spelled := proc + trans; math.Float64bits(spelled) != math.Float64bits(want) {
 						t.Fatalf("query %d dataset %d node %d: EvalDelay = %v, the model spelled out %v", q.ID, dm.Dataset, v, want, spelled)
 					}

@@ -124,7 +124,7 @@ func (e *engineState) offer(qi int) {
 		}
 		// Cache miss: fetch from origin into the node minimizing
 		// fetch + evaluation delay, still within the deadline.
-		origin := e.p.Datasets[dm.Dataset].Origin
+		fromOrigin := e.p.Cloud.DelayFrom(e.p.Datasets[dm.Dataset].Origin)
 		size := e.p.Datasets[dm.Dataset].SizeGB
 		best, bestDelay = -1, math.Inf(1)
 		for _, v := range e.p.Cloud.ComputeNodes() {
@@ -135,7 +135,7 @@ func (e *engineState) offer(qi int) {
 			if !ok {
 				continue
 			}
-			total := evalDelay + size*e.p.Cloud.TransferDelayPerGB(origin, v)
+			total := evalDelay + size*fromOrigin[v]
 			if total > q.DeadlineSec {
 				continue
 			}

@@ -49,7 +49,7 @@ func (p Path) Hops() int {
 
 // Router resolves shortest paths over a topology through the topology's
 // shared graph.DistanceCache, so the Dijkstra trees that built the delay
-// matrix also serve path reconstruction — no per-router recomputation.
+// rows also serve path reconstruction — no per-router recomputation.
 type Router struct {
 	top   *topology.Topology
 	cache *graph.DistanceCache
@@ -158,8 +158,9 @@ func MeasureFootprint(p *placement.Problem, sol *placement.Solution, r *Router) 
 }
 
 // VerifyPathsMatchDistances checks that every routed path's delay equals the
-// topology's distance matrix entry — the consistency invariant between this
-// package and the placement model's delay terms.
+// delay the placement model reads for the same pair (the row towards dst) —
+// the consistency invariant between this package and the model's delay
+// terms.
 func VerifyPathsMatchDistances(top *topology.Topology, r *Router) error {
 	for _, u := range top.ComputeNodes {
 		for _, v := range top.ComputeNodes {
@@ -167,9 +168,9 @@ func VerifyPathsMatchDistances(top *topology.Topology, r *Router) error {
 			if err != nil {
 				return err
 			}
-			want := top.TransferDelayPerGB(u, v)
+			want := top.DelayTo(v)[u]
 			if math.Abs(path.DelayPerGB-want) > 1e-9 {
-				return fmt.Errorf("routing: path delay %v != matrix %v for %d→%d",
+				return fmt.Errorf("routing: path delay %v != model delay %v for %d→%d",
 					path.DelayPerGB, want, u, v)
 			}
 		}

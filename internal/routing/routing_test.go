@@ -84,7 +84,6 @@ func TestPathUnreachable(t *testing.T) {
 			{ID: 1, Kind: topology.Cloudlet, CapacityGHz: 10, ProcDelayPerGB: 1},
 		},
 		ComputeNodes: []graph.NodeID{0, 1},
-		Delays:       graph.NewDistanceCache(g).Matrix(),
 	}
 	r := NewRouter(top)
 	if _, err := r.Path(0, 1); err == nil {

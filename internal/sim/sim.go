@@ -177,7 +177,7 @@ func Run(p *placement.Problem, sol *placement.Solution, cfg Config) (*Report, er
 				node:        a.Node,
 				needGHz:     p.ComputeNeed(q, a.Dataset),
 				procSec:     size * p.Cloud.ProcDelayPerGB(a.Node),
-				transferSec: size * d.Selectivity * p.Cloud.TransferDelayPerGB(a.Node, p.Queries[q].Home),
+				transferSec: size * d.Selectivity * p.Cloud.DelayTo(p.Queries[q].Home)[a.Node],
 			}
 			push(t, evArrival, tk)
 		}

@@ -135,12 +135,11 @@ func (n *Node) dispatch(req *Request) *Response {
 		if !ok {
 			return &Response{OK: false, Error: fmt.Sprintf("node %s: no replica of dataset %d", n.Name, req.Dataset)}
 		}
-		start := time.Now()
 		p, err := analytics.Aggregate(recs, req.Query)
 		if err != nil {
 			return &Response{OK: false, Error: err.Error()}
 		}
-		return &Response{OK: true, Partial: p, AggregateNanos: time.Since(start).Nanoseconds()}
+		return &Response{OK: true, Partial: p}
 	case OpEvaluate:
 		return n.evaluate(req)
 	default:

@@ -67,8 +67,6 @@ type Response struct {
 	Error   string             `json:"error,omitempty"`
 	Partial *analytics.Partial `json:"partial,omitempty"`
 	Result  *analytics.Result  `json:"result,omitempty"`
-	// AggregateNanos is the server-side time spent scanning records.
-	AggregateNanos int64 `json:"aggregate_nanos,omitempty"`
 }
 
 // serverConnTimeout bounds how long a node keeps one accepted connection

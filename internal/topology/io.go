@@ -66,8 +66,8 @@ func (t *Topology) Save(w io.Writer) error {
 }
 
 // Load reads a topology written by Save (or hand-authored in the same
-// schema), rebuilding the graph and the all-pairs delay matrix. Node IDs
-// must be dense 0..n-1 in order.
+// schema), rebuilding the graph; its delays are computed on first use, like
+// a generated topology's. Node IDs must be dense 0..n-1 in order.
 func Load(r io.Reader) (*Topology, error) {
 	var in jsonTopology
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -116,10 +116,9 @@ func Load(r io.Reader) (*Topology, error) {
 		}
 		g.AddEdge(graph.NodeID(l.From), graph.NodeID(l.To), l.Delay)
 	}
-	top := &Topology{
+	return &Topology{
 		Graph:        g,
 		Nodes:        nodes,
 		ComputeNodes: compute,
-	}
-	return top.finish(), nil
+	}, nil
 }

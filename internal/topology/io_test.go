@@ -36,7 +36,7 @@ func TestTopologySaveLoadRoundTrip(t *testing.T) {
 	// Delay matrix must be rebuilt identically.
 	for _, u := range top.ComputeNodes {
 		for _, v := range top.ComputeNodes {
-			if math.Abs(got.TransferDelayPerGB(u, v)-top.TransferDelayPerGB(u, v)) > 1e-9 {
+			if math.Abs(got.DelayTo(v)[u]-top.DelayTo(v)[u]) > 1e-9 {
 				t.Fatalf("delay %d→%d changed", u, v)
 			}
 		}
@@ -81,7 +81,7 @@ func TestTopologyLoadMinimalHandAuthored(t *testing.T) {
 	if top.NumCompute() != 2 {
 		t.Fatalf("compute = %d", top.NumCompute())
 	}
-	if d := top.TransferDelayPerGB(0, 1); d != 0.5 {
+	if d := top.DelayTo(1)[0]; d != 0.5 {
 		t.Fatalf("delay = %v, want 0.5", d)
 	}
 }

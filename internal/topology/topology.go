@@ -67,21 +67,19 @@ type Topology struct {
 	Nodes []Node
 	// ComputeNodes lists the IDs of V = CL ∪ DC in ascending order.
 	ComputeNodes []graph.NodeID
-	// Delays holds all-pairs shortest-path transmission delays per GB.
-	Delays *graph.DistanceMatrix
 
-	// cache memoizes per-source Dijkstra trees over Graph; it backs Delays
-	// and is shared with routing so path reconstruction reuses the trees
-	// the delay matrix was built from. Lazily created by DistanceCache.
+	// cache memoizes per-source Dijkstra trees over Graph and the delay rows
+	// and matrix built from them, shared with routing so path reconstruction
+	// reuses the same trees. Lazily created by DistanceCache.
 	cacheOnce sync.Once
 	cache     *graph.DistanceCache
 }
 
 // DistanceCache returns the topology's shared shortest-path cache, creating
-// it on first use. All distance consumers (the Delays matrix, routing,
-// experiments) should resolve paths through this cache instead of running
-// their own Dijkstra, so each source is computed at most once per topology.
-// Safe for concurrent use.
+// it on first use. All distance consumers (the delay rows, the matrix,
+// routing, experiments) should resolve paths through this cache instead of
+// running their own Dijkstra, so each source is computed at most once per
+// topology. Safe for concurrent use.
 func (t *Topology) DistanceCache() *graph.DistanceCache {
 	t.cacheOnce.Do(func() {
 		t.cache = graph.NewDistanceCache(t.Graph)
@@ -89,11 +87,29 @@ func (t *Topology) DistanceCache() *graph.DistanceCache {
 	return t.cache
 }
 
-// finish populates the derived fields of a freshly-constructed topology:
-// the shared distance cache and the all-pairs delay matrix built from it.
-func (t *Topology) finish() *Topology {
-	t.Delays = t.DistanceCache().Matrix()
-	return t
+// DelayTo returns dt(p_{v,target}), the per-GB shortest-path transmission
+// delay from every node v to target, indexed by node: the row the delay
+// model reads for a query's home. It is built on first use (one Dijkstra from
+// target) and equals Matrix().Between(v, target) bit for bit; see
+// graph.DistanceCache.To. The caller must not modify it.
+func (t *Topology) DelayTo(target graph.NodeID) []float64 {
+	return t.DistanceCache().To(target)
+}
+
+// DelayFrom returns dt(p_{source,v}) for every node v, indexed by node: the
+// row the consistency cost reads for a dataset's origin. It is source's
+// Dijkstra distances, Matrix().Between(source, v) by construction. The caller
+// must not modify it.
+func (t *Topology) DelayFrom(source graph.NodeID) []float64 {
+	return t.DistanceCache().From(source)
+}
+
+// Matrix returns the all-pairs delay matrix, built on first use (one
+// Dijkstra from every node) and cached. The delay model does not read it:
+// only all-pairs consumers such as the partitioning baseline and the tests
+// that use it as the rows' oracle do.
+func (t *Topology) Matrix() *graph.DistanceMatrix {
+	return t.DistanceCache().Matrix()
 }
 
 // Config controls topology generation. Defaults mirror the paper: 6 data
@@ -303,12 +319,11 @@ func Generate(c Config) (*Topology, error) {
 
 	g.Connect(c.LinkDelayMax * c.WANDelayFactor)
 
-	top := &Topology{
+	return &Topology{
 		Graph:        g,
 		Nodes:        nodes,
 		ComputeNodes: compute,
-	}
-	return top.finish(), nil
+	}, nil
 }
 
 // MustGenerate is Generate panicking on configuration errors; for tests and
@@ -326,12 +341,6 @@ func (t *Topology) Node(id graph.NodeID) Node { return t.Nodes[id] }
 
 // NumCompute returns |V| = |CL ∪ DC|.
 func (t *Topology) NumCompute() int { return len(t.ComputeNodes) }
-
-// TransferDelayPerGB returns dt(p_{u,v}): the per-GB shortest-path
-// transmission delay between two nodes.
-func (t *Topology) TransferDelayPerGB(u, v graph.NodeID) float64 {
-	return t.Delays.Between(u, v)
-}
 
 // Describe returns a human-readable inventory resembling the paper's Fig. 1.
 func (t *Topology) Describe() string {

@@ -155,11 +155,11 @@ func TestTransferDelayFiniteAndSymmetric(t *testing.T) {
 	top := MustGenerate(DefaultConfig())
 	for _, u := range top.ComputeNodes {
 		for _, v := range top.ComputeNodes {
-			d := top.TransferDelayPerGB(u, v)
+			d := top.DelayTo(v)[u]
 			if math.IsInf(d, 1) {
 				t.Fatalf("infinite delay between compute nodes %d and %d", u, v)
 			}
-			if back := top.TransferDelayPerGB(v, u); math.Abs(back-d) > 1e-9 {
+			if back := top.DelayTo(u)[v]; math.Abs(back-d) > 1e-9 {
 				t.Fatalf("asymmetric delay %d<->%d: %v vs %v", u, v, d, back)
 			}
 			if u == v && d != 0 {

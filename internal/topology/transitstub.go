@@ -168,10 +168,9 @@ func GenerateTransitStub(c TransitStubConfig) (*Topology, error) {
 
 	g.Connect(c.LinkDelayMax * c.WANDelayFactor)
 
-	top := &Topology{
+	return &Topology{
 		Graph:        g,
 		Nodes:        nodes,
 		ComputeNodes: compute,
-	}
-	return top.finish(), nil
+	}, nil
 }

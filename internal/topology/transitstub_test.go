@@ -47,7 +47,7 @@ func TestTransitStubHierarchyLocality(t *testing.T) {
 	stubOf := func(id int) int { return (id - numTransit) / c.StubNodesPerDomain }
 	for i := numTransit; i < top.Graph.NumNodes(); i++ {
 		for j := i + 1; j < top.Graph.NumNodes(); j++ {
-			d := top.TransferDelayPerGB(top.Nodes[i].ID, top.Nodes[j].ID)
+			d := top.DelayTo(top.Nodes[j].ID)[top.Nodes[i].ID]
 			if stubOf(i) == stubOf(j) {
 				sameSum += d
 				sameN++
