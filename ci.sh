@@ -10,8 +10,9 @@
 # Dijkstra / matrix / delay-row / table-build / dual-ascent oracles),
 # attribution gates (zero-alloc off path, byte-identical traces, flight-ring
 # race stress), durability (journal/recovery incl. bit-exact through a
-# snapshot + v0, v1 and mixed-format journals + the record codec against its
-# JSON reference and under fuzz + the solution layer against its
+# snapshot + v0, v1 and mixed-format journals + the record and snapshot
+# codecs against their JSON references and under fuzz + JSON-era snapshots
+# under a binary one + snapshot retention + the solution layer against its
 # sort-per-admit reference + group commit/power-loss/commit-fail drills +
 # kill-and-resume byte-identity), the /admit wire codec against its
 # encoding/json reference (decode fuzz, reply bytes, journals through both
@@ -111,7 +112,7 @@ go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./int
 # the query, and closing the cluster mid-fanout leaks no dial.
 go test -race -run 'HungPeer|HungReplica|CloseDuring|ReplicaDown' ./internal/testbed
 
-echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot, v0 and mixed-format journals; solution-layer and record-codec oracles; decode fuzz smokes)"
+echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot, v0 and mixed-format journals, JSON and binary snapshots in one journal, snapshot retention; solution-layer, record-codec and snapshot-codec oracles; decode fuzz smokes)"
 go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|StateDump' \
     ./internal/journal ./internal/online ./internal/invariant ./internal/experiments
 # Recovery through a snapshot is bit-exact (tied expiries pop in one order
@@ -122,10 +123,17 @@ go test -race -run 'TestSolutionMatchesReference' ./internal/placement
 # WAL records are binary v1; journals of older binaries hold v0 JSON. Every
 # record decodes the same from both, a v0 journal recovers to the state of
 # its v1 twin, and a v0 prefix with a v1 suffix (an upgraded daemon) recovers
-# through Recover and through a standby fed one segment at a time.
+# through Recover and through a standby fed one segment at a time. Snapshots
+# are binary too; older binaries wrote JSON. Every snapshot the engine writes
+# decodes to what the JSON of its state decodes to, and a journal with a JSON
+# snapshot under a binary one recovers through either, as does a standby; a
+# journal keeps two snapshots, and falls back to the older when the newer is
+# damaged.
 go test -race -run 'TestRecordCodecMatchesJSON|TestRecoverV0Journal|TestRecoverMixedJournal' ./internal/online
+go test -race -run 'TestSnapshotCodecMatchesJSON|TestDecodeSnapshotRefuses|TestRecoverCrossEraSnapshots|TestSnapshotRetention' ./internal/online ./internal/journal
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 5s ./internal/journal
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/online
+go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 5s ./internal/online
 # The /admit request decoder against the encoding/json path it replaced.
 go test -run '^$' -fuzz '^FuzzAdmitDecode$' -fuzztime 5s ./internal/server
 # Group commit: one fsync per epoch with acks after it, every byte offset of

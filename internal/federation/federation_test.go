@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"edgerep/internal/journal"
+	"edgerep/internal/online"
 	"edgerep/internal/server"
 	"edgerep/internal/workload"
 )
@@ -251,7 +252,11 @@ func TestShipFromLiveLeader(t *testing.T) {
 		t.Fatalf("promoted server fences term %d, want 2", nl.Server().Term())
 	}
 	// The handoff snapshot at LSN 0 must exist and decode.
-	if _, err := journal.SnapshotAt(nl.Dir(), 0); err != nil {
+	handoff, err := journal.SnapshotAt(nl.Dir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := online.DecodeSnapshot(handoff); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Promote(dir, t.TempDir()); err == nil {

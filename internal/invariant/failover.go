@@ -12,7 +12,6 @@ package invariant
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"edgerep/internal/journal"
@@ -44,30 +43,19 @@ func CheckFailover(p *placement.Problem, expectedArrivals int, opt online.Option
 	if err != nil {
 		return fmt.Errorf("invariant: promoted leader lacks a handoff snapshot: %w", err)
 	}
-	var handoff online.EngineState
-	if err := json.Unmarshal(snapBytes, &handoff); err != nil {
+	handoff, err := online.DecodeSnapshot(snapBytes)
+	if err != nil {
 		return fmt.Errorf("invariant: decode handoff snapshot: %w", err)
 	}
-	// Canonical-JSON equality: both sides normalized the same way, so a
+	// Canonical-encoding equality: both sides encoded the same way, so a
 	// nil-versus-empty slice difference from the snapshot round trip cannot
-	// mask (or fake) a real divergence.
-	wantJSON, err := json.Marshal(oldEng.StateDump())
-	if err != nil {
-		return fmt.Errorf("invariant: marshal replayed old state: %w", err)
-	}
-	gotJSON, err := json.Marshal(&handoff)
-	if err != nil {
-		return fmt.Errorf("invariant: marshal handoff snapshot: %w", err)
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		var rehydrated online.EngineState
-		if err := json.Unmarshal(wantJSON, &rehydrated); err != nil {
-			return fmt.Errorf("invariant: rehydrate replayed old state: %w", err)
-		}
-		if err := CheckRecovered(&handoff, &rehydrated); err != nil {
+	// mask (or fake) a real divergence. CheckRecovered names the field.
+	replayed := oldEng.StateDump()
+	if !bytes.Equal(online.AppendSnapshot(nil, handoff), online.AppendSnapshot(nil, replayed)) {
+		if err := CheckRecovered(handoff, replayed); err != nil {
 			return fmt.Errorf("invariant: handoff snapshot diverges from old-journal replay: %w", err)
 		}
-		return fmt.Errorf("invariant: handoff snapshot diverges from old-journal replay (states JSON-unequal)")
+		return fmt.Errorf("invariant: handoff snapshot diverges from old-journal replay (canonical encodings differ)")
 	}
 
 	// (b) The merged stream old ++ new must replay cleanly end to end: the

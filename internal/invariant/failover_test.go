@@ -1,6 +1,9 @@
 package invariant_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,5 +110,57 @@ func TestCheckFailoverRequiresHandoffSnapshot(t *testing.T) {
 		t.Fatal("missing handoff snapshot accepted")
 	} else if !strings.Contains(err.Error(), "handoff snapshot") {
 		t.Fatalf("unexpected failure mode: %v", err)
+	}
+}
+
+// TestPromotedSnapshotsMatchJSON holds the snapshots a promotion writes to
+// the JSON oracle: the handoff at LSN 0 decodes to what encoding/json makes
+// of the JSON of the old journal's replayed state, the drain snapshot to
+// that of the promoted engine's final state, and both re-encode to
+// themselves.
+func TestPromotedSnapshotsMatchJSON(t *testing.T) {
+	cfg, oldDir, newDir, live := promoteOnce(t, 300)
+	p, err := server.BuildInstance(cfg.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldSt, err := journal.Load(oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := online.Recover(p, 300, online.Options{}, &journal.State{Records: oldSt.Records})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSt, err := journal.Load(newDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []struct {
+		lsn   int64
+		state *online.EngineState
+	}{{0, replayed.StateDump()}, {int64(len(newSt.Records)), live}} {
+		payload, err := journal.SnapshotAt(newDir, snap.lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(snap.state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want online.EngineState
+		if err := json.Unmarshal(js, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := online.DecodeSnapshot(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload[0] != 0x01 || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("snapshot at LSN %d (format %#x) decodes to %+v, its state's JSON to %+v", snap.lsn, payload[0], *got, want)
+		}
+		if !bytes.Equal(online.AppendSnapshot(nil, got), payload) {
+			t.Fatalf("snapshot at LSN %d does not re-encode to itself", snap.lsn)
+		}
 	}
 }

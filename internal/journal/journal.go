@@ -32,7 +32,7 @@
 // after applying records 1..LSN, so recovery is "load the newest valid
 // snapshot, replay the WAL suffix". Snapshots are written to a temp file,
 // fsynced, then renamed, so a crash mid-snapshot leaves the previous one
-// intact.
+// intact. A journal keeps its newest two snapshots, and the one at LSN 0.
 package journal
 
 import (
@@ -281,23 +281,10 @@ func Load(dir string) (*State, error) {
 // does not claim an LSN past the surviving record count (a snapshot ahead of
 // the log would skip history recovery cannot replay).
 func loadSnapshot(dir string, st *State) error {
-	entries, err := os.ReadDir(dir)
+	lsns, err := listSnapshots(dir)
 	if err != nil {
-		return fmt.Errorf("journal: scan snapshots: %w", err)
+		return err
 	}
-	var lsns []int64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		var lsn int64
-		if _, err := fmt.Sscanf(name, snapPrefix+"%016d"+snapSuffix, &lsn); err != nil || lsn < 0 {
-			continue
-		}
-		lsns = append(lsns, lsn)
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
 	for _, lsn := range lsns {
 		if lsn > int64(len(st.Records)) {
 			continue
@@ -315,6 +302,28 @@ func loadSnapshot(dir string, st *State) error {
 		return nil
 	}
 	return nil
+}
+
+// listSnapshots returns the LSNs of the snapshots in dir, newest first.
+func listSnapshots(dir string) ([]int64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("journal: scan snapshots: %w", err)
+	}
+	var lsns []int64
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+			continue
+		}
+		var lsn int64
+		if _, err := fmt.Sscanf(name, snapPrefix+"%016d"+snapSuffix, &lsn); err != nil || lsn < 0 {
+			continue
+		}
+		lsns = append(lsns, lsn)
+	}
+	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
+	return lsns, nil
 }
 
 // Open opens dir for appending, creating it if needed. An existing journal
@@ -505,7 +514,9 @@ func (j *Journal) rotate() error {
 
 // Snapshot writes payload as the checksummed state snapshot at the current
 // LSN: the WAL is synced first (the snapshot must never lead the log), the
-// snapshot goes to a temp file, is fsynced, and is renamed into place.
+// snapshot goes to a temp file, is fsynced, and is renamed into place. Once
+// the rename is durable, the snapshots older than the previous one are
+// deleted (see pruneSnapshots).
 func (j *Journal) Snapshot(payload []byte) error {
 	if j.err != nil {
 		return j.err
@@ -537,10 +548,41 @@ func (j *Journal) Snapshot(payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("journal: close snapshot: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(j.dir, snapName(j.lsn.Load()))); err != nil {
+	lsn := j.lsn.Load()
+	if err := os.Rename(tmp.Name(), filepath.Join(j.dir, snapName(lsn))); err != nil {
 		return fmt.Errorf("journal: publish snapshot: %w", err)
 	}
-	return j.syncDir()
+	if err := j.syncDir(); err != nil {
+		return err
+	}
+	return j.pruneSnapshots(lsn)
+}
+
+// pruneSnapshots deletes every snapshot older than the newest one before
+// lsn, which keeps two: the one just published and the one loadSnapshot falls
+// back to when that one is damaged. The snapshot at LSN 0 stays too: in a
+// promoted journal it is the handoff state that the failover audit reads by
+// its exact LSN. A deletion lost to a crash only leaves a snapshot that the
+// next prune deletes.
+func (j *Journal) pruneSnapshots(lsn int64) error {
+	lsns, err := listSnapshots(j.dir)
+	if err != nil {
+		return err
+	}
+	previous := false
+	for _, old := range lsns {
+		if old >= lsn || old == 0 {
+			continue
+		}
+		if !previous {
+			previous = true
+			continue
+		}
+		if err := os.Remove(filepath.Join(j.dir, snapName(old))); err != nil {
+			return fmt.Errorf("journal: prune snapshot at LSN %d: %w", old, err)
+		}
+	}
+	return nil
 }
 
 // TearTail deliberately writes a torn final record — a full header followed

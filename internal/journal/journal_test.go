@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -444,5 +445,39 @@ func TestDecodeSegmentClassification(t *testing.T) {
 	binary.LittleEndian.PutUint32(huge[0:], maxRecordBytes+1)
 	if _, _, err := DecodeSegment(huge[:]); !errors.Is(err, ErrTornTail) {
 		t.Fatalf("oversized frame at tail: err=%v, want ErrTornTail", err)
+	}
+}
+
+// TestSnapshotRetention: each published snapshot deletes the snapshots older
+// than the one before it, except the one at LSN 0, which a promoted journal
+// holds as its handoff state.
+func TestSnapshotRetention(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := j.Snapshot([]byte("handoff")); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	for i := 1; i <= 4; i++ {
+		mustAppend(t, j, fmt.Sprintf("r%d", i))
+		if err := j.Snapshot([]byte(fmt.Sprintf("snap-%d", i))); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		lsns, err := listSnapshots(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{int64(i), int64(i - 1), 0}[:min(i+1, 3)]
+		if !slices.Equal(lsns, want) {
+			t.Fatalf("after the snapshot at LSN %d: snapshots at %v, want %v", i, lsns, want)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got, err := SnapshotAt(dir, 0); err != nil || string(got) != "handoff" {
+		t.Fatalf("handoff snapshot: %q, %v", got, err)
 	}
 }

@@ -6,7 +6,9 @@
 // of record.go, a few dozen bytes each, encoded into a reused buffer so
 // journaling allocates nothing; journals written before it hold v0 JSON
 // records, which DecodeRecord still reads, so they recover as they always
-// did. Snapshots are the JSON of EngineState. Because the engine is
+// did. Snapshots are EngineState in the binary v1 format of snapshot.go,
+// encoded into a reused buffer as well; older journals' snapshots are its
+// JSON, which DecodeSnapshot still reads. Because the engine is
 // deterministic — the same problem and the same input sequence reproduce the
 // same state — recovery is: load the newest snapshot, replay the WAL suffix
 // through the ordinary Offer/Crash/Restore paths, and cross-check each
@@ -17,7 +19,6 @@
 package online
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -136,7 +137,9 @@ func (e *Engine) StateDump() *EngineState {
 	return st
 }
 
-// loadState overwrites the engine's dynamic state from a snapshot dump.
+// loadState overwrites the engine's dynamic state from a snapshot dump and
+// takes ownership of its Decisions and Assignments: the caller hands over a
+// dump that nothing else holds (a freshly decoded snapshot or StateDump).
 func (e *Engine) loadState(st *EngineState) {
 	e.now = st.Now
 	e.peak = st.Peak
@@ -145,7 +148,7 @@ func (e *Engine) loadState(st *EngineState) {
 		Admitted:       st.Admitted,
 		Rejected:       st.Rejected,
 		Evicted:        st.Evicted,
-		Decisions:      append([]Decision(nil), st.Decisions...),
+		Decisions:      st.Decisions,
 	}
 	e.resetUsed()
 	for _, u := range st.Used {
@@ -167,7 +170,7 @@ func (e *Engine) loadState(st *EngineState) {
 	for _, q := range st.AdmittedQueries {
 		e.sol.Admit(q, nil)
 	}
-	e.sol.Assignments = append([]placement.Assignment(nil), st.Assignments...)
+	e.sol.Assignments = st.Assignments
 	for _, v := range st.Down {
 		e.Liveness().MarkDown(v)
 	}
@@ -190,11 +193,14 @@ func (e *Engine) SnapshotNow() error {
 	if e.jn == nil {
 		return nil
 	}
-	snap, err := json.Marshal(e.StateDump())
-	if err != nil {
-		return fmt.Errorf("online: marshal snapshot: %w", err)
-	}
-	return e.jn.Snapshot(snap)
+	return e.writeSnapshot()
+}
+
+// writeSnapshot encodes the engine's state into the reused buffer and writes
+// it as the journal's snapshot at its current LSN.
+func (e *Engine) writeSnapshot() error {
+	e.snapBuf = AppendSnapshot(e.snapBuf[:0], e.StateDump())
+	return e.jn.Snapshot(e.snapBuf)
 }
 
 // writeRecord encodes e.rec into the reused buffer, writes it to the journal
@@ -207,13 +213,7 @@ func (e *Engine) writeRecord() error {
 		return err
 	}
 	if e.snapEvery > 0 && e.jn.LSN()%int64(e.snapEvery) == 0 {
-		snap, err := json.Marshal(e.StateDump())
-		if err != nil {
-			return fmt.Errorf("online: marshal snapshot: %w", err)
-		}
-		if err := e.jn.Snapshot(snap); err != nil {
-			return err
-		}
+		return e.writeSnapshot()
 	}
 	return nil
 }

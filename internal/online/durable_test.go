@@ -2,8 +2,10 @@ package online_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"edgerep/internal/graph"
@@ -328,11 +330,15 @@ func TestRecoverThroughSnapshotBitExact(t *testing.T) {
 	}
 	live := online.NewEngine(p, offers, online.Options{Journal: j, SnapshotEvery: cut})
 	var liveAt []*online.EngineState // after offer cut+every, cut+2·every, …
+	var atCut *online.EngineState
 	for i, a := range server.Arrivals(len(p.Queries), server.DriveConfig{Count: offers, Seed: 2, MeanHoldSec: 0.5}) {
 		if _, err := live.Offer(online.Arrival{Query: a.Query, AtSec: a.AtSec, HoldSec: a.HoldSec}); err != nil {
 			t.Fatal(err)
 		}
-		if n := i + 1; n > cut && (n-cut)%every == 0 {
+		switch n := i + 1; {
+		case n == cut:
+			atCut = live.StateDump()
+		case n > cut && (n-cut)%every == 0:
 			liveAt = append(liveAt, live.StateDump())
 		}
 	}
@@ -347,6 +353,7 @@ func TestRecoverThroughSnapshotBitExact(t *testing.T) {
 	if st.Snapshot == nil || st.SnapshotLSN != cut || len(st.Records) != offers {
 		t.Fatalf("journal has %d records and a snapshot at LSN %d, want %d and %d", len(st.Records), st.SnapshotLSN, offers, cut)
 	}
+	online.CheckSnapshotMatchesJSON(t, st.Snapshot, atCut)
 	suffix := st.Records[cut:]
 	st.Records = st.Records[:cut]
 	p2, err := server.BuildInstance(server.DefaultInstance())
@@ -487,5 +494,181 @@ func TestRecoverMixedJournal(t *testing.T) {
 	if st.SnapshotLSN == 0 || st.SnapshotLSN >= v0Records || len(segs) < 3 || mixed != 1 {
 		t.Fatalf("scenario too weak: v0 snapshot at LSN %d of %d v0 records, %d segments, %d holding both formats",
 			st.SnapshotLSN, v0Records, len(segs), mixed)
+	}
+}
+
+// damageSnapshot flips one payload byte of dir's snapshot at lsn, so that its
+// frame fails its CRC.
+func damageSnapshot(t *testing.T, dir string, lsn int64) {
+	t.Helper()
+	path := filepath.Join(dir, fmt.Sprintf("snap-%016d.snap", lsn))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// snapshotLSNs lists the LSNs of dir's snapshot files, ascending.
+func snapshotLSNs(t *testing.T, dir string) []int64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsns := make([]int64, len(names))
+	for i, name := range names {
+		if _, err := fmt.Sscanf(filepath.Base(name), "snap-%016d.snap", &lsns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return lsns
+}
+
+// TestSnapshotRetention: after five cadence snapshots the journal holds the
+// newest two, and when the newest is damaged recovery falls back to the
+// other and still reaches the state of an engine that never stopped.
+func TestSnapshotRetention(t *testing.T) {
+	const every = 7
+	dir, _, reference := runJournaled(t, 9, 37, 18, every) // 38 records: snapshots at 7, 14, …, 35
+	if got := snapshotLSNs(t, dir); !slices.Equal(got, []int64{4 * every, 5 * every}) {
+		t.Fatalf("snapshots at LSNs %v, want the newest two of five", got)
+	}
+	damageSnapshot(t, dir, 5*every)
+	st, err := journal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotLSN != 4*every {
+		t.Fatalf("recovery loads the snapshot at LSN %d, want the fallback at %d", st.SnapshotLSN, 4*every)
+	}
+	recovered := recoverFrom(t, dir, 9, 37)
+	if err := invariant.CheckRecovered(recovered.StateDump(), reference.StateDump()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverCrossEraSnapshots is the snapshot upgrade: the old binary
+// journals v1 records and a JSON snapshot at LSN n, and dies; the new one
+// recovers through that snapshot, writes a binary one at LSN m > n and more
+// records after it. The journal recovers through the binary snapshot, through
+// the JSON one when the binary one's frame is damaged, and through standbys
+// started from either snapshot and fed the segments after it one at a time —
+// every time to the state of an engine that never stopped.
+func TestRecoverCrossEraSnapshots(t *testing.T) {
+	const seed, nq = 9, 40
+	dir := t.TempDir()
+	opts := journal.Options{NoSync: true, SegmentBytes: 1024}
+	j, err := journal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := online.NewEngine(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{Journal: j})
+	online.Churn(t, old, nq, 0)
+	if err := online.SnapshotJSON(old, j); err != nil {
+		t.Fatal(err)
+	}
+	n := j.LSN()
+	if _, err := old.Offer(online.Arrival{Query: 0, AtSec: float64(nq) - 0.25, HoldSec: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := journal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotLSN != n || st.Snapshot[0] != '{' {
+		t.Fatalf("the old binary's snapshot: LSN %d, format %q", st.SnapshotLSN, st.Snapshot[0])
+	}
+	j, err = journal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgraded, err := online.Recover(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{Journal: j}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online.Churn(t, upgraded, nq, 1)
+	if err := upgraded.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	m := j.LSN()
+	online.Churn(t, upgraded, nq, 2)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reference := online.NewEngine(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{})
+	for pass := 0; pass < 3; pass++ {
+		online.Churn(t, reference, nq, pass)
+		if pass == 0 {
+			if _, err := reference.Offer(online.Arrival{Query: 0, AtSec: float64(nq) - 0.25, HoldSec: 40}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := reference.StateDump()
+
+	for _, era := range []struct {
+		lsn    int64
+		format byte
+	}{{m, 0x01}, {n, '{'}} {
+		st, err := journal.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SnapshotLSN != era.lsn || st.Snapshot[0] != era.format {
+			t.Fatalf("recovery loads the snapshot at LSN %d (format %#x), want LSN %d (%#x)", st.SnapshotLSN, st.Snapshot[0], era.lsn, era.format)
+		}
+		e, err := online.Recover(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := invariant.CheckRecovered(e.StateDump(), want); err != nil {
+			t.Fatalf("recovered through the snapshot at LSN %d: %v", era.lsn, err)
+		}
+
+		// A standby started from the snapshot, fed the segments one at a time.
+		standby, err := online.NewRehydrator(online.ChurnProblem(t, seed, nq), 3*nq, online.Options{},
+			&journal.State{SnapshotLSN: st.SnapshotLSN, Snapshot: st.Snapshot, Records: st.Records[:st.SnapshotLSN]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lsn int64
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := journal.DecodeSegment(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				if lsn++; lsn <= st.SnapshotLSN {
+					continue
+				}
+				if err := standby.Apply(rec); err != nil {
+					t.Fatalf("%s: %v", filepath.Base(seg), err)
+				}
+			}
+		}
+		if err := invariant.CheckRecovered(standby.Engine().StateDump(), want); err != nil {
+			t.Fatalf("standby from the snapshot at LSN %d, fed segment by segment: %v", era.lsn, err)
+		}
+		if len(segs) < 3 {
+			t.Fatalf("scenario too weak: %d segments", len(segs))
+		}
+		damageSnapshot(t, dir, m)
 	}
 }

@@ -271,9 +271,10 @@ type Engine struct {
 	snapEvery int
 	replaying bool
 	// rec and recBuf are the record being journaled and its encoding, reused
-	// from record to record.
-	rec    JournalRecord
-	recBuf []byte
+	// from record to record; snapBuf is the same for snapshots.
+	rec     JournalRecord
+	recBuf  []byte
+	snapBuf []byte
 
 	// stages, when attached, is the serving layer's in-progress latency
 	// timeline for the arrival currently being offered (the epoch loop is

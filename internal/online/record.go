@@ -158,7 +158,7 @@ func (r *v1Reader) float() float64 {
 	x := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
 	r.b = r.b[8:]
 	if math.IsNaN(x) || math.IsInf(x, 0) {
-		r.err = fmt.Errorf("non-finite time %v", x)
+		r.err = fmt.Errorf("non-finite float %v", x)
 		return 0
 	}
 	return x

@@ -11,7 +11,10 @@
 // Also the v0 record encoder, the JSON the engine journaled before the binary
 // codec of record.go, and V0Journal, which writes whole journals in it: what
 // TestRecordCodecMatchesJSON decodes both formats against and what the v0 and
-// mixed-journal recovery tests recover.
+// mixed-journal recovery tests recover. And the JSON snapshot encoder the
+// binary codec of snapshot.go replaced, snapshotJSON: what
+// TestSnapshotCodecMatchesJSON decodes against and what V0Journal and the
+// cross-era recovery test snapshot in.
 
 package online
 
@@ -149,13 +152,25 @@ func (d *V0Journal) append(payload []byte) error {
 		return err
 	}
 	if d.e.snapEvery > 0 && d.jn.LSN()%int64(d.e.snapEvery) == 0 {
-		snap, err := json.Marshal(d.e.StateDump())
-		if err != nil {
-			return err
-		}
-		return d.jn.Snapshot(snap)
+		return SnapshotJSON(d.e, d.jn)
 	}
 	return nil
+}
+
+// snapshotJSON is the snapshot encoder before the binary codec, verbatim:
+// the JSON of the engine's state dump.
+func snapshotJSON(st *EngineState) ([]byte, error) {
+	return json.Marshal(st)
+}
+
+// SnapshotJSON writes e's state to jn as a snapshot in JSON, as the binary
+// before the snapshot codec wrote every snapshot.
+func SnapshotJSON(e *Engine, jn *journal.Journal) error {
+	snap, err := snapshotJSON(e.StateDump())
+	if err != nil {
+		return err
+	}
+	return jn.Snapshot(snap)
 }
 
 // planSlow is the original planning loop — a full scan over the compute

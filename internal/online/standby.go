@@ -10,7 +10,6 @@
 package online
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"edgerep/internal/journal"
@@ -39,11 +38,11 @@ func NewRehydrator(p *placement.Problem, expectedArrivals int, opt Options, st *
 	e.replaying = true
 	r := &Rehydrator{e: e}
 	if st.Snapshot != nil {
-		var dump EngineState
-		if err := json.Unmarshal(st.Snapshot, &dump); err != nil {
-			return nil, fmt.Errorf("online: decode snapshot at LSN %d: %w", st.SnapshotLSN, err)
+		dump, err := DecodeSnapshot(st.Snapshot)
+		if err != nil {
+			return nil, fmt.Errorf("online: snapshot at LSN %d: %w", st.SnapshotLSN, err)
 		}
-		e.loadState(&dump)
+		e.loadState(dump)
 		r.lsn = st.SnapshotLSN
 	}
 	for i := r.lsn; i < int64(len(st.Records)); i++ {
