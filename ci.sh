@@ -12,7 +12,8 @@
 # race stress), durability (journal/recovery incl. bit-exact through a
 # snapshot + v0, v1 and mixed-format journals + the record and snapshot
 # codecs against their JSON references and under fuzz + JSON-era snapshots
-# under a binary one + snapshot retention + the solution layer against its
+# under a binary one + snapshot retention + records read in place against
+# the copying decoder + the solution layer against its
 # sort-per-admit reference + group commit/power-loss/commit-fail drills +
 # kill-and-resume byte-identity), the /admit wire codec against its
 # encoding/json reference (decode fuzz, reply bytes, journals through both
@@ -23,7 +24,7 @@
 # follower promotion, with the same probes and snapshot), docs link and
 # edgerepd mode-and-flag checks, example smoke, bench smoke (incl. admit cost
 # flat in history, pinned allocations of the cold-start kernels, pricing on
-# the 500-node instance).
+# the 500-node instance, a cold start's stages on a bench-shaped journal).
 # Run before every commit. See ARCHITECTURE.md, "CI".
 set -eu
 
@@ -90,8 +91,9 @@ go test -run 'TestAdmitPathAllocs' ./internal/online
 # container/heap kernel it replaced (Dist bits and parents, ties included),
 # the parallel matrix against the serial all-pairs loop, cold-raced delay rows
 # costing one Dijkstra a target, every delay row against the matrix bit for
-# bit on every instance shape the repository builds, the one-pass parallel
-# table build against the two-loop serial one at 1, 2 and 8 workers.
+# bit on every instance shape the repository builds, the key-sorted, arena-cut
+# parallel table build against the append-and-sort serial one at 1, 2 and 8
+# workers (floats by their bits; exact ties and delays an ulp apart included).
 go test -race -run 'TestDijkstraMatchesReference|TestMatrixMatchesSerial|TestDistanceCacheColdRowsConcurrent' ./internal/graph
 go test -run 'TestDelayRowsMatchMatrix' ./internal/experiments
 go test -race -run 'TestFastPathTablesMatchReference' ./internal/online
@@ -112,7 +114,7 @@ go test -race -run 'Crash|Chaos|Failover|Degraded|Retry' ./internal/online ./int
 # the query, and closing the cluster mid-fanout leaks no dial.
 go test -race -run 'HungPeer|HungReplica|CloseDuring|ReplicaDown' ./internal/testbed
 
-echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot, v0 and mixed-format journals, JSON and binary snapshots in one journal, snapshot retention; solution-layer, record-codec and snapshot-codec oracles; decode fuzz smokes)"
+echo "== durability gates (journal + recovery under -race, bit-exact through a snapshot, v0 and mixed-format journals, JSON and binary snapshots in one journal, snapshot retention, records read in place; solution-layer, record-codec and snapshot-codec oracles; decode fuzz smokes)"
 go test -race -run 'Journal|Recover|Resume|Torn|Snapshot|StateDump' \
     ./internal/journal ./internal/online ./internal/invariant ./internal/experiments
 # Recovery through a snapshot is bit-exact (tied expiries pop in one order
@@ -131,6 +133,11 @@ go test -race -run 'TestSolutionMatchesReference' ./internal/placement
 # damaged.
 go test -race -run 'TestRecordCodecMatchesJSON|TestRecoverV0Journal|TestRecoverMixedJournal' ./internal/online
 go test -race -run 'TestSnapshotCodecMatchesJSON|TestDecodeSnapshotRefuses|TestRecoverCrossEraSnapshots|TestSnapshotRetention' ./internal/online ./internal/journal
+# Records alias the segment buffer they were read into: Open's position and
+# backfilled seals and Load's records equal what the copying decoder reads on
+# clean, torn, zero-filled and corrupt journals, and a record outlives every
+# other reference to its buffer.
+go test -race -run 'TestOpenMatchesLoadAndCopyingDecoder|TestLoadRecordsOutliveTheirBuffers' ./internal/journal
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 5s ./internal/journal
 go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 5s ./internal/online
 go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 5s ./internal/online
@@ -383,13 +390,17 @@ go test -run '^$' -bench 'BenchmarkSolutionAdmit' -benchtime 3x ./internal/place
 # build its tables and nothing per candidate).
 go test -run '^$' -bench '^BenchmarkDijkstra$/v500' -benchtime 533x ./internal/graph
 go test -run '^$' -bench '^BenchmarkFastPathBuild$/v500' -benchtime 5x ./internal/online
-# One instance build at 500 nodes: its Dijkstra runs (one per query home or
-# dataset origin) and the bytes the built problem keeps.
+# One instance build at 500 nodes: its Dijkstra runs (one per query home) and
+# the bytes the built problem keeps.
 go test -run '^$' -bench '^BenchmarkBuildInstance$/v500' -benchtime 1x ./internal/server
 # Pricing on the same instance, tables and reference, one plan per query.
 go test -run '^$' -bench '^BenchmarkFastPathPlan$/v500' -benchtime 400x ./internal/online
 # One Appro-G solve of the same instance; fails above its pinned objects and
 # bytes (the candidate lists and little else).
 go test -run '^$' -bench '^BenchmarkApproG$/v500' -benchtime 5x ./internal/core
+# One cold start of the bench's 500-node leader from a killed leader's
+# journal (4 500 records past its snapshot), stage by stage: instance, load,
+# open, tables, snapshot, replay, first admit.
+go test -run '^$' -bench '^BenchmarkColdStart$' -benchtime 1x ./internal/federation
 
 echo "ci.sh: all green"

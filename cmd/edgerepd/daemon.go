@@ -135,8 +135,8 @@ func startLeader(cfg federation.Config, dir string, term int64) (*federation.Lea
 	// Whole milliseconds, rounded down, so the parts never read as more than
 	// the total; what is left over is the term file and the server's start.
 	ms := func(d time.Duration) float64 { return d.Truncate(time.Millisecond).Seconds() }
-	fmt.Fprintf(os.Stderr, "edgerepd: cold start %.3fs: instance %.3fs, journal %.3fs, engine %.3fs (%d records replayed)\n",
-		ms(total), ms(rec.InstanceBuild), ms(rec.JournalOpen), ms(rec.EngineBuild), rec.ReplayedRecords)
+	fmt.Fprintf(os.Stderr, "edgerepd: cold start %.3fs: instance %.3fs, journal %.3fs, tables %.3fs, snapshot %.3fs, replay %.3fs (%d records replayed)\n",
+		ms(total), ms(rec.InstanceBuild), ms(rec.JournalOpen), ms(rec.TableBuild), ms(rec.SnapshotLoad), ms(rec.RecordsReplay), rec.ReplayedRecords)
 	return l, nil
 }
 

@@ -293,7 +293,7 @@ func TestRestartWithIdenticalArguments(t *testing.T) {
 }
 
 // requireColdStartLine checks the start-up timeline every leader prints: it
-// is there, its three parts sum to no more than its total, and it counts the
+// is there, its five parts sum to no more than its total, and it counts the
 // records the start replayed (no snapshot here, so all of them).
 func requireColdStartLine(t *testing.T, stderr string, replayed int) {
 	t.Helper()
@@ -303,13 +303,13 @@ func requireColdStartLine(t *testing.T, stderr string, replayed int) {
 			line = l
 		}
 	}
-	var total, inst, jn, eng float64
+	var total, inst, jn, tables, snap, replay float64
 	var records int
-	if _, err := fmt.Sscanf(line, "edgerepd: cold start %fs: instance %fs, journal %fs, engine %fs (%d records replayed)",
-		&total, &inst, &jn, &eng, &records); err != nil {
+	if _, err := fmt.Sscanf(line, "edgerepd: cold start %fs: instance %fs, journal %fs, tables %fs, snapshot %fs, replay %fs (%d records replayed)",
+		&total, &inst, &jn, &tables, &snap, &replay, &records); err != nil {
 		t.Fatalf("no cold-start line (%v) in:\n%s", err, stderr)
 	}
-	if sum := inst + jn + eng; sum > total+1e-9 {
+	if sum := inst + jn + tables + snap + replay; sum > total+1e-9 {
 		t.Errorf("parts sum to %.3fs, more than the total: %s", sum, line)
 	}
 	if records != replayed {

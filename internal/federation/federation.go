@@ -181,13 +181,16 @@ type Recovery struct {
 	// never acknowledged to any client.
 	Torn bool
 	// The cold-start timeline, in the order StartLeader pays it: building
-	// the instance (topology, workload, delay rows of homes and origins),
-	// loading and opening the journal, and building the engine (pricing
-	// tables, then snapshot load and replay when Replayed). A warm standby's promotion
-	// pays none of the three.
+	// the instance (topology, workload, delay rows of the query homes),
+	// loading and opening the journal, and building the engine — its pricing
+	// tables, then, when Replayed, decoding and loading the snapshot and
+	// replaying the records after it (online.StartCost). A warm standby's
+	// promotion pays none of them.
 	InstanceBuild time.Duration
 	JournalOpen   time.Duration
-	EngineBuild   time.Duration
+	TableBuild    time.Duration
+	SnapshotLoad  time.Duration
+	RecordsReplay time.Duration
 }
 
 func engineOptions(cfg Config) online.Options {
@@ -276,7 +279,8 @@ func StartLeader(cfg Config, dir string, term int64) (*Leader, error) {
 			}
 		}
 	}
-	rec.EngineBuild = time.Since(opened)
+	cost := eng.StartCost()
+	rec.TableBuild, rec.SnapshotLoad, rec.RecordsReplay = cost.Tables, cost.Snapshot, cost.Replay
 	l, err := lead(cfg, p, eng, jn, dir, term)
 	if err != nil {
 		return nil, err

@@ -153,7 +153,9 @@ func (c *DistanceCache) To(t NodeID) []float64 {
 }
 
 // BuildRows builds To(t) for every target on GOMAXPROCS workers, so that later
-// readers find them built. Each row goes through To, so the single-flight and
+// readers find them built (placement.NewProblem passes the query homes; the
+// trees of other sources, a dataset origin's among them, are built by their
+// first reader). Each row goes through To, so the single-flight and
 // the counts hold when targets repeat or other callers race it.
 func (c *DistanceCache) BuildRows(targets []NodeID) {
 	par.Do(len(targets), func(i int) { c.To(targets[i]) })

@@ -5,8 +5,10 @@
 // transmission delays on links of the two-tier edge cloud. The package
 // implements shortest paths (Dijkstra on a typed binary heap: no interface
 // dispatch, nothing boxed per push), the DistanceCache that memoizes their
-// trees, the delay row towards each target the model reads (built from the
-// target's tree alone, in the bits of the all-pairs matrix) and, for the
+// trees, each built once on its first read, the delay row towards each
+// target the model reads (built from the target's tree alone, in the bits of
+// the all-pairs matrix; a placement problem builds those of its query homes
+// up front, and no other) and, for the
 // callers that need all pairs, the DistanceMatrix, built lazily on every
 // core; connected components, and spanning-tree augmentation used to repair
 // disconnected random topologies.

@@ -9,8 +9,9 @@ import (
 
 // FuzzJournalDecode holds DecodeSegment to its contract on arbitrary bytes:
 // never panic, and either decode a valid prefix cleanly or stop at a typed
-// ErrTornTail / ErrCorrupt. Seeds cover clean logs, truncation, bit-flips,
-// and spliced segments; the fuzzer mutates from there.
+// ErrTornTail / ErrCorrupt, with payloads that alias data without reaching
+// past their frames. Seeds cover clean logs, truncation, bit-flips, and
+// spliced segments; the fuzzer mutates from there.
 func FuzzJournalDecode(f *testing.F) {
 	frame := func(payloads ...string) []byte {
 		var b []byte
@@ -54,6 +55,22 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encoded prefix differs: %d vs %d bytes", len(re), consumed)
+		}
+		// The payloads alias data, each capped at its own frame: appending
+		// to one leaves every payload equal to a copy of itself taken
+		// before.
+		copies := make([][]byte, len(recs))
+		for i, r := range recs {
+			copies[i] = bytes.Clone(r)
+		}
+		spill := bytes.Repeat([]byte{0xa5}, headerSize+4) // past the next frame's header, into its payload
+		for _, r := range recs {
+			_ = append(r, spill...)
+		}
+		for i, r := range recs {
+			if !bytes.Equal(r, copies[i]) {
+				t.Fatalf("record %d changed after appending to the records: %q, was %q", i, r, copies[i])
+			}
 		}
 	})
 }

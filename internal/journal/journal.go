@@ -156,14 +156,26 @@ func encodeFrame(dst, payload []byte) []byte {
 // DecodeSegment decodes the frames of one segment, treating data as the
 // journal's final segment. It returns the valid record payloads, the number
 // of bytes they occupy (the truncation point for a torn tail), and nil, a
-// typed ErrTornTail, or a typed ErrCorrupt. It never panics on arbitrary
-// input — FuzzJournalDecode holds it to that.
+// typed ErrTornTail, or a typed ErrCorrupt. The payloads alias data, capped at
+// their own frame so an append to one cannot reach the next: nothing is
+// copied, and data must not be modified while a returned record is in use. It
+// never panics on arbitrary input — FuzzJournalDecode holds it to that.
 func DecodeSegment(data []byte) (recs [][]byte, consumed int, err error) {
+	_, consumed, err = walkFrames(data, func(payload []byte) { recs = append(recs, payload) })
+	return recs, consumed, err
+}
+
+// walkFrames checks data's frames in order and calls visit, when it is not
+// nil, with each valid payload (a capped subslice of data), stopping at the
+// first frame that is not valid. It returns how many frames were valid, and
+// the bytes and error DecodeSegment returns. Load appends the payloads
+// straight to its State; Open only counts them.
+func walkFrames(data []byte, visit func(payload []byte)) (records, consumed int, err error) {
 	off := 0
 	for off < len(data) {
 		rest := len(data) - off
 		if rest < headerSize {
-			return recs, off, fmt.Errorf("incomplete header at offset %d: %w", off, ErrTornTail)
+			return records, off, fmt.Errorf("incomplete header at offset %d: %w", off, ErrTornTail)
 		}
 		n := binary.LittleEndian.Uint32(data[off:])
 		crc := binary.LittleEndian.Uint32(data[off+4:])
@@ -172,35 +184,38 @@ func DecodeSegment(data []byte) (recs [][]byte, consumed int, err error) {
 			// classic zero-filled pre-allocated tail; anything else in a
 			// zero-length frame is framing damage mid-log.
 			if crc == 0 && allZero(data[off:]) {
-				return recs, off, fmt.Errorf("zero-filled tail at offset %d: %w", off, ErrTornTail)
+				return records, off, fmt.Errorf("zero-filled tail at offset %d: %w", off, ErrTornTail)
 			}
-			return recs, off, fmt.Errorf("zero-length frame at offset %d: %w", off, ErrCorrupt)
+			return records, off, fmt.Errorf("zero-length frame at offset %d: %w", off, ErrCorrupt)
 		}
 		if n > maxRecordBytes {
 			if int64(off)+headerSize+int64(n) > int64(len(data)) {
-				return recs, off, fmt.Errorf("oversized frame (%d bytes) at offset %d: %w", n, off, ErrTornTail)
+				return records, off, fmt.Errorf("oversized frame (%d bytes) at offset %d: %w", n, off, ErrTornTail)
 			}
-			return recs, off, fmt.Errorf("oversized frame (%d bytes) at offset %d: %w", n, off, ErrCorrupt)
+			return records, off, fmt.Errorf("oversized frame (%d bytes) at offset %d: %w", n, off, ErrCorrupt)
 		}
 		end := off + headerSize + int(n)
 		if end > len(data) {
-			return recs, off, fmt.Errorf("truncated frame at offset %d (%d of %d payload bytes): %w",
+			return records, off, fmt.Errorf("truncated frame at offset %d (%d of %d payload bytes): %w",
 				off, len(data)-off-headerSize, n, ErrTornTail)
 		}
-		payload := data[off+headerSize : end]
+		payload := data[off+headerSize : end : end]
 		if crc32.ChecksumIEEE(payload) != crc {
 			// A complete frame with a bad checksum at the very end of the
 			// segment is a partially persisted final record (pre-allocated
 			// space, lost page); earlier it means the history is damaged.
 			if end == len(data) {
-				return recs, off, fmt.Errorf("checksum mismatch on final frame at offset %d: %w", off, ErrTornTail)
+				return records, off, fmt.Errorf("checksum mismatch on final frame at offset %d: %w", off, ErrTornTail)
 			}
-			return recs, off, fmt.Errorf("checksum mismatch at offset %d: %w", off, ErrCorrupt)
+			return records, off, fmt.Errorf("checksum mismatch at offset %d: %w", off, ErrCorrupt)
 		}
-		recs = append(recs, append([]byte(nil), payload...))
+		if visit != nil {
+			visit(payload)
+		}
+		records++
 		off = end
 	}
-	return recs, off, nil
+	return records, off, nil
 }
 
 func allZero(b []byte) bool {
@@ -257,11 +272,11 @@ func Load(dir string) (*State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("journal: read segment %d: %w", idx, err)
 		}
-		recs, _, decErr := DecodeSegment(data)
+		// The records alias data, which nothing else holds.
+		_, _, decErr := walkFrames(data, func(rec []byte) { st.Records = append(st.Records, rec) })
 		if decErr != nil {
 			if errors.Is(decErr, ErrTornTail) && i == len(segs)-1 {
 				// Torn tail on the final segment: keep the valid prefix.
-				st.Records = append(st.Records, recs...)
 				st.Torn = true
 				break
 			}
@@ -269,7 +284,6 @@ func Load(dir string) (*State, error) {
 			// corruption like any other.
 			return nil, fmt.Errorf("journal: segment %d: %s: %w", idx, decErr, ErrCorrupt)
 		}
-		st.Records = append(st.Records, recs...)
 	}
 	if err := loadSnapshot(dir, st); err != nil {
 		return nil, err
@@ -349,7 +363,7 @@ func Open(dir string, opt Options) (*Journal, error) {
 		if err != nil {
 			return nil, fmt.Errorf("journal: read segment %d: %w", idx, err)
 		}
-		recs, consumed, decErr := DecodeSegment(data)
+		records, consumed, decErr := walkFrames(data, nil)
 		if decErr != nil {
 			if !errors.Is(decErr, ErrTornTail) || i != len(segs)-1 {
 				return nil, fmt.Errorf("journal: segment %d: %s: %w", idx, decErr, ErrCorrupt)
@@ -358,7 +372,7 @@ func Open(dir string, opt Options) (*Journal, error) {
 				return nil, fmt.Errorf("journal: truncate torn tail of segment %d: %w", idx, err)
 			}
 		}
-		j.lsn.Add(int64(len(recs)))
+		j.lsn.Add(int64(records))
 		j.segIndex = idx
 		j.segSize = int64(consumed)
 		j.segCRC = crc32.ChecksumIEEE(data[:consumed])

@@ -10,11 +10,13 @@
 //
 // Building them is most of what NewEngine costs, so the build is kept to its
 // arithmetic: each (demand, node) delay is evaluated once, straight off the
-// home's delay row, and feeds all three things a table keeps (the
-// admission set, the classification set, the closest finite-delay node); each
-// admission set is sorted once, by a typed comparison, into the delay order
-// pickFast's early exit stands on; and queries are built on every core
-// (newFastPath, demandTable). Every table exists when NewEngine returns — the
+// home's delay row, into a per-worker scratch, and feeds all three things a
+// table keeps (the admission set, the classification set, the closest
+// finite-delay node); the sets are counted before they are allocated, one
+// exact-size array per query for each kind; each admission set is put into
+// the delay order pickFast's early exit stands on by sorting integer keys and
+// one exact insertion pass; and queries are built on every core (newFastPath,
+// queryTables, fillTable). Every table exists when NewEngine returns — the
 // first Offer pays nothing.
 //
 // What stays dynamic is mirrored, not recomputed:
@@ -44,9 +46,9 @@
 package online
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -239,8 +241,8 @@ func (e *Engine) FastPathStats() FastPathStats {
 
 // newFastPath materializes the tables: the per-node capacity bounds, then
 // one table per (query, demand). Queries are independent and each writes only
-// its own perQuery slot, so they are built on every core; the totals are
-// summed once all are in.
+// its own perQuery slot, so they are built on every core, each worker reusing
+// one tableScratch; the totals are summed once all are in.
 func newFastPath(e *Engine) *fastPath {
 	t := e.p.Cloud.Topology()
 	n := t.Graph.NumNodes()
@@ -263,13 +265,8 @@ func newFastPath(e *Engine) *fastPath {
 		f.capEps[v] = capGHz*maxU + 1e-9
 		procDelay[i] = e.p.Cloud.ProcDelayPerGB(v)
 	}
-	par.Do(len(e.p.Queries), func(qi int) {
-		q := &e.p.Queries[qi]
-		demands := make([]fpDemand, len(q.Demands))
-		for di, dm := range q.Demands {
-			demands[di] = e.demandTable(workload.QueryID(qi), dm.Dataset, procDelay)
-		}
-		f.perQuery[qi] = demands
+	par.DoWith(len(e.p.Queries), func() *tableScratch { return &tableScratch{} }, func(s *tableScratch, qi int) {
+		f.perQuery[qi] = e.queryTables(workload.QueryID(qi), procDelay, s)
 	})
 	maxDemands := 0
 	for _, demands := range f.perQuery {
@@ -290,54 +287,126 @@ func newFastPath(e *Engine) *fastPath {
 	return f
 }
 
-// demandTable builds the table of one (query, demand) pair in one pass over
-// the compute nodes, ascending: each node's delay is evaluated once and feeds
-// the closest finite-delay node, the classification set (MeetsDeadline's
-// ε-tolerant predicate) and the admission set (the reference scan's strict
-// one). The admission set is then sorted into delay order; nodes are distinct
-// and admitted delays are never NaN, so (delay, node) is a total order and the
-// result does not depend on the order the pass visited them in. pickFast's
-// early exit relies on that order.
-func (e *Engine) demandTable(qid workload.QueryID, ds workload.DatasetID, procDelay []float64) fpDemand {
-	size := e.p.Datasets[ds].SizeGB
-	deadline := e.p.Queries[qid].DeadlineSec
-	delays := e.p.DemandDelays(qid, ds, procDelay)
-	preferred := e.preferredSites[ds]
-	d := fpDemand{
-		dataset:         ds,
-		need:            e.p.ComputeNeed(qid, ds),
-		size25:          0.25 * size,
-		bestFinite:      -1,
-		bestFiniteDelay: math.Inf(1),
+// tableScratch is what one table-building worker reuses from query to
+// query: every delay of the query being built, its tables' sizes, and one
+// table's sort keys.
+type tableScratch struct {
+	delays []float64 // delays[di*C+i]: demand di's delay at the i-th compute node
+	sizes  [][2]int  // sizes[di]: demand di's admission and classification set sizes
+	keys   []uint64
+}
+
+// queryTables builds the tables of query qid's demands. Each compute node's
+// delay is evaluated once per demand, into s, and feeds the closest
+// finite-delay node, the classification set (MeetsDeadline's ε-tolerant
+// predicate) and the admission set (the reference scan's strict one). The
+// sets are counted before anything is allocated, so each query's admission
+// and classification entries are cut from one exact-size array each.
+func (e *Engine) queryTables(qid workload.QueryID, procDelay []float64, s *tableScratch) []fpDemand {
+	q := &e.p.Queries[qid]
+	compute := e.p.Cloud.ComputeNodes()
+	nc := len(compute)
+	deadline := q.DeadlineSec
+	s.delays = slices.Grow(s.delays[:0], len(q.Demands)*nc)[:len(q.Demands)*nc]
+	s.sizes = slices.Grow(s.sizes[:0], len(q.Demands))[:len(q.Demands)]
+	demands := make([]fpDemand, len(q.Demands))
+	totalCands, totalClass := 0, 0
+	for di, dm := range q.Demands {
+		d := &demands[di]
+		*d = fpDemand{
+			dataset:         dm.Dataset,
+			need:            e.p.ComputeNeed(qid, dm.Dataset),
+			size25:          0.25 * e.p.Datasets[dm.Dataset].SizeGB,
+			bestFinite:      -1,
+			bestFiniteDelay: math.Inf(1),
+		}
+		delays := e.p.DemandDelays(qid, dm.Dataset, procDelay)
+		row := s.delays[di*nc : (di+1)*nc]
+		cands, class := 0, 0
+		for i, v := range compute {
+			delay := delays.At(i)
+			row[i] = delay
+			if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
+				d.bestFinite, d.bestFiniteDelay = v, delay
+			}
+			if delay <= deadline+1e-12 {
+				class++
+			}
+			if delay <= deadline { // NaN fails too: the sort needs comparable delays
+				cands++
+			}
+		}
+		s.sizes[di] = [2]int{cands, class}
+		totalCands += cands
+		totalClass += class
 	}
-	for i, v := range e.p.Cloud.ComputeNodes() {
-		delay := delays.At(i)
-		if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
-			d.bestFinite, d.bestFiniteDelay = v, delay
+	candArena := make([]fpCand, totalCands)
+	classArena := make([]fpClassCand, totalClass)
+	for di := range demands {
+		d := &demands[di]
+		if n := s.sizes[di][0]; n > 0 {
+			d.cands, candArena = candArena[:n:n], candArena[n:]
 		}
+		if n := s.sizes[di][1]; n > 0 {
+			d.class, classArena = classArena[:n:n], classArena[n:]
+		}
+		e.fillTable(d, deadline, s.delays[di*nc:(di+1)*nc], s)
+	}
+	return demands
+}
+
+// fillTable writes d's classification set, in ascending node order, and its
+// admission set, in (delay, node) order — the order pickFast's early exit
+// relies on — from row, the demand's delay at each compute node. Nodes are
+// distinct and admitted delays are never NaN, so (delay, node) is a total
+// order and the result does not depend on how it is reached.
+//
+// The admission set is ordered through integer keys: a delay's bits with the
+// low bits replaced by the node's position in ComputeNodes. Finite
+// non-negative floats order as their bits do, so the keys sort the
+// candidates by delay up to those low bits, and among delays equal after the
+// truncation by position. One insertion pass with the exact comparison then
+// moves the few entries the truncation misordered. Insertion sort is a
+// complete sort on its own, so the result is exact whatever the keys did
+// (a negative or infinite delay only costs it time); the key sort only makes
+// its input nearly sorted. TestFastPathTablesMatchReference holds it to the
+// comparison sort it replaced.
+func (e *Engine) fillTable(d *fpDemand, deadline float64, row []float64, s *tableScratch) {
+	compute := e.p.Cloud.ComputeNodes()
+	size := e.p.Datasets[d.dataset].SizeGB
+	preferred := e.preferredSites[d.dataset]
+	mask := uint64(1)<<bits.Len(uint(max(len(compute)-1, 0))) - 1
+	keys := s.keys[:0]
+	k := 0
+	for i, delay := range row {
 		if delay <= deadline+1e-12 {
-			d.class = append(d.class, fpClassCand{node: v, delay: delay})
+			d.class[k] = fpClassCand{node: compute[i], delay: delay}
+			k++
 		}
-		if !(delay <= deadline) { // NaN fails too: the sort below needs comparable delays
-			continue
+		if delay <= deadline {
+			keys = append(keys, math.Float64bits(delay)&^mask|uint64(i))
 		}
-		d.cands = append(d.cands, fpCand{
+	}
+	slices.Sort(keys)
+	for j, key := range keys {
+		v, delay := compute[key&mask], row[key&mask]
+		d.cands[j] = fpCand{
 			node:      v,
 			delay:     delay,
 			delayCost: delayPriceWeight * size * (delay / deadline),
 			preferred: slices.Contains(preferred, v),
-		})
-	}
-	slices.SortFunc(d.cands, func(a, b fpCand) int {
-		switch {
-		case a.delay < b.delay:
-			return -1
-		case a.delay > b.delay:
-			return 1
 		}
-		return cmp.Compare(a.node, b.node)
-	})
-	return d
+	}
+	c := d.cands
+	for i := 1; i < len(c); i++ {
+		x := c[i]
+		j := i
+		for ; j > 0 && (x.delay < c[j-1].delay || x.delay == c[j-1].delay && x.node < c[j-1].node); j-- {
+			c[j] = c[j-1]
+		}
+		c[j] = x
+	}
+	s.keys = keys
 }
 
 // refresh is the epoch fence: a no-op while the liveness generation the
@@ -430,7 +499,7 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 // clamps load at zero) and rep ≥ 0, and rounding is monotone, so
 // fl(a + b) ≥ b for a ≥ 0: price ≥ delayCost. delayCost is w·size·(delay /
 // deadline) with w·size ≥ 0 and deadline > 0, IEEE division and
-// multiplication are monotone, and demandTable sorts by (delay, node), so
+// multiplication are monotone, and fillTable orders it by (delay, node), so
 // delayCost never decreases along the table. Every later candidate
 // therefore prices above bestCost and neither beats it nor ties it. The test
 // is strict: a candidate whose delay term equals bestCost can still tie it

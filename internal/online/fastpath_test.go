@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -412,11 +413,16 @@ func TestFastPathStats(t *testing.T) {
 }
 
 // benchProblem is the 500-node instance of the bench's restart and
-// batch-solve workloads, assembled as server.BuildInstance assembles it
-// (internal/server imports this package, so the test cannot call it).
-func benchProblem(tb testing.TB) *placement.Problem {
+// batch-solve workloads.
+func benchProblem(tb testing.TB) *placement.Problem { return lifeProblem(tb, 500) }
+
+// lifeProblem is the bench's recovery instance (seed 1, 40 datasets, 400
+// queries) at another network size, assembled as server.BuildInstance
+// assembles it (internal/server imports this package, so the test cannot
+// call it).
+func lifeProblem(tb testing.TB, nodes int) *placement.Problem {
 	tb.Helper()
-	top := topology.MustGenerate(topology.ScaledConfig(500, 1))
+	top := topology.MustGenerate(topology.ScaledConfig(nodes, 1))
 	wc := workload.DefaultConfig()
 	wc.Seed = 1
 	wc.NumDatasets = 40
@@ -479,10 +485,47 @@ func edgeProblem(t *testing.T) *placement.Problem {
 	return p
 }
 
-// requireSameTables compares two builds field for field, naming the first
-// difference.
+// ulpProblem is a star whose cloudlets 1 to 4 give the one query's demand
+// the delays 1.25 + k ulps for k = 3, 2, 1, 0: ascending delay is descending
+// node ID, and the four delays differ only in their last two bits, which the
+// table build's sort keys replace with node positions. Only its insertion
+// pass puts them in delay order.
+func ulpProblem(t *testing.T) *placement.Problem {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(`{"nodes": [{"id": 0, "kind": "basestation"}`)
+	for v := 1; v <= 4; v++ {
+		fmt.Fprintf(&b, `, {"id": %d, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5}`, v)
+	}
+	b.WriteString(`], "links": [`)
+	sep := ""
+	for v := 1; v <= 4; v++ {
+		link := 0.25 + float64(4-v)*0x1p-52 // 2 GB at 0.5 s/GB plus 1 GB of link: 1.25 + (4-v) ulps
+		fmt.Fprintf(&b, `%s{"from": 0, "to": %d, "delay_per_gb": %s}`, sep, v, strconv.FormatFloat(link, 'g', -1, 64))
+		sep = ", "
+	}
+	b.WriteString(`]}`)
+	top, err := topology.Load(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &workload.Workload{
+		Datasets: []workload.Dataset{{ID: 0, SizeGB: 2, Origin: 1}},
+		Queries: []workload.Query{{ID: 0, Home: 0, ComputePerGB: 1, DeadlineSec: 10,
+			Demands: []workload.Demand{{Dataset: 0, Selectivity: 0.5}}}},
+	}
+	p, err := placement.NewProblem(cluster.New(top), w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// requireSameTables compares two builds field for field, floats by their
+// bits, naming the first difference.
 func requireSameTables(t *testing.T, got, want *fastPath) {
 	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if got.tables != want.tables || got.candidates != want.candidates {
 		t.Fatalf("%d tables / %d candidates, reference %d / %d", got.tables, got.candidates, want.tables, want.candidates)
 	}
@@ -497,24 +540,25 @@ func requireSameTables(t *testing.T, got, want *fastPath) {
 			t.Fatalf("query %d: %d demand tables, reference %d", qi, len(got.perQuery[qi]), len(want.perQuery[qi]))
 		}
 		for di := range want.perQuery[qi] {
-			g, w := got.perQuery[qi][di], want.perQuery[qi][di]
+			g, w := &got.perQuery[qi][di], &want.perQuery[qi][di]
 			if len(g.cands) != len(w.cands) || len(g.class) != len(w.class) {
 				t.Fatalf("query %d demand %d: %d candidates / %d classification entries, reference %d / %d",
 					qi, di, len(g.cands), len(g.class), len(w.cands), len(w.class))
 			}
-			for i := range w.cands {
-				if g.cands[i] != w.cands[i] {
-					t.Fatalf("query %d demand %d: candidate %d = %+v, reference %+v", qi, di, i, g.cands[i], w.cands[i])
+			for i, wc := range w.cands {
+				gc := g.cands[i]
+				if gc.node != wc.node || !same(gc.delay, wc.delay) || !same(gc.delayCost, wc.delayCost) || gc.preferred != wc.preferred {
+					t.Fatalf("query %d demand %d: candidate %d = %+v, reference %+v", qi, di, i, gc, wc)
 				}
 			}
-			for i := range w.class {
-				if g.class[i] != w.class[i] {
-					t.Fatalf("query %d demand %d: classification entry %d = %+v, reference %+v", qi, di, i, g.class[i], w.class[i])
+			for i, wc := range w.class {
+				if gc := g.class[i]; gc.node != wc.node || !same(gc.delay, wc.delay) {
+					t.Fatalf("query %d demand %d: classification entry %d = %+v, reference %+v", qi, di, i, gc, wc)
 				}
 			}
-			g.cands, g.class, w.cands, w.class = nil, nil, nil, nil
-			if !reflect.DeepEqual(g, w) {
-				t.Fatalf("query %d demand %d: table %+v, reference %+v", qi, di, g, w)
+			if g.dataset != w.dataset || !same(g.need, w.need) || !same(g.size25, w.size25) ||
+				g.bestFinite != w.bestFinite || !same(g.bestFiniteDelay, w.bestFiniteDelay) {
+				t.Fatalf("query %d demand %d: table %+v, reference %+v", qi, di, *g, *w)
 			}
 		}
 	}
@@ -534,10 +578,15 @@ func hasPreferred(f *fastPath) bool {
 }
 
 // TestFastPathTablesMatchReference is the "dump and cmp" of the table build:
-// on every instance, at one, two and eight workers, the one-pass parallel
-// builder's tables equal the two-loop serial builder's (reference_test.go)
-// field for field — so every decision priced off them, and every WAL and
-// trace byte, is what it was.
+// on every instance, the tables built from EvalDelay and MeetsDeadline alone
+// (newFastPathEvalReference) equal, field for field, both the
+// comparison-sorted serial builder's (newFastPathReference) and the
+// key-sorted builder's at one, two and eight workers — so every decision
+// priced off them, and every WAL and trace byte, is what it was. The bench's recovery instance runs at 30, 500
+// and 2 000 nodes (2 000 compute-node positions take more of each key's low
+// bits than 500 do), the forecast engine marks preferred sites, one
+// hand-built instance ties delays exactly and another sets them an ulp
+// apart against node order.
 func TestFastPathTablesMatchReference(t *testing.T) {
 	defaultP, _ := NewTestProblem(t, 5, 120)
 	forecastP, forecastW := NewTestProblem(t, 9, 80)
@@ -547,19 +596,24 @@ func TestFastPathTablesMatchReference(t *testing.T) {
 		opt  Options
 	}{
 		{"default", defaultP, Options{}},
+		{"life 30 nodes", lifeProblem(t, 30), Options{}},
 		{"bench 500 nodes", benchProblem(t), Options{}},
+		{"life 2000 nodes", lifeProblem(t, 2000), Options{}},
 		{"forecast", forecastP, Options{Forecast: forecastW.Queries[:40], MaxUtilization: 0.8}},
 		{"ties and the classification epsilon", edgeProblem(t), Options{}},
+		{"delays an ulp apart", ulpProblem(t), Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			e := NewEngine(tc.p, len(tc.p.Queries), tc.opt)
+			want := newFastPathEvalReference(e)
+			requireSameTables(t, newFastPathReference(e), want)
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
-				e := NewEngine(tc.p, len(tc.p.Queries), tc.opt)
-				requireSameTables(t, e.fast, newFastPathReference(e))
-				if tc.opt.Forecast != nil && !hasPreferred(e.fast) {
-					t.Fatal("the forecast marked no candidate preferred; the field is not exercised")
-				}
+				requireSameTables(t, newFastPath(e), want)
+			}
+			if tc.opt.Forecast != nil && !hasPreferred(e.fast) {
+				t.Fatal("the forecast marked no candidate preferred; the field is not exercised")
 			}
 		})
 	}
@@ -579,6 +633,13 @@ func TestFastPathTablesMatchReference(t *testing.T) {
 		if d := f.perQuery[2][0]; len(d.cands) != 1 || len(d.class) != 1 {
 			t.Fatalf("deadline 1e-9 under the tie: %d candidates, %d classification entries; want 1 and 1",
 				len(d.cands), len(d.class))
+		}
+		order = order[:0]
+		for _, c := range NewEngine(ulpProblem(t), 1, Options{}).fast.perQuery[0][0].cands {
+			order = append(order, c.node)
+		}
+		if want := []graph.NodeID{4, 3, 2, 1}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("admission order %v, want %v (delays 1.25 + 0, 1, 2 and 3 ulps)", order, want)
 		}
 	})
 }
@@ -653,11 +714,12 @@ func TestPickFastExitKeepsTies(t *testing.T) {
 
 // fastPathBuildAllocs bounds what building the bench instance's tables
 // allocates at one worker (testing.AllocsPerRun measures at GOMAXPROCS=1):
-// 12 955–12 957 measured — per (query, demand) table the doublings of its two
-// appended slices, per query its slice of tables, and a few objects for the
-// fastPath and the worker. Nothing per candidate: the two-loop builder's
-// ranking and reflection-based sort per table made it 16 834.
-const fastPathBuildAllocs = 13000
+// 1 098 measured — per query its slice of tables and one array each for its
+// admission and classification entries (none for a query with no entries),
+// the worker's scratch, and a few objects for the fastPath. Nothing per table
+// or per candidate: appending to each table's two slices made it 12 955, the
+// two-loop builder's ranking and reflection-based sort per table 16 834.
+const fastPathBuildAllocs = 1100
 
 // BenchmarkFastPathBuild times newFastPath on the bench's 500-node instance
 // (1 151 tables, 221 181 candidates) and fails if one build allocates more

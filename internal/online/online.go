@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"edgerep/internal/cluster"
 	"edgerep/internal/consistency"
@@ -289,12 +290,30 @@ type Engine struct {
 	// fast-path staleness check plus any mirror refresh), zero unless
 	// attribution was active.
 	lastLookupNs int64
+	// built is what constructing the engine cost (StartCost).
+	built StartCost
 }
+
+// StartCost is what building an engine cost, in the order it was paid,
+// measured on the sanctioned monotonic clock: the pricing tables (all of
+// NewEngine, the forecast's proactive sites included), then, for an engine
+// recovered from a journal, decoding and loading its snapshot and replaying
+// the records after it. A fresh engine's Snapshot and Replay are zero.
+type StartCost struct {
+	Tables   time.Duration
+	Snapshot time.Duration
+	Replay   time.Duration
+}
+
+// StartCost reports what building e cost. Call it from the goroutine that
+// built or promoted the engine.
+func (e *Engine) StartCost() StartCost { return e.built }
 
 // NewEngine builds an online engine over a placement problem. The problem's
 // query list is the universe arrivals refer into; replica bookkeeping and
 // the K bound come from the problem.
 func NewEngine(p *placement.Problem, expectedArrivals int, opt Options) *Engine {
+	start := instrument.Mono()
 	top := p.Cloud.Topology()
 	e := &Engine{
 		p:          p,
@@ -321,6 +340,7 @@ func NewEngine(p *placement.Problem, expectedArrivals int, opt Options) *Engine 
 	// The tables bake the preferred sites in: they are frozen from here on.
 	e.fast = newFastPath(e)
 	e.beginTrace()
+	e.built.Tables = instrument.Mono() - start
 	return e
 }
 

@@ -14,11 +14,16 @@
 // mixed-journal recovery tests recover. And the JSON snapshot encoder the
 // binary codec of snapshot.go replaced, snapshotJSON: what
 // TestSnapshotCodecMatchesJSON decodes against and what V0Journal and the
-// cross-era recovery test snapshot in.
+// cross-era recovery test snapshot in. And two table builders:
+// newFastPathEvalReference, which prices through EvalDelay and MeetsDeadline
+// alone, and newFastPathReference, the per-table builder the key-sorted one
+// replaced; TestFastPathTablesMatchReference holds the latter and newFastPath
+// to the former.
 
 package online
 
 import (
+	"cmp"
 	"encoding/json"
 	"math"
 	"slices"
@@ -355,8 +360,9 @@ func (e *Engine) downPredicate() func(graph.NodeID) bool {
 	return e.live.IsDown
 }
 
-// rankedTarget and rankTargets are graph.RankTargets as newFastPathReference
-// called it: the compute nodes by ascending distance from the home node.
+// rankedTarget and rankTargets are graph.RankTargets as
+// newFastPathEvalReference calls it: the compute nodes by ascending distance
+// from the home node.
 type rankedTarget struct {
 	Node graph.NodeID
 	Dist float64
@@ -377,14 +383,15 @@ func rankTargets(c *graph.DistanceCache, src graph.NodeID, targets []graph.NodeI
 	return out
 }
 
-// newFastPathReference is the table builder newFastPath replaced, verbatim:
-// per demand, one loop over the home's distance ranking through EvalDelay for
-// the admission set (sorted with sort.Slice), then a second loop over the
-// compute nodes through EvalDelay and MeetsDeadline for the closest
-// finite-delay node and the classification set; queries one after another.
-// TestFastPathTablesMatchReference requires the one-pass parallel builder to
-// produce the same tables field for field.
-func newFastPathReference(e *Engine) *fastPath {
+// newFastPathEvalReference builds the tables from the delay model's own
+// predicates, independent of DemandDelays and of any builder's inline
+// deadline test: per demand, one loop over the home's distance ranking
+// through EvalDelay for the admission set (sorted with sort.Slice), then a
+// second loop over the compute nodes through EvalDelay and MeetsDeadline for
+// the closest finite-delay node and the classification set; queries one
+// after another. TestFastPathTablesMatchReference holds newFastPath and
+// newFastPathReference to it field for field.
+func newFastPathEvalReference(e *Engine) *fastPath {
 	t := e.p.Cloud.Topology()
 	n := t.Graph.NumNodes()
 	f := &fastPath{
@@ -401,13 +408,9 @@ func newFastPathReference(e *Engine) *fastPath {
 		f.capEps[v] = capGHz*maxU + 1e-9
 	}
 	cache := t.DistanceCache()
-	maxDemands := 0
 	for qi := range e.p.Queries {
 		q := &e.p.Queries[qi]
 		qid := workload.QueryID(qi)
-		if len(q.Demands) > maxDemands {
-			maxDemands = len(q.Demands)
-		}
 		ranked := rankTargets(cache, q.Home, compute)
 		demands := make([]fpDemand, len(q.Demands))
 		for di, dm := range q.Demands {
@@ -457,6 +460,49 @@ func newFastPathReference(e *Engine) *fastPath {
 		}
 		f.perQuery[qi] = demands
 	}
+	return f
+}
+
+// newFastPathReference is newFastPath with the table builder it replaced,
+// referenceDemandTable, run serially: one table per (query, demand), each
+// appending to its two sets as it finds their entries and sorting the
+// admission set with a comparison closure. TestFastPathTablesMatchReference
+// holds it, like the key-sorted, arena-cut builder, to
+// newFastPathEvalReference field for field.
+func newFastPathReference(e *Engine) *fastPath {
+	t := e.p.Cloud.Topology()
+	n := t.Graph.NumNodes()
+	f := &fastPath{
+		perQuery: make([][]fpDemand, len(e.p.Queries)),
+		capEps:   make([]float64, n),
+		capMaxU:  make([]float64, n),
+		uncapped: make([]float64, n),
+		down:     make([]bool, n),
+	}
+	for v := range f.uncapped {
+		f.uncapped[v] = math.Inf(1)
+	}
+	maxU := e.opt.maxUtil()
+	compute := e.p.Cloud.ComputeNodes()
+	procDelay := make([]float64, len(compute))
+	for i, v := range compute {
+		capGHz := e.p.Cloud.Capacity(v)
+		f.capMaxU[v] = capGHz * maxU
+		f.capEps[v] = capGHz*maxU + 1e-9
+		procDelay[i] = e.p.Cloud.ProcDelayPerGB(v)
+	}
+	maxDemands := 0
+	for qi := range e.p.Queries {
+		q := &e.p.Queries[qi]
+		demands := make([]fpDemand, len(q.Demands))
+		for di, dm := range q.Demands {
+			demands[di] = e.referenceDemandTable(workload.QueryID(qi), dm.Dataset, procDelay)
+			f.candidates += len(demands[di].cands)
+		}
+		f.perQuery[qi] = demands
+		f.tables += len(demands)
+		maxDemands = max(maxDemands, len(demands))
+	}
 	f.scr = fpScratch{
 		tentNode: make([]graph.NodeID, 0, maxDemands),
 		tentAmt:  make([]float64, 0, maxDemands),
@@ -465,4 +511,50 @@ func newFastPathReference(e *Engine) *fastPath {
 		assign:   make([]placement.Assignment, 0, maxDemands),
 	}
 	return f
+}
+
+// referenceDemandTable is the per-table builder queryTables and fillTable
+// replaced, verbatim: one pass over the compute nodes, ascending, appending
+// to the classification and admission sets, then slices.SortFunc on
+// (delay, node).
+func (e *Engine) referenceDemandTable(qid workload.QueryID, ds workload.DatasetID, procDelay []float64) fpDemand {
+	size := e.p.Datasets[ds].SizeGB
+	deadline := e.p.Queries[qid].DeadlineSec
+	delays := e.p.DemandDelays(qid, ds, procDelay)
+	preferred := e.preferredSites[ds]
+	d := fpDemand{
+		dataset:         ds,
+		need:            e.p.ComputeNeed(qid, ds),
+		size25:          0.25 * size,
+		bestFinite:      -1,
+		bestFiniteDelay: math.Inf(1),
+	}
+	for i, v := range e.p.Cloud.ComputeNodes() {
+		delay := delays.At(i)
+		if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
+			d.bestFinite, d.bestFiniteDelay = v, delay
+		}
+		if delay <= deadline+1e-12 {
+			d.class = append(d.class, fpClassCand{node: v, delay: delay})
+		}
+		if !(delay <= deadline) { // NaN fails too: the sort below needs comparable delays
+			continue
+		}
+		d.cands = append(d.cands, fpCand{
+			node:      v,
+			delay:     delay,
+			delayCost: delayPriceWeight * size * (delay / deadline),
+			preferred: slices.Contains(preferred, v),
+		})
+	}
+	slices.SortFunc(d.cands, func(a, b fpCand) int {
+		switch {
+		case a.delay < b.delay:
+			return -1
+		case a.delay > b.delay:
+			return 1
+		}
+		return cmp.Compare(a.node, b.node)
+	})
+	return d
 }

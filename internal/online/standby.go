@@ -12,6 +12,7 @@ package online
 import (
 	"fmt"
 
+	"edgerep/internal/instrument"
 	"edgerep/internal/journal"
 	"edgerep/internal/placement"
 )
@@ -37,6 +38,7 @@ func NewRehydrator(p *placement.Problem, expectedArrivals int, opt Options, st *
 	e := NewEngine(p, expectedArrivals, stripped)
 	e.replaying = true
 	r := &Rehydrator{e: e}
+	start := instrument.Mono()
 	if st.Snapshot != nil {
 		dump, err := DecodeSnapshot(st.Snapshot)
 		if err != nil {
@@ -45,11 +47,13 @@ func NewRehydrator(p *placement.Problem, expectedArrivals int, opt Options, st *
 		e.loadState(dump)
 		r.lsn = st.SnapshotLSN
 	}
+	loaded := instrument.Mono()
 	for i := r.lsn; i < int64(len(st.Records)); i++ {
 		if err := r.Apply(st.Records[i]); err != nil {
 			return nil, err
 		}
 	}
+	e.built.Snapshot, e.built.Replay = loaded-start, instrument.Mono()-loaded
 	return r, nil
 }
 

@@ -27,9 +27,13 @@ type Problem struct {
 }
 
 // NewProblem assembles a Problem and validates its shape. It builds the
-// delay rows of every query home and dataset origin on every core before it
-// returns (graph.DistanceCache.BuildRows), so no later reader — a solver, the
-// online engine's tables, an offer — pays for a row of its own.
+// delay row of every query home on every core before it returns
+// (graph.DistanceCache.BuildRows), so no later reader of the delay model — a
+// solver, the online engine's tables, an offer — pays for a row of its own.
+// Those rows are all the model reads: EvalDelay prices a node by its distance
+// to the query's home. A dataset origin's tree is read only by what moves the
+// dataset from its origin (DelayFrom, routing), and is built on its first
+// read, once, by the same single-flight cache.
 func NewProblem(ec *cluster.EdgeCloud, w *workload.Workload, k int) (*Problem, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("placement: K = %d, need K ≥ 1", k)
@@ -60,7 +64,6 @@ func NewProblem(ec *cluster.EdgeCloud, w *workload.Workload, k int) (*Problem, e
 		if ds.Origin < 0 || int(ds.Origin) >= n {
 			return nil, fmt.Errorf("placement: dataset %d originates at node %d, outside the topology's %d", ds.ID, ds.Origin, n)
 		}
-		target[ds.Origin] = true
 	}
 	var targets []graph.NodeID
 	for v, ok := range target {
