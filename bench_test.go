@@ -446,36 +446,60 @@ func BenchmarkAlgorithmsHeadToHead(b *testing.B) {
 }
 
 // BenchmarkScalabilityNetworkSize measures how Appro-G's runtime scales with
-// the network size |V| at fixed workload: the candidate lists are
-// O(Σ|S(q)| · |V|) to build, and every bundle plan walks its own.
+// the network size |V| at fixed workload: the candidate tables take
+// O(Σ|S(q)| · |V| log |V|) to build, and every bundle plan walks a prefix of
+// its demands'.
 func BenchmarkScalabilityNetworkSize(b *testing.B) {
 	for _, n := range []int{50, 100, 200, 400} {
-		b.Run(fmt.Sprintf("V=%d", n), func(b *testing.B) { benchScalability(b, n, 15, 80) })
+		b.Run(fmt.Sprintf("V=%d", n), func(b *testing.B) { benchScalability(b, n, 15, 80, false) })
 	}
 }
 
 // BenchmarkScalabilityQueries measures how it scales with |Q| on the bench's
 // 500-node network, up to ten times the bench's 400 queries: the rounds grow
-// with |Q|, and so does what each round has to look at.
+// with |Q|, and so does what each round has to look at. Each solve is of a
+// fresh Problem, so it builds the Problem's candidate tables too.
 func BenchmarkScalabilityQueries(b *testing.B) {
 	for _, nq := range []int{400, 1000, 2000, 4000} {
-		b.Run(fmt.Sprintf("Q=%d", nq), func(b *testing.B) { benchScalability(b, 500, 40, nq) })
+		b.Run(fmt.Sprintf("Q=%d", nq), func(b *testing.B) { benchScalability(b, 500, 40, nq, false) })
 	}
 }
 
-func benchScalability(b *testing.B, nodes, datasets, queries int) {
+// BenchmarkScalabilityResolve is BenchmarkScalabilityQueries solving one
+// Problem again and again, as re-planning a live instance does: every timed
+// solve reads the candidate tables an untimed first solve built.
+func BenchmarkScalabilityResolve(b *testing.B) {
+	for _, nq := range []int{400, 1000, 2000, 4000} {
+		b.Run(fmt.Sprintf("Q=%d", nq), func(b *testing.B) { benchScalability(b, 500, 40, nq, true) })
+	}
+}
+
+func benchScalability(b *testing.B, nodes, datasets, queries int, resolve bool) {
 	top := topology.MustGenerate(topology.ScaledConfig(nodes, 1))
 	wc := workload.DefaultConfig()
 	wc.NumDatasets = datasets
 	wc.NumQueries = queries
 	wc.MaxDatasetsPerQuery = 5
 	w := workload.MustGenerate(wc, top)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	newProblem := func() *placement.Problem {
 		p, err := placement.NewProblem(cluster.New(top), w, 3)
 		if err != nil {
 			b.Fatal(err)
+		}
+		return p
+	}
+	var p *placement.Problem
+	if resolve {
+		p = newProblem()
+		if _, err := core.ApproG(p, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !resolve {
+			p = newProblem()
 		}
 		res, err := core.ApproG(p, core.Options{})
 		if err != nil {

@@ -79,7 +79,9 @@ go test -run 'TestFastPathZeroAlloc' ./internal/online
 # with the reference repair scan (pickRepairNode) at the same state;
 # TestRepairOpensPreferredSiteFree is the repair that a preferred site's zero
 # opening price decides.
-go test -run 'TestFastPathEquivalence|TestPickFastExitKeepsTies|TestCandidateTablesAreDelayOrdered|TestRepairOpensPreferredSiteFree' ./internal/online
+# TestClassifyFastLociInNodeOrder is the classification over a table whose
+# delay order is the reverse of its node order.
+go test -run 'TestFastPathEquivalence|TestPickFastExitKeepsTies|TestCandidateTablesAreDelayOrdered|TestRepairOpensPreferredSiteFree|TestClassifyFastLociInNodeOrder' ./internal/online
 go test -race -run 'TestFastPathStaleTableFuzz|TestFastPathRestoreChurnRace|TestAckConvoyRegression' ./internal/server
 go test -run 'TestFastPathChaosLatencySmoke' ./internal/server
 go test -run '^$' -bench '^BenchmarkFastPathPlan$/(fast|slow)$' -benchtime 1x ./internal/online
@@ -91,20 +93,23 @@ go test -run 'TestAdmitPathAllocs' ./internal/online
 # container/heap kernel it replaced (Dist bits and parents, ties included),
 # the parallel matrix against the serial all-pairs loop, cold-raced delay rows
 # costing one Dijkstra a target, every delay row against the matrix bit for
-# bit on every instance shape the repository builds, the key-sorted, arena-cut
-# parallel table build against the append-and-sort serial one at 1, 2 and 8
-# workers (floats by their bits; exact ties and delays an ulp apart included).
+# bit on every instance shape the repository builds, the Problem's key-sorted,
+# arena-cut candidate tables against EvalDelay and a comparison sort (floats
+# by their bits; exact ties and delays an ulp apart included), sixteen cold
+# readers of one Problem racing to one build, one build under an engine and
+# two solves, and the engine's tables over them, built at 1, 2 and 8 workers,
+# against the delay model's own predicates.
 go test -race -run 'TestDijkstraMatchesReference|TestMatrixMatchesSerial|TestDistanceCacheColdRowsConcurrent' ./internal/graph
 go test -run 'TestDelayRowsMatchMatrix' ./internal/experiments
-go test -race -run 'TestFastPathTablesMatchReference' ./internal/online
+go test -race -run 'TestCandidateTablesMatchEvalDelay|TestCandidateTablesBuiltOnce|TestDemandDelaysMatchEvalDelay' ./internal/placement
+go test -race -run 'TestFastPathTablesMatchReference|TestCandidateTablesBuiltOncePerProblem' ./internal/online
 # The paper's solver against the plan-everything ascent it replaced (result,
 # FinalTheta bits and trace bytes, on the figures' cells, the ablation rows,
 # the bench instance and the hand-built ones), what its admission loop relies
-# on to leave a bundle unplanned, and the delay kernel both table builders
-# share against EvalDelay.
-go test -race -run 'TestAscentMatchesReference|TestAdmissionBoundsHold|TestHandBuiltInstancesReachTheirCases' ./internal/core
+# on to leave a bundle unplanned, and its pricing walk, which stops early,
+# against the walk that prices every candidate (the tie case included).
+go test -race -run 'TestAscentMatchesReference|TestAdmissionBoundsHold|TestHandBuiltInstancesReachTheirCases|TestPlanDemandStopsExactly|TestPlanDemandExitKeepsTies' ./internal/core
 go test -run 'TestAscentPlansAThird' ./internal/core
-go test -run 'TestDemandDelaysMatchEvalDelay' ./internal/placement
 
 echo "== chaos gates (seeded crash sweep replays clean; failover paths race-clean; testbed transport faults race-clean)"
 go test -run 'TestExtChaosTraceDeterministicAndValid' ./internal/experiments
@@ -387,7 +392,8 @@ go test -run '^$' -bench 'BenchmarkApproGTraceInactive' -benchtime 1x ./internal
 go test -run '^$' -bench 'BenchmarkSolutionAdmit' -benchtime 3x ./internal/placement
 # The cold-start kernels on the bench's 500-node instance; each fails if it
 # allocates more than its pinned count (4 objects a Dijkstra run; the table
-# build its tables and nothing per candidate).
+# build, on a fresh copy of the instance, its tables and nothing per
+# candidate).
 go test -run '^$' -bench '^BenchmarkDijkstra$/v500' -benchtime 533x ./internal/graph
 go test -run '^$' -bench '^BenchmarkFastPathBuild$/v500' -benchtime 5x ./internal/online
 # One instance build at 500 nodes: its Dijkstra runs (one per query home) and
@@ -395,8 +401,9 @@ go test -run '^$' -bench '^BenchmarkFastPathBuild$/v500' -benchtime 5x ./interna
 go test -run '^$' -bench '^BenchmarkBuildInstance$/v500' -benchtime 1x ./internal/server
 # Pricing on the same instance, tables and reference, one plan per query.
 go test -run '^$' -bench '^BenchmarkFastPathPlan$/v500' -benchtime 400x ./internal/online
-# One Appro-G solve of the same instance; fails above its pinned objects and
-# bytes (the candidate lists and little else).
+# Appro-G on the same instance, a first solve (which builds the Problem's
+# candidate tables) and a solve again (which reads them); each fails above its
+# own pinned objects and bytes.
 go test -run '^$' -bench '^BenchmarkApproG$/v500' -benchtime 5x ./internal/core
 # One cold start of the bench's 500-node leader from a killed leader's
 # journal (4 500 records past its snapshot), stage by stage: instance, load,

@@ -11,17 +11,18 @@
 //     that steer the earlier ones, not only on what is free. It cannot fail
 //     while the bundle is secure: every demand has a node that serves it
 //     whatever the earlier ones take. A secure bundle stays secure until a
-//     commit opens a replica of a dataset it demands (the slots can run out)
-//     or loads one of its candidate nodes to where some demand fits there
-//     only if the earlier ones go elsewhere (disturbed). Being disturbed, and
-//     not being secure to begin with, are what put a bundle in this pass;
+//     commit runs a dataset it demands out of the slots a demand's node
+//     needed, or loads one of its candidate nodes from where some demand fit
+//     there beside all the earlier ones to where it no longer does
+//     (disturbed). Being disturbed, and not being secure to begin with, are
+//     what put a bundle in this pass;
 //   - then the bundles whose lower bound (planDemand) says they could still
 //     beat the best ratio found so far, cheapest bound first off a heap. The
 //     bound of a bundle that sat out only rises from round to round — except
-//     when a replica of a dataset it demands was opened, which also counts as
-//     disturbed and has been re-planned in the first pass — so a bundle left
-//     on the heap has a true ratio no better than the winner's, and on a tie
-//     a higher index.
+//     when a replica of a dataset it demands was opened where it was not a
+//     proactive site, which also counts as disturbed and has been re-planned
+//     in the first pass — so a bundle left on the heap has a true ratio no
+//     better than the winner's, and on a tie a higher index.
 //
 // Last round's ratio itself is no such bound: a price rise can move one
 // demand of a bundle off a node and so free it for another demand that paid
@@ -157,23 +158,28 @@ func (a *ascent) settle() {
 
 // disturbed reports whether the last commit may have lowered b's bound or
 // taken a demand's secure node away. Only two things can: a replica it opened
-// of a dataset b demands (the opening price is gone where it landed, and the
-// dataset has a slot less), and a candidate node of b's it loaded, if some
-// demand of b now fits there only as long as the earlier ones go elsewhere.
+// of a dataset b demands, unless at a proactive site (which never charged an
+// opening price) while slots remain for every demand of it (repCount + its
+// earlier same-dataset demands < K); and a load on a candidate node of b's
+// under which some demand no longer fits beside all the earlier ones where it
+// did before (a node where it did not was no secure node; loads lower no
+// bound).
 func (a *ascent) disturbed(b *bundle) bool {
-	for _, ds := range a.opened {
+	for _, fi := range a.opened {
+		ds := fi / len(a.nodes)
 		for di := range b.demands {
-			if b.demands[di].ds == ds {
+			if d := &b.demands[di]; d.ds == ds && (a.sites[fi]&sitePreferred == 0 || a.repCount[ds]+d.earlierSame >= a.p.MaxReplicas) {
 				return true
 			}
 		}
 	}
-	for _, vi := range a.loaded {
-		if !b.candidate(vi) {
+	for _, l := range a.loaded {
+		if !b.candidate(l.vi) {
 			continue
 		}
 		for di := range b.demands {
-			if d := &b.demands[di]; d.need > a.avail[vi]-d.earlierNeed+1e-9 {
+			d := &b.demands[di]
+			if d.need <= l.prior-d.earlierNeed+1e-9 && d.need > a.avail[l.vi]-d.earlierNeed+1e-9 {
 				return true
 			}
 		}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"edgerep/internal/placement"
+	"edgerep/internal/workload"
 )
 
 // probe plans query qi against the current state and puts its bundle record
@@ -162,5 +164,117 @@ func TestHandBuiltInstancesReachTheirCases(t *testing.T) {
 	})
 	if !a.bundles[0].done || a.rejected != 1 {
 		t.Fatalf("forked: %d rejected, want query 0 alone", a.rejected)
+	}
+}
+
+// TestPlanDemandStopsExactly holds planDemand, which stops along its
+// delay-ordered table once no later candidate can change its answer, to
+// planDemandFull, which prices every candidate: the same pick, bound and
+// secure, floats by their bits, for every demand of every undecided bundle
+// ahead of every round, each against the tentative state the bundle's earlier
+// demands leave as planBundle leaves it. On the figure cells, the hand-built
+// instances and the bench instance; it fails if no walk stopped early.
+func TestPlanDemandStopsExactly(t *testing.T) {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	stopped := 0
+	check := func(p *placement.Problem, opt Options) {
+		stepAscent(p, opt, func(a *ascent, round int) {
+			sc := &a.sc
+			for _, qi := range a.live {
+				b := &a.bundles[qi]
+				if b.done {
+					continue
+				}
+				sc.reset()
+				for di := range b.demands {
+					d := &b.demands[di]
+					pick, bound, secure, ok := a.planDemand(d, sc)
+					want, wantBound, wantSecure, wantOK := a.planDemandFull(d, sc)
+					if ok != wantOK || pick.node != want.node || pick.vi != want.vi || !same(pick.cost, want.cost) ||
+						pick.open != want.open || !same(bound, wantBound) || secure != wantSecure {
+						t.Fatalf("round %d query %d demand %d: pick %+v bound %v secure %v ok %v; the full walk %+v %v %v %v",
+							round, qi, di, pick, bound, secure, ok, want, wantBound, wantSecure, wantOK)
+					}
+					if secure && ok {
+						for _, c := range d.cands {
+							if d.sizeW*c.Slack > pick.cost {
+								stopped++
+								break
+							}
+						}
+					}
+					if !ok {
+						break
+					}
+					// The tentative state planBundle leaves after this demand.
+					if sc.extraUse[pick.vi] == 0 {
+						sc.usedNodes = append(sc.usedNodes, pick.vi)
+					}
+					sc.extraUse[pick.vi] += d.need
+					if fi := d.ds*len(a.nodes) + pick.vi; pick.open && !sc.extraOpen[fi] {
+						sc.extraOpen[fi] = true
+						sc.openFlat = append(sc.openFlat, fi)
+						if sc.openCount[d.ds]++; sc.openCount[d.ds] == 1 {
+							sc.openDatasets = append(sc.openDatasets, d.ds)
+						}
+					}
+				}
+			}
+			sc.reset()
+		})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		check(scaledProblem(t, seed, 30, 12, 60, 5, 3, false), Options{})
+		check(scaledProblem(t, seed, 50, 12, 60, 5, 1, false), Options{NoProactivePlacement: true})
+		check(scaledProblem(t, seed, 20, 12, 60, 5, 3, true), Options{})
+	}
+	for _, opt := range []Options{{}, {NoProactivePlacement: true}} {
+		check(squeezedProblem(t), opt)
+		check(relayedProblem(t), opt)
+		check(forkedProblem(t), opt)
+	}
+	if !testing.Short() {
+		check(benchProblem(t, 1, 5), Options{})
+	}
+	if stopped == 0 {
+		t.Fatal("no walk stopped early; the exit is not exercised")
+	}
+	t.Logf("%d walks stopped early", stopped)
+}
+
+// TestPlanDemandExitKeepsTies pins why planDemand's exit test is strict. Two
+// delays one ulp apart can round to the same delay term. On idle nodes (θ = 0)
+// holding replicas (no opening price) both candidates then price exactly that
+// term, and the one later in delay order has the lower node ID, which the
+// tie-break picks. Exiting on a delay term ≥ the best cost would stop before
+// pricing it.
+func TestPlanDemandExitKeepsTies(t *testing.T) {
+	nodes := make([]starNode, 5)
+	for i := range nodes {
+		nodes[i] = starNode{8, 0.5, 0.2}
+	}
+	p := starProblem(t, nodes, []float64{2}, []workload.Query{{Demands: demands(0), ComputePerGB: 1, DeadlineSec: 10}}, 3)
+	a := newAscent(p, Options{})
+	const size, deadline = 2.0, 10.0
+	delayCost := func(delay float64) float64 { return a.delW * size * (delay / deadline) }
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	d0 := 7.0
+	for n := 0; delayCost(d0) != delayCost(up(d0)); n++ {
+		if n == 64 {
+			t.Fatal("no two adjacent delays from 7 s on share a delay term")
+		}
+		d0 = up(d0)
+	}
+	// Cloudlets 5 and 2 sit at node indices 4 and 1.
+	d := &demand{ds: 0, size: size, need: 1, sizeW: a.delW * size, cands: []placement.Candidate{
+		{Index: 4, Node: 5, Slack: d0 / deadline},
+		{Index: 1, Node: 2, Slack: up(d0) / deadline},
+	}}
+	a.sites[4] |= siteReplica
+	a.sites[1] |= siteReplica
+	a.repCount[0] = 2
+	a.sc.reset()
+	if pick, _, secure, ok := a.planDemand(d, &a.sc); !ok || !secure || pick.node != 2 {
+		t.Fatalf("picked node %d (ok=%v, secure=%v) from two candidates that tie at %v; want node 2, the lower ID", pick.node, ok, secure, delayCost(d0))
 	}
 }

@@ -359,9 +359,13 @@ func TestAscentMatchesReference(t *testing.T) {
 	}
 }
 
+// ascentPlans is the number of bundle plans the admission loop makes on the
+// bench instance: 1 867 of the reference's 12 777, over the same 137 rounds.
+const ascentPlans = 1867
+
 // TestAscentPlansAThird pins the point of the admission loop on the bench
-// instance: the same rounds as the reference, at most a third of its bundle
-// plans.
+// instance: the same rounds as the reference, and no more bundle plans than
+// ascentPlans, under a seventh of the reference's.
 func TestAscentPlansAThird(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves the 500-node instance twice")
@@ -381,8 +385,8 @@ func TestAscentPlansAThird(t *testing.T) {
 	if rounds != refRounds {
 		t.Fatalf("core.ascent_rounds %d, reference %d", rounds, refRounds)
 	}
-	if 3*plans > refPlans {
-		t.Fatalf("core.bundles_priced %d, more than a third of the reference's %d", plans, refPlans)
+	if plans > ascentPlans {
+		t.Fatalf("core.bundles_priced %d, more than the %d pinned (reference %d)", plans, ascentPlans, refPlans)
 	}
 	t.Logf("core.ascent_rounds %d; core.bundles_priced %d, reference %d", rounds, plans, refPlans)
 }

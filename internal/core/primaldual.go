@@ -47,6 +47,10 @@
 // rejection is still found in the round, against the state, and in the order
 // the plan-everything loop finds it. That loop is kept as the oracle in
 // reference_test.go; results, traces and FinalTheta are equal bit for bit.
+//
+// Both phases walk the Problem's candidate tables (CandidateTables), shared
+// with the online engine: a re-solve builds only the ascent's own state, and
+// the tables' (delay, node) order lets planDemand stop early.
 package core
 
 import (
@@ -160,13 +164,6 @@ func ApproG(p *placement.Problem, opt Options) (*Result, error) {
 	return run(p, opt, "appro-g")
 }
 
-// cand is one node a demand can be served from within its deadline
-// (constraint (4); everywhere else the η price is infinite).
-type cand struct {
-	vi    int32 // index into ascent.nodes
-	delay float64
-}
-
 // demand is what is fixed about one demanded dataset of a query.
 type demand struct {
 	ds   int // dataset index
@@ -174,8 +171,9 @@ type demand struct {
 	need float64
 	// sizeW is delW·size, the left factor of the deadline-slack price.
 	sizeW float64
-	// cands lists the deadline-feasible nodes in ascending node order.
-	cands []cand
+	// cands lists the nodes that serve the demand within its deadline
+	// (constraint (4); elsewhere η is infinite): the Problem's table.
+	cands []placement.Candidate
 	// earlierNeed is the sum of the needs of the bundle's earlier demands,
 	// added in the order planBundle adds them to a node's tentative load: the
 	// most of that load this demand can meet on any node. earlierSame counts
@@ -188,19 +186,17 @@ type demand struct {
 // pairCost is the dual cost of serving one demanded dataset of a query at a
 // node, plus the bookkeeping needed to commit it.
 type pairCost struct {
-	node  graph.NodeID // -1: infeasible demand under PartialAdmission
-	vi    int
-	cost  float64
-	delay float64
-	open  bool // a new replica must be created
+	node graph.NodeID // -1: infeasible demand under PartialAdmission
+	vi   int
+	cost float64
+	open bool // a new replica must be created
 }
 
 // bundle is one query: its demands' tables and its latest plan — the
 // tentative min-cost assignment of the whole bundle, and what the admission
 // loop derives from the same pass to decide when the plan is next needed.
 type bundle struct {
-	deadline float64
-	demands  []demand
+	demands []demand
 	// nodes is the union of the demands' candidates, a bitset over node index.
 	nodes []uint64
 
@@ -259,8 +255,8 @@ type ascent struct {
 	live     []int
 	planned  []int     // bundles planned in the current round
 	bounds   boundHeap // secure bundles by bound/value
-	opened   []int     // datasets the last commit opened a replica of
-	loaded   []int     // node indices it loaded
+	opened   []int     // the sites (ds·|V|+vi) the last commit opened a replica at
+	loaded   []loading // the loads it placed, in order
 	assigned []placement.Assignment
 	rounds   int
 	rejected int
@@ -273,6 +269,12 @@ type ascent struct {
 	nodeClass []int
 	classUsed [numClasses]float64
 	classCap  [numClasses]float64
+}
+
+// loading is a load a commit placed on node index vi, and vi's room before.
+type loading struct {
+	vi    int
+	prior float64
 }
 
 const (
@@ -337,25 +339,22 @@ func newAscent(p *placement.Problem, opt Options) *ascent {
 			openCount: make([]int, len(p.Datasets)),
 		},
 	}
-	procDelay := make([]float64, len(nodes))
 	for i, v := range nodes {
 		a.nodeIx[v] = i
 		a.caps[i] = p.Cloud.Capacity(v)
 		a.avail[i] = a.caps[i]
 		a.theta[i] = a.thetaAt(i)
-		procDelay[i] = p.Cloud.ProcDelayPerGB(v)
 	}
-	a.buildBundles(procDelay)
+	a.buildBundles()
 	a.initClasses()
 	return a
 }
 
-// buildBundles prices every (query, demand) pair at every compute node once
-// and keeps the nodes that meet the deadline. The per-pair tables are cut from
-// three slabs; only the candidate lists, whose lengths the pass finds, are
-// allocated one by one, at their exact size.
-func (a *ascent) buildBundles(procDelay []float64) {
+// buildBundles lays out every query's bundle over the Problem's candidate
+// tables. The per-pair records are cut from three slabs.
+func (a *ascent) buildBundles() {
 	p := a.p
+	tables := p.CandidateTables()
 	numDemands := 0
 	for qi := range p.Queries {
 		numDemands += len(p.Queries[qi].Demands)
@@ -364,14 +363,12 @@ func (a *ascent) buildBundles(procDelay []float64) {
 	picks := make([]pairCost, numDemands)
 	words := (len(a.nodes) + 63) / 64
 	nodeBits := make([]uint64, len(p.Queries)*words)
-	row := make([]cand, 0, len(a.nodes))
 	a.bundles = make([]bundle, len(p.Queries))
 	a.live = make([]int, len(p.Queries))
 	for qi := range p.Queries {
 		q := &p.Queries[qi]
 		n := len(q.Demands)
 		b := &a.bundles[qi]
-		b.deadline = q.DeadlineSec
 		b.demands, demands = demands[:n:n], demands[n:]
 		b.picks, picks = picks[:n:n], picks[n:]
 		b.nodes, nodeBits = nodeBits[:words:words], nodeBits[words:]
@@ -384,6 +381,7 @@ func (a *ascent) buildBundles(procDelay []float64) {
 				size:        size,
 				need:        size * q.ComputePerGB,
 				sizeW:       a.delW * size,
+				cands:       tables[qi][di].Admissible(),
 				earlierNeed: earlier,
 			}
 			for _, e := range b.demands[:di] {
@@ -392,15 +390,9 @@ func (a *ascent) buildBundles(procDelay []float64) {
 				}
 			}
 			earlier += d.need
-			delays := p.DemandDelays(q.ID, dm.Dataset, procDelay)
-			row = row[:0]
-			for vi := range a.nodes {
-				if delay := delays.At(vi); delay <= q.DeadlineSec {
-					row = append(row, cand{vi: int32(vi), delay: delay})
-					b.nodes[vi>>6] |= 1 << (vi & 63)
-				}
+			for _, c := range d.cands {
+				b.nodes[c.Index>>6] |= 1 << (c.Index & 63)
 			}
-			d.cands = slices.Clone(row)
 		}
 		a.live[qi] = qi
 	}
@@ -463,7 +455,7 @@ func (a *ascent) proactivePlace() {
 					continue
 				}
 				for _, c := range d.cands {
-					cover[c.vi] += d.need
+					cover[c.Index] += d.need
 				}
 			}
 			bestIx := -1
@@ -492,9 +484,7 @@ func (a *ascent) proactivePlace() {
 				if covered[i] {
 					continue
 				}
-				if _, ok := slices.BinarySearchFunc(d.cands, int32(bestIx), func(c cand, vi int32) int {
-					return cmp.Compare(c.vi, vi)
-				}); ok {
+				if slices.ContainsFunc(d.cands, func(c placement.Candidate) bool { return int(c.Index) == bestIx }) {
 					feasible = append(feasible, i)
 				}
 			}
@@ -548,7 +538,13 @@ func (a *ascent) thetaAt(vi int) float64 {
 // candidate that stays feasible whatever the earlier demands take: room for
 // all their needs on top of d's, and a replica there or slots left after
 // every earlier opening.
-func (a *ascent) planDemand(deadline float64, d *demand, sc *scratch) (best pairCost, bound float64, secure, found bool) {
+//
+// The walk stops, exactly (placement.CandidateTable.Admissible; need·θ ≥ 0,
+// or NaN on a node never picked), at the first candidate whose delay term
+// exceeds the pick's cost once the demand is secure: every later one prices
+// above the pick and above bound ≤ the pick's cost. It waits for secure,
+// which a later candidate may be what sets.
+func (a *ascent) planDemand(d *demand, sc *scratch) (best pairCost, bound float64, secure, found bool) {
 	need := d.need
 	maxRep := a.p.MaxReplicas
 	sites := a.sites[d.ds*len(a.nodes):][:len(a.nodes)]
@@ -567,8 +563,12 @@ func (a *ascent) planDemand(deadline float64, d *demand, sc *scratch) (best pair
 	best = pairCost{cost: inf}
 	bound = inf
 	for _, c := range d.cands {
-		vi := int(c.vi)
-		priced := need*a.theta[vi] + d.sizeW*(c.delay/deadline)
+		delayCost := d.sizeW * c.Slack
+		if secure && delayCost > best.cost {
+			break
+		}
+		vi := int(c.Index)
+		priced := need*a.theta[vi] + delayCost
 		site := sites[vi]
 		loose := priced
 		if site&siteReplica == 0 {
@@ -607,9 +607,9 @@ func (a *ascent) planDemand(deadline float64, d *demand, sc *scratch) (best pair
 			}
 		}
 		cost := priced + repPrice
-		v := a.nodes[vi]
+		v := graph.NodeID(c.Node)
 		if cost < best.cost || (cost == best.cost && found && v < best.node) {
-			best = pairCost{node: v, vi: vi, cost: cost, delay: c.delay, open: open}
+			best = pairCost{node: v, vi: vi, cost: cost, open: open}
 			found = true
 		}
 	}
@@ -633,7 +633,7 @@ func (a *ascent) planBundle(qi int) bool {
 	b.secure = !a.opt.PartialAdmission
 	for di := range b.demands {
 		d := &b.demands[di]
-		pick, bound, secure, ok := a.planDemand(b.deadline, d, sc)
+		pick, bound, secure, ok := a.planDemand(d, sc)
 		if !ok {
 			if !a.opt.PartialAdmission {
 				return false
@@ -681,7 +681,7 @@ func (a *ascent) commit(qi int) {
 		}
 		ds, need := b.demands[di].ds, b.demands[di].need
 		vi := pick.vi
-		a.loaded = append(a.loaded, vi)
+		a.loaded = append(a.loaded, loading{vi: vi, prior: a.avail[vi]})
 		a.avail[vi] -= need
 		if a.avail[vi] < 0 {
 			a.avail[vi] = 0
@@ -689,9 +689,9 @@ func (a *ascent) commit(qi int) {
 		a.theta[vi] = a.thetaAt(vi)
 		a.noteUse(vi, need)
 		if fi := ds*len(a.nodes) + vi; a.sites[fi]&siteReplica == 0 {
+			a.opened = append(a.opened, fi)
 			a.sites[fi] |= siteReplica
 			a.repCount[ds]++
-			a.opened = append(a.opened, ds)
 			a.sol.AddReplica(workload.DatasetID(ds), pick.node)
 		}
 		as = append(as, placement.Assignment{Query: q.ID, Dataset: workload.DatasetID(ds), Node: pick.node})
@@ -701,7 +701,7 @@ func (a *ascent) commit(qi int) {
 	a.rounds++
 	statAdmitted.Inc()
 	a.publishUtil()
-	a.observeCommit(b)
+	a.observeCommit(qi)
 	a.emitAdmit(qi)
 }
 

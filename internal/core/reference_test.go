@@ -12,7 +12,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"edgerep/internal/graph"
@@ -414,4 +416,73 @@ func runReference(p *placement.Problem, opt Options, algo string) *Result {
 		})
 	}
 	return res
+}
+
+// planDemandFull is planDemand as it was before the walk stopped early: every
+// candidate priced, in ascending node order. TestPlanDemandStopsExactly holds
+// planDemand to it.
+func (a *ascent) planDemandFull(d *demand, sc *scratch) (best pairCost, bound float64, secure, found bool) {
+	cands := slices.Clone(d.cands)
+	slices.SortFunc(cands, func(x, y placement.Candidate) int { return cmp.Compare(x.Index, y.Index) })
+	need := d.need
+	maxRep := a.p.MaxReplicas
+	sites := a.sites[d.ds*len(a.nodes):][:len(a.nodes)]
+	extraOpen := sc.extraOpen[d.ds*len(a.nodes):][:len(a.nodes)]
+	repCount := a.repCount[d.ds]
+	openCount := repCount + sc.openCount[d.ds]
+	openPrice := a.repW * d.size * float64(repCount+1) / float64(maxRep)
+	tentPrice := a.repW * d.size * float64(openCount+1) / float64(maxRep)
+	if d.earlierSame > 0 {
+		openPrice = 0
+	}
+	canOpenAnyway := repCount+d.earlierSame < maxRep
+
+	inf := math.Inf(1)
+	best = pairCost{cost: inf}
+	bound = inf
+	for _, c := range cands {
+		vi := int(c.Index)
+		priced := need*a.theta[vi] + d.sizeW*c.Slack
+		site := sites[vi]
+		loose := priced
+		if site&siteReplica == 0 {
+			if repCount >= maxRep {
+				continue
+			}
+			if site == 0 {
+				loose += openPrice
+			}
+		}
+		room := a.avail[vi]
+		if need > room+1e-9 {
+			continue
+		}
+		if loose < bound {
+			bound = loose
+		}
+		if !secure && priced < inf && (site&siteReplica != 0 || canOpenAnyway) && need <= room-d.earlierNeed+1e-9 {
+			secure = true
+		}
+		if need > room-sc.extraUse[vi]+1e-9 {
+			continue
+		}
+		open := false
+		repPrice := 0.0
+		if site&siteReplica == 0 && !extraOpen[vi] {
+			if openCount >= maxRep {
+				continue
+			}
+			open = true
+			if site == 0 {
+				repPrice = tentPrice
+			}
+		}
+		cost := priced + repPrice
+		v := a.nodes[vi]
+		if cost < best.cost || (cost == best.cost && found && v < best.node) {
+			best = pairCost{node: v, vi: vi, cost: cost, open: open}
+			found = true
+		}
+	}
+	return best, bound, secure, found
 }

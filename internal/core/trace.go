@@ -12,6 +12,7 @@ import (
 	"edgerep/internal/instrument"
 	"edgerep/internal/placement"
 	"edgerep/internal/topology"
+	"edgerep/internal/workload"
 )
 
 // Ascent distributions and live levels (enabled via instrument.Enable).
@@ -158,20 +159,22 @@ func (a *ascent) endTrace() {
 	instrument.EmitTrace(&ev)
 }
 
-// observeCommit feeds the delay histograms for one committed bundle.
-func (a *ascent) observeCommit(b *bundle) {
+// observeCommit feeds the delay histograms for query qi's committed bundle.
+func (a *ascent) observeCommit(qi int) {
 	if !instrument.Enabled() {
 		return
 	}
+	b := &a.bundles[qi]
 	worst := 0.0
 	any := false
-	for _, pick := range b.picks {
+	for di, pick := range b.picks {
 		if pick.node < 0 {
 			continue
 		}
-		histPlacementDelay.Observe(pick.delay)
-		if !any || pick.delay > worst {
-			worst, any = pick.delay, true
+		delay, _ := a.p.EvalDelay(a.p.Queries[qi].ID, workload.DatasetID(b.demands[di].ds), pick.node)
+		histPlacementDelay.Observe(delay)
+		if !any || delay > worst {
+			worst, any = delay, true
 		}
 	}
 	if any {

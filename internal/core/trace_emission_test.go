@@ -33,7 +33,7 @@ func TestTraceEmissionZeroAllocInactive(t *testing.T) {
 		a.emitAdmit(admit)
 		a.emitReject(1, 1)
 		a.endTrace()
-		a.observeCommit(&a.bundles[admit])
+		a.observeCommit(admit)
 	})
 	if allocs != 0 {
 		t.Fatalf("inactive trace emission allocated %.1f per run on the hot path, want 0", allocs)

@@ -60,12 +60,16 @@ func cloneOrphaningFirst(s *placement.Solution) *placement.Solution {
 	return c
 }
 
-// cloneProblem copies the query slice so tests can corrupt deadlines and
-// demands without touching the shared instance.
+// cloneProblem assembles a new Problem over a copy of the query slice, so
+// tests can corrupt deadlines and demands before anything reads it, without
+// touching the shared instance (a Problem is immutable once read).
 func cloneProblem(p *placement.Problem) *placement.Problem {
-	cp := *p
-	cp.Queries = append([]workload.Query(nil), p.Queries...)
-	return &cp
+	return &placement.Problem{
+		Cloud:       p.Cloud,
+		Datasets:    p.Datasets,
+		Queries:     append([]workload.Query(nil), p.Queries...),
+		MaxReplicas: p.MaxReplicas,
+	}
 }
 
 func kinds(vs []Violation) map[string]int {

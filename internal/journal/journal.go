@@ -343,7 +343,9 @@ func listSnapshots(dir string) ([]int64, error) {
 // Open opens dir for appending, creating it if needed. An existing journal
 // is scanned, a torn tail is truncated at the last valid record, and the
 // journal is positioned after its final record. Mid-log corruption fails
-// with ErrCorrupt — Open never silently drops committed history.
+// with ErrCorrupt — Open never silently drops committed history. A closed
+// segment's whole-file CRC is computed only when it has no seal to backfill
+// from it; a seal Open finds is kept as it is.
 func Open(dir string, opt Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create %s: %w", dir, err)
@@ -353,7 +355,15 @@ func Open(dir string, opt Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: scan %s: %w", dir, err)
 	}
-	closed := make(map[int]sealSource, len(segs))
+	seals, err := ListSeals(dir)
+	if err != nil {
+		return nil, err
+	}
+	sealed := make(map[int]bool, len(seals))
+	for _, s := range seals {
+		sealed[s.Segment] = true
+	}
+	unsealed := make(map[int]sealSource)
 	for i, idx := range segs {
 		if i > 0 && idx != segs[i-1]+1 {
 			return nil, fmt.Errorf("journal: segment gap between %d and %d: %w", segs[i-1], idx, ErrCorrupt)
@@ -375,9 +385,11 @@ func Open(dir string, opt Options) (*Journal, error) {
 		j.lsn.Add(int64(records))
 		j.segIndex = idx
 		j.segSize = int64(consumed)
-		j.segCRC = crc32.ChecksumIEEE(data[:consumed])
-		if i != len(segs)-1 {
-			closed[idx] = sealSource{bytes: int64(consumed), crc: j.segCRC}
+		switch {
+		case i == len(segs)-1: // the active segment: appends extend its CRC
+			j.segCRC = crc32.ChecksumIEEE(data[:consumed])
+		case !sealed[idx]:
+			unsealed[idx] = sealSource{bytes: int64(consumed), crc: crc32.ChecksumIEEE(data[:consumed])}
 		}
 	}
 	if j.segIndex == 0 {
@@ -395,7 +407,7 @@ func Open(dir string, opt Options) (*Journal, error) {
 		}
 		return nil, err
 	}
-	if err := j.backfillSeals(closed); err != nil {
+	if err := j.backfillSeals(seals, unsealed); err != nil {
 		if cerr := f.Close(); cerr != nil {
 			return nil, fmt.Errorf("journal: close after failed seal backfill: %w", cerr)
 		}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -35,7 +36,9 @@ func writeSegments(t *testing.T, dir string, n int) {
 // byte), the final segment's valid length (where Open appends) and, for every
 // closed segment, its length and CRC (the seal Open backfills). On a clean
 // journal, a torn final record, a zero-filled tail, and mid-log corruption,
-// which both must still refuse with ErrCorrupt.
+// which both must still refuse with ErrCorrupt; and on a journal that keeps
+// one seal, planted with its CRC off by one bit, which Open must keep byte
+// for byte: it backfills from the segment only what has no seal.
 func TestOpenMatchesLoadAndCopyingDecoder(t *testing.T) {
 	lastSeg := func(t *testing.T, dir string) string {
 		segs, err := listSegments(dir)
@@ -61,8 +64,10 @@ func TestOpenMatchesLoadAndCopyingDecoder(t *testing.T) {
 		damage  func(t *testing.T, dir string)
 		torn    bool
 		corrupt bool
+		planted bool // segment 1 keeps a seal whose CRC is off by one bit
 	}{
 		{name: "clean", damage: func(*testing.T, string) {}},
+		{name: "an existing seal", planted: true, damage: func(*testing.T, string) {}},
 		{name: "torn final record", torn: true, damage: func(t *testing.T, dir string) {
 			frame := encodeFrame(nil, []byte("a record the crash cut short"))
 			appendBytes(t, lastSeg(t, dir), frame[:len(frame)-5])
@@ -113,6 +118,18 @@ func TestOpenMatchesLoadAndCopyingDecoder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			var planted []byte
+			if tc.planted {
+				wantSeals[0].CRC ^= 1
+				payload, err := json.Marshal(wantSeals[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				planted = encodeFrame(nil, payload)
+				if err := os.WriteFile(filepath.Join(dir, sealName(segs[0])), planted, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 			j, openErr := Open(dir, Options{SegmentBytes: 512, NoSync: true})
 			if tc.corrupt {
 				if !errors.Is(loadErr, ErrCorrupt) || !errors.Is(openErr, ErrCorrupt) {
@@ -140,6 +157,11 @@ func TestOpenMatchesLoadAndCopyingDecoder(t *testing.T) {
 			}
 			if got := j.SealedSegments(); fmt.Sprint(got) != fmt.Sprint(wantSeals) {
 				t.Fatalf("Open backfilled seals %v, want %v", got, wantSeals)
+			}
+			if tc.planted {
+				if got, err := os.ReadFile(filepath.Join(dir, sealName(segs[0]))); err != nil || !bytes.Equal(got, planted) {
+					t.Fatalf("the planted seal reads %q (%v) after Open, want it untouched: %q", got, err, planted)
+				}
 			}
 		})
 	}

@@ -183,31 +183,21 @@ func SnapshotAt(dir string, lsn int64) ([]byte, error) {
 	return recs[0], nil
 }
 
-// backfillSeals publishes seals for every closed segment that lacks one:
-// segments written before sealing existed, or whose seal was lost to a crash
-// between segment close and seal publish. closed maps segment index to its
-// decoded byte length (the full file for non-final segments; the valid
-// prefix for a truncated final one — which is only closed if a later segment
-// exists).
-func (j *Journal) backfillSeals(closed map[int]sealSource) error {
-	existing, err := ListSeals(j.dir)
-	if err != nil {
-		return err
-	}
-	have := make(map[int]bool, len(existing))
-	for _, s := range existing {
-		have[s.Segment] = true
-	}
+// backfillSeals takes existing, the seals on disk, and publishes seals for
+// every closed segment that lacks one: segments written before sealing
+// existed, or whose seal was lost to a crash between segment close and seal
+// publish. unsealed maps each such segment's index to its decoded byte length
+// (the full file for non-final segments; the valid prefix for a truncated
+// final one — which is only closed if a later segment exists) and CRC.
+func (j *Journal) backfillSeals(existing []SealInfo, unsealed map[int]sealSource) error {
 	j.setSeals(existing)
-	idxs := make([]int, 0, len(closed))
-	for idx := range closed {
-		if !have[idx] {
-			idxs = append(idxs, idx)
-		}
+	idxs := make([]int, 0, len(unsealed))
+	for idx := range unsealed {
+		idxs = append(idxs, idx)
 	}
 	sort.Ints(idxs)
 	for _, idx := range idxs {
-		src := closed[idx]
+		src := unsealed[idx]
 		if err := j.publishSeal(idx, src.bytes, src.crc); err != nil {
 			return err
 		}

@@ -1,23 +1,18 @@
-// The admission fast path: per-(query, demand) feasibility tables
-// precomputed at engine construction so Offer prices an arrival with array
-// scans — no Dijkstra, no map allocation, no per-candidate delay model
-// evaluation. The tables exist because everything the pricing loop consults
-// except load and liveness is static for the life of the engine: the
-// topology is immutable, EvalDelay is a pure function of (query, dataset,
-// node), the deadline and the replica-open price seeds are fixed per demand,
-// and the preferred sites are chosen before the tables are built. Failover
-// repair prices off the same tables (failover.go): there is one pricing path.
+// The admission fast path: per-(query, demand) feasibility tables read at
+// engine construction so Offer prices an arrival with array scans — no
+// Dijkstra, no map allocation, no per-candidate delay model evaluation. The
+// tables exist because everything the pricing loop consults except load and
+// liveness is static for the life of the engine: the topology is immutable,
+// EvalDelay is a pure function of (query, dataset, node), the deadline and
+// the replica-open price seeds are fixed per demand, and the preferred sites
+// are chosen before the tables are read. Failover repair prices off the same
+// tables (failover.go): there is one pricing path.
 //
-// Building them is most of what NewEngine costs, so the build is kept to its
-// arithmetic: each (demand, node) delay is evaluated once, straight off the
-// home's delay row, into a per-worker scratch, and feeds all three things a
-// table keeps (the admission set, the classification set, the closest
-// finite-delay node); the sets are counted before they are allocated, one
-// exact-size array per query for each kind; each admission set is put into
-// the delay order pickFast's early exit stands on by sorting integer keys and
-// one exact insertion pass; and queries are built on every core (newFastPath,
-// queryTables, fillTable). Every table exists when NewEngine returns — the
-// first Offer pays nothing.
+// The tables are the Problem's (placement.Problem.CandidateTables), shared
+// with the solver and built once by whichever reads the Problem first;
+// newFastPath adds what is the engine's own — the compute need, the price
+// factors, the preferred sites — and every table exists when NewEngine
+// returns: the first Offer pays nothing.
 //
 // What stays dynamic is mirrored, not recomputed:
 //
@@ -48,13 +43,11 @@ package online
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
 	"edgerep/internal/graph"
 	"edgerep/internal/instrument"
-	"edgerep/internal/par"
 	"edgerep/internal/placement"
 	"edgerep/internal/workload"
 )
@@ -65,48 +58,23 @@ var (
 	statFastRefreshes = instrument.NewCounter("online.fastpath_refreshes")
 )
 
-// fpCand is one pricing candidate: a node whose evaluation delay meets the
-// demand's deadline under the strict admission predicate (delay ≤ deadline,
-// no epsilon — exactly the reference scan's gate).
-type fpCand struct {
-	node  graph.NodeID
-	delay float64
-	// delayCost is the precomputed deadline-slack price term
-	// w·size·(delay/deadline), evaluated with the reference scan's exact
-	// expression shape.
-	delayCost float64
-	// preferred marks the sites core's proactive phase chose from the
-	// forecast (NewEngine): a replica opens there at zero µ price, in
-	// admission and in repair alike.
-	preferred bool
-}
-
-// fpClassCand is one classification candidate: a node passing the
-// ε-tolerant MeetsDeadline predicate (classification and admission use
-// different feasibility predicates; the tables keep both sets).
-type fpClassCand struct {
-	node  graph.NodeID
-	delay float64
-}
-
-// fpDemand is the precomputed table for one (query, demand) pair.
+// fpDemand is the engine's table for one (query, demand) pair.
 type fpDemand struct {
 	dataset workload.DatasetID
 	// need is ComputeNeed(q, dataset); size25 seeds the replica-open price
-	// (0.25·size, the exact subexpression the reference evaluates first).
+	// (0.25·size, the exact subexpression the reference evaluates first);
+	// sizeW is w·size: sizeW·slack is the reference's w·size·(delay/deadline).
 	need   float64
 	size25 float64
-	// cands is the admission candidate set, sorted by ascending delay
-	// (ties by node ID). pickFast's early exit depends on the order.
-	cands []fpCand
-	// class is the classification candidate set in ascending node order
-	// (ClassifyRejection scans nodes ascending; order is part of its
-	// determinism contract).
-	class []fpClassCand
-	// bestFinite names the finite-delay node closest to the deadline, the
-	// locus a deadline rejection reports; -1 when every delay is infinite.
-	bestFinite      graph.NodeID
-	bestFiniteDelay float64
+	sizeW  float64
+	// The Problem's table: classification reads its Feasible set, pricing
+	// cands, its Admissible prefix (exactly the reference scan's gate).
+	*placement.CandidateTable
+	cands []placement.Candidate
+	// preferred marks, by node, the sites core's proactive phase chose for
+	// the dataset from the forecast (NewEngine): a replica opens there at
+	// zero µ price, in admission and in repair alike.
+	preferred []bool
 }
 
 // fpScratch is the per-offer planning state, reused across offers so the
@@ -239,13 +207,10 @@ func (e *Engine) FastPathStats() FastPathStats {
 	}
 }
 
-// newFastPath materializes the tables: the per-node capacity bounds, then
-// one table per (query, demand). Queries are independent and each writes only
-// its own perQuery slot, so they are built on every core, each worker reusing
-// one tableScratch; the totals are summed once all are in.
+// newFastPath materializes the tables: the per-node capacity bounds, the
+// preferred-site sets, then one table per (query, demand) over the Problem's.
 func newFastPath(e *Engine) *fastPath {
-	t := e.p.Cloud.Topology()
-	n := t.Graph.NumNodes()
+	n := e.p.Cloud.Topology().Graph.NumNodes()
 	f := &fastPath{
 		perQuery: make([][]fpDemand, len(e.p.Queries)),
 		capEps:   make([]float64, n),
@@ -257,24 +222,46 @@ func newFastPath(e *Engine) *fastPath {
 		f.uncapped[v] = math.Inf(1)
 	}
 	maxU := e.opt.maxUtil()
-	compute := e.p.Cloud.ComputeNodes()
-	procDelay := make([]float64, len(compute)) // d(v), by position in compute
-	for i, v := range compute {
+	for _, v := range e.p.Cloud.ComputeNodes() {
 		capGHz := e.p.Cloud.Capacity(v)
 		f.capMaxU[v] = capGHz * maxU
 		f.capEps[v] = capGHz*maxU + 1e-9
-		procDelay[i] = e.p.Cloud.ProcDelayPerGB(v)
 	}
-	par.DoWith(len(e.p.Queries), func() *tableScratch { return &tableScratch{} }, func(s *tableScratch, qi int) {
-		f.perQuery[qi] = e.queryTables(workload.QueryID(qi), procDelay, s)
-	})
-	maxDemands := 0
-	for _, demands := range f.perQuery {
-		maxDemands = max(maxDemands, len(demands))
-		f.tables += len(demands)
-		for di := range demands {
-			f.candidates += len(demands[di].cands)
+	preferred := make([][]bool, len(e.p.Datasets))
+	for ds := range preferred {
+		preferred[ds] = make([]bool, n)
+		for _, v := range e.preferredSites[workload.DatasetID(ds)] {
+			preferred[ds][v] = true
 		}
+	}
+	tables := e.p.CandidateTables()
+	numDemands := 0
+	for qi := range tables {
+		numDemands += len(tables[qi])
+	}
+	slab := make([]fpDemand, numDemands)
+	maxDemands := 0
+	for qi := range e.p.Queries {
+		q := &e.p.Queries[qi]
+		demands := slab[:len(q.Demands):len(q.Demands)]
+		slab = slab[len(q.Demands):]
+		for di, dm := range q.Demands {
+			tab := &tables[qi][di]
+			size := e.p.Datasets[dm.Dataset].SizeGB
+			demands[di] = fpDemand{
+				dataset:        dm.Dataset,
+				need:           e.p.ComputeNeed(workload.QueryID(qi), dm.Dataset),
+				size25:         0.25 * size,
+				sizeW:          delayPriceWeight * size,
+				CandidateTable: tab,
+				cands:          tab.Admissible(),
+				preferred:      preferred[dm.Dataset],
+			}
+			f.candidates += tab.Strict
+		}
+		f.perQuery[qi] = demands
+		f.tables += len(demands)
+		maxDemands = max(maxDemands, len(demands))
 	}
 	f.scr = fpScratch{
 		tentNode: make([]graph.NodeID, 0, maxDemands),
@@ -285,128 +272,6 @@ func newFastPath(e *Engine) *fastPath {
 	}
 	statFastBuilds.Inc()
 	return f
-}
-
-// tableScratch is what one table-building worker reuses from query to
-// query: every delay of the query being built, its tables' sizes, and one
-// table's sort keys.
-type tableScratch struct {
-	delays []float64 // delays[di*C+i]: demand di's delay at the i-th compute node
-	sizes  [][2]int  // sizes[di]: demand di's admission and classification set sizes
-	keys   []uint64
-}
-
-// queryTables builds the tables of query qid's demands. Each compute node's
-// delay is evaluated once per demand, into s, and feeds the closest
-// finite-delay node, the classification set (MeetsDeadline's ε-tolerant
-// predicate) and the admission set (the reference scan's strict one). The
-// sets are counted before anything is allocated, so each query's admission
-// and classification entries are cut from one exact-size array each.
-func (e *Engine) queryTables(qid workload.QueryID, procDelay []float64, s *tableScratch) []fpDemand {
-	q := &e.p.Queries[qid]
-	compute := e.p.Cloud.ComputeNodes()
-	nc := len(compute)
-	deadline := q.DeadlineSec
-	s.delays = slices.Grow(s.delays[:0], len(q.Demands)*nc)[:len(q.Demands)*nc]
-	s.sizes = slices.Grow(s.sizes[:0], len(q.Demands))[:len(q.Demands)]
-	demands := make([]fpDemand, len(q.Demands))
-	totalCands, totalClass := 0, 0
-	for di, dm := range q.Demands {
-		d := &demands[di]
-		*d = fpDemand{
-			dataset:         dm.Dataset,
-			need:            e.p.ComputeNeed(qid, dm.Dataset),
-			size25:          0.25 * e.p.Datasets[dm.Dataset].SizeGB,
-			bestFinite:      -1,
-			bestFiniteDelay: math.Inf(1),
-		}
-		delays := e.p.DemandDelays(qid, dm.Dataset, procDelay)
-		row := s.delays[di*nc : (di+1)*nc]
-		cands, class := 0, 0
-		for i, v := range compute {
-			delay := delays.At(i)
-			row[i] = delay
-			if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
-				d.bestFinite, d.bestFiniteDelay = v, delay
-			}
-			if delay <= deadline+1e-12 {
-				class++
-			}
-			if delay <= deadline { // NaN fails too: the sort needs comparable delays
-				cands++
-			}
-		}
-		s.sizes[di] = [2]int{cands, class}
-		totalCands += cands
-		totalClass += class
-	}
-	candArena := make([]fpCand, totalCands)
-	classArena := make([]fpClassCand, totalClass)
-	for di := range demands {
-		d := &demands[di]
-		if n := s.sizes[di][0]; n > 0 {
-			d.cands, candArena = candArena[:n:n], candArena[n:]
-		}
-		if n := s.sizes[di][1]; n > 0 {
-			d.class, classArena = classArena[:n:n], classArena[n:]
-		}
-		e.fillTable(d, deadline, s.delays[di*nc:(di+1)*nc], s)
-	}
-	return demands
-}
-
-// fillTable writes d's classification set, in ascending node order, and its
-// admission set, in (delay, node) order — the order pickFast's early exit
-// relies on — from row, the demand's delay at each compute node. Nodes are
-// distinct and admitted delays are never NaN, so (delay, node) is a total
-// order and the result does not depend on how it is reached.
-//
-// The admission set is ordered through integer keys: a delay's bits with the
-// low bits replaced by the node's position in ComputeNodes. Finite
-// non-negative floats order as their bits do, so the keys sort the
-// candidates by delay up to those low bits, and among delays equal after the
-// truncation by position. One insertion pass with the exact comparison then
-// moves the few entries the truncation misordered. Insertion sort is a
-// complete sort on its own, so the result is exact whatever the keys did
-// (a negative or infinite delay only costs it time); the key sort only makes
-// its input nearly sorted. TestFastPathTablesMatchReference holds it to the
-// comparison sort it replaced.
-func (e *Engine) fillTable(d *fpDemand, deadline float64, row []float64, s *tableScratch) {
-	compute := e.p.Cloud.ComputeNodes()
-	size := e.p.Datasets[d.dataset].SizeGB
-	preferred := e.preferredSites[d.dataset]
-	mask := uint64(1)<<bits.Len(uint(max(len(compute)-1, 0))) - 1
-	keys := s.keys[:0]
-	k := 0
-	for i, delay := range row {
-		if delay <= deadline+1e-12 {
-			d.class[k] = fpClassCand{node: compute[i], delay: delay}
-			k++
-		}
-		if delay <= deadline {
-			keys = append(keys, math.Float64bits(delay)&^mask|uint64(i))
-		}
-	}
-	slices.Sort(keys)
-	for j, key := range keys {
-		v, delay := compute[key&mask], row[key&mask]
-		d.cands[j] = fpCand{
-			node:      v,
-			delay:     delay,
-			delayCost: delayPriceWeight * size * (delay / deadline),
-			preferred: slices.Contains(preferred, v),
-		}
-	}
-	c := d.cands
-	for i := 1; i < len(c); i++ {
-		x := c[i]
-		j := i
-		for ; j > 0 && (x.delay < c[j-1].delay || x.delay == c[j-1].delay && x.node < c[j-1].node); j-- {
-			c[j] = c[j-1]
-		}
-		c[j] = x
-	}
-	s.keys = keys
 }
 
 // refresh is the epoch fence: a no-op while the liveness generation the
@@ -493,17 +358,11 @@ func (e *Engine) planFast(qid workload.QueryID) (bool, []placement.Assignment) {
 // costs.
 //
 // The delay order is load-bearing: the scan stops at the first candidate
-// whose delay term alone exceeds the best price so far, and no candidate at
-// or after it can win. A candidate's price is fl(fl(need·θ + delayCost) +
-// rep) with need·θ ≥ 0 (θ is (base^u − 1)/(base − 1) for u ≥ 0, giveBack
-// clamps load at zero) and rep ≥ 0, and rounding is monotone, so
-// fl(a + b) ≥ b for a ≥ 0: price ≥ delayCost. delayCost is w·size·(delay /
-// deadline) with w·size ≥ 0 and deadline > 0, IEEE division and
-// multiplication are monotone, and fillTable orders it by (delay, node), so
-// delayCost never decreases along the table. Every later candidate
-// therefore prices above bestCost and neither beats it nor ties it. The test
-// is strict: a candidate whose delay term equals bestCost can still tie it
-// at a lower node ID and must be priced.
+// whose delay term alone exceeds the best price so far, exactly
+// (placement.CandidateTable.Admissible): a price is fl(fl(need·θ +
+// delayCost) + rep) with need·θ ≥ 0 (θ is (base^u − 1)/(base − 1) for u ≥ 0,
+// giveBack clamps load at zero) and rep ≥ 0. The test is strict: a candidate
+// whose delay term equals bestCost can still tie it at a lower node ID.
 func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, capBound []float64, s *fpScratch) (graph.NodeID, bool) {
 	f := e.fast
 	openCount := len(reps) + s.openCountFor(d.dataset)
@@ -512,10 +371,11 @@ func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, capBound []float64, 
 	bestCost := math.Inf(1)
 	for i := range d.cands {
 		c := &d.cands[i]
-		if c.delayCost > bestCost {
+		delayCost := d.sizeW * c.Slack
+		if delayCost > bestCost {
 			break
 		}
-		v := c.node
+		v := graph.NodeID(c.Node)
 		if f.down[v] {
 			continue
 		}
@@ -527,11 +387,11 @@ func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, capBound []float64, 
 			if openCount >= kBound {
 				continue
 			}
-			if !c.preferred {
+			if !d.preferred[v] {
 				rep = d.size25 * float64(openCount+1) / float64(kBound)
 			}
 		}
-		cost := d.need*e.theta(v) + c.delayCost + rep
+		cost := d.need*e.theta(v) + delayCost + rep
 		if cost < bestCost || (cost == bestCost && v < best) {
 			best, bestCost = v, cost
 		}
@@ -542,8 +402,17 @@ func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, capBound []float64, 
 // classifyFast is ClassifyRejection over the precomputed classification
 // tables: same reason, same locus, same tie-breaks as the generic scan in
 // internal/placement, with the static portions (the ε-tolerant feasible
-// set in ascending node order, the closest finite-delay node) read from the
-// table and only load and liveness consulted live.
+// set, the closest finite-delay node) read from the table and only load and
+// liveness consulted live.
+//
+// The generic scan walks the nodes in ascending order, so each locus is the
+// lowest node among those that qualify best: the lowest crashed node, the
+// node with the most room, the live node with room and the least finite
+// delay. The table is in (delay, node) order, so the first live node with
+// room found along it is that last locus as it stands (every delay in the set
+// is finite, since NewProblem's deadlines are), and the other two break their
+// ties to the lower node explicitly. Where the scan stops early, at a
+// servable node, the demand reports no locus.
 func (e *Engine) classifyFast(q workload.QueryID) (instrument.Reason, workload.DatasetID, graph.NodeID) {
 	f := e.fast
 	f.refresh(e)
@@ -555,28 +424,26 @@ func (e *Engine) classifyFast(q workload.QueryID) (instrument.Reason, workload.D
 		capNode := graph.NodeID(-1)
 		capBest := math.Inf(-1)
 		kNode := graph.NodeID(-1)
-		kBestDelay := math.Inf(1)
 		feasible, servable, capacityOK := false, false, false
-		for i := range d.class {
-			cc := &d.class[i]
-			v := cc.node
+		for i := range d.Feasible {
+			v := graph.NodeID(d.Feasible[i].Node)
 			if f.down[v] {
-				if crashNode == -1 {
+				if crashNode == -1 || v < crashNode {
 					crashNode = v
 				}
 				continue
 			}
 			feasible = true
 			avail := f.capMaxU[v] - e.usedGHz(v)
-			if avail > capBest {
+			if avail > capBest || avail == capBest && v < capNode {
 				capNode, capBest = v, avail
 			}
 			if d.need > avail+1e-9 {
 				continue
 			}
 			capacityOK = true
-			if cc.delay < kBestDelay {
-				kNode, kBestDelay = v, cc.delay
+			if kNode == -1 {
+				kNode = v
 			}
 			if len(reps) < kRepl || slices.Contains(reps, v) {
 				servable = true
@@ -588,10 +455,10 @@ func (e *Engine) classifyFast(q workload.QueryID) (instrument.Reason, workload.D
 			continue
 		case !feasible && crashNode != -1:
 			return instrument.ReasonNodeCrashed, d.dataset, crashNode
-		case !feasible && d.bestFinite == -1:
+		case !feasible && d.Closest == -1:
 			return instrument.ReasonDisconnected, d.dataset, -1
 		case !feasible:
-			return instrument.ReasonDeadline, d.dataset, d.bestFinite
+			return instrument.ReasonDeadline, d.dataset, d.Closest
 		case !capacityOK:
 			return instrument.ReasonCapacity, d.dataset, capNode
 		default:

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,7 +13,9 @@ import (
 	"testing"
 
 	"edgerep/internal/cluster"
+	"edgerep/internal/core"
 	"edgerep/internal/graph"
+	"edgerep/internal/instrument"
 	"edgerep/internal/placement"
 	"edgerep/internal/topology"
 	"edgerep/internal/workload"
@@ -230,12 +233,12 @@ func testFastPathTie(t *testing.T) {
 		}
 		e := NewEngine(p, len(w.Queries), Options{})
 		checkRepairs(t, e)
-		cands := e.fast.perQuery[0][0].cands
+		cands := e.fast.perQuery[0][0].Admissible()
 		if len(cands) != 4 {
 			t.Fatalf("query 0 has %d candidates, want all 4 cloudlets", len(cands))
 		}
 		for _, c := range cands[1:] {
-			if c.delay != cands[0].delay || c.delayCost != cands[0].delayCost {
+			if c.Slack != cands[0].Slack {
 				t.Fatalf("instance is not symmetric: candidate %+v vs %+v", c, cands[0])
 			}
 		}
@@ -461,13 +464,16 @@ const edgeTopology = `{"nodes": [
 // node, so the four symmetric cloudlets tie on delay inside its admission
 // table; one whose deadline is the last float below the tied delay, which
 // the strict admission predicate refuses and the classification predicate's
-// +1e-12 accepts; and one a whole 1e-9 short, which both refuse.
+// +1e-12 accepts; and one a whole 1e-9 short, which both refuse. The tied
+// delay is read off a first Problem, and the deadlines are set in the
+// workload of a second one before anything reads it.
 func edgeProblem(t *testing.T) *placement.Problem {
 	t.Helper()
 	top, err := topology.Load(strings.NewReader(edgeTopology))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ec := cluster.New(top)
 	w := &workload.Workload{Datasets: []workload.Dataset{{ID: 0, SizeGB: 2, Origin: 1}}}
 	for i := 0; i < 3; i++ {
 		w.Queries = append(w.Queries, workload.Query{
@@ -475,13 +481,18 @@ func edgeProblem(t *testing.T) *placement.Problem {
 			Demands: []workload.Demand{{Dataset: 0, Selectivity: 0.5}},
 		})
 	}
-	p, err := placement.NewProblem(cluster.New(top), w, 3)
+	probe, err := placement.NewProblem(ec, w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tied, _ := p.EvalDelay(0, 0, 2)
-	p.Queries[1].DeadlineSec = math.Nextafter(tied, 0)
-	p.Queries[2].DeadlineSec = tied - 1e-9
+	tied, _ := probe.EvalDelay(0, 0, 2)
+	w.Queries = slices.Clone(w.Queries)
+	w.Queries[1].DeadlineSec = math.Nextafter(tied, 0)
+	w.Queries[2].DeadlineSec = tied - 1e-9
+	p, err := placement.NewProblem(ec, w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return p
 }
 
@@ -521,44 +532,64 @@ func ulpProblem(t *testing.T) *placement.Problem {
 	return p
 }
 
-// requireSameTables compares two builds field for field, floats by their
-// bits, naming the first difference.
-func requireSameTables(t *testing.T, got, want *fastPath) {
+// freshProblem is p assembled again: the same instance, no table built yet.
+func freshProblem(tb testing.TB, p *placement.Problem) *placement.Problem {
+	tb.Helper()
+	fresh, err := placement.NewProblem(p.Cloud, &workload.Workload{Datasets: p.Datasets, Queries: p.Queries}, p.MaxReplicas)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fresh
+}
+
+// requireSameTables compares the engine's tables with the reference's field
+// for field, floats by their bits, naming the first difference: the
+// admission set entry by entry, its delay terms as sizeW·slack, the
+// classification set as a set of nodes, each with EvalDelay/deadline's slack.
+func requireSameTables(t *testing.T, e *Engine, want [][]refDemand) {
 	t.Helper()
+	f := e.fast
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if got.tables != want.tables || got.candidates != want.candidates {
-		t.Fatalf("%d tables / %d candidates, reference %d / %d", got.tables, got.candidates, want.tables, want.candidates)
-	}
-	if !reflect.DeepEqual(got.capEps, want.capEps) || !reflect.DeepEqual(got.capMaxU, want.capMaxU) {
-		t.Fatal("capacity bounds differ from the reference's")
-	}
-	if len(got.perQuery) != len(want.perQuery) {
-		t.Fatalf("tables for %d queries, reference %d", len(got.perQuery), len(want.perQuery))
-	}
-	for qi := range want.perQuery {
-		if len(got.perQuery[qi]) != len(want.perQuery[qi]) {
-			t.Fatalf("query %d: %d demand tables, reference %d", qi, len(got.perQuery[qi]), len(want.perQuery[qi]))
+	tables, candidates := 0, 0
+	for qi := range want {
+		tables += len(want[qi])
+		for di := range want[qi] {
+			candidates += len(want[qi][di].cands)
 		}
-		for di := range want.perQuery[qi] {
-			g, w := &got.perQuery[qi][di], &want.perQuery[qi][di]
-			if len(g.cands) != len(w.cands) || len(g.class) != len(w.class) {
+	}
+	if f.tables != tables || f.candidates != candidates {
+		t.Fatalf("%d tables / %d candidates, reference %d / %d", f.tables, f.candidates, tables, candidates)
+	}
+	if len(f.perQuery) != len(want) {
+		t.Fatalf("tables for %d queries, reference %d", len(f.perQuery), len(want))
+	}
+	for qi := range want {
+		if len(f.perQuery[qi]) != len(want[qi]) {
+			t.Fatalf("query %d: %d demand tables, reference %d", qi, len(f.perQuery[qi]), len(want[qi]))
+		}
+		deadline := e.p.Queries[qi].DeadlineSec
+		for di := range want[qi] {
+			g, w := &f.perQuery[qi][di], &want[qi][di]
+			if len(g.Admissible()) != len(w.cands) || len(g.Feasible) != len(w.class) {
 				t.Fatalf("query %d demand %d: %d candidates / %d classification entries, reference %d / %d",
-					qi, di, len(g.cands), len(g.class), len(w.cands), len(w.class))
+					qi, di, len(g.Admissible()), len(g.Feasible), len(w.cands), len(w.class))
+			}
+			if g.dataset != w.dataset || !same(g.need, w.need) || !same(g.size25, w.size25) || g.Closest != w.bestFinite {
+				t.Fatalf("query %d demand %d: table %+v, reference %+v", qi, di, *g, *w)
 			}
 			for i, wc := range w.cands {
-				gc := g.cands[i]
-				if gc.node != wc.node || !same(gc.delay, wc.delay) || !same(gc.delayCost, wc.delayCost) || gc.preferred != wc.preferred {
-					t.Fatalf("query %d demand %d: candidate %d = %+v, reference %+v", qi, di, i, gc, wc)
+				gc := g.Admissible()[i]
+				if graph.NodeID(gc.Node) != wc.node || !same(g.sizeW*gc.Slack, wc.delayCost) || g.preferred[gc.Node] != wc.preferred {
+					t.Fatalf("query %d demand %d: candidate %d = %+v (delay term %v), reference %+v",
+						qi, di, i, gc, g.sizeW*gc.Slack, wc)
 				}
 			}
+			class := slices.Clone(g.Feasible)
+			slices.SortFunc(class, func(a, b placement.Candidate) int { return cmp.Compare(a.Node, b.Node) })
 			for i, wc := range w.class {
-				if gc := g.class[i]; gc.node != wc.node || !same(gc.delay, wc.delay) {
+				if gc := class[i]; graph.NodeID(gc.Node) != wc.node || !same(gc.Slack, wc.delay/deadline) {
 					t.Fatalf("query %d demand %d: classification entry %d = %+v, reference %+v", qi, di, i, gc, wc)
 				}
-			}
-			if g.dataset != w.dataset || !same(g.need, w.need) || !same(g.size25, w.size25) ||
-				g.bestFinite != w.bestFinite || !same(g.bestFiniteDelay, w.bestFiniteDelay) {
-				t.Fatalf("query %d demand %d: table %+v, reference %+v", qi, di, *g, *w)
 			}
 		}
 	}
@@ -567,8 +598,8 @@ func requireSameTables(t *testing.T, got, want *fastPath) {
 func hasPreferred(f *fastPath) bool {
 	for _, demands := range f.perQuery {
 		for _, d := range demands {
-			for _, c := range d.cands {
-				if c.preferred {
+			for _, c := range d.Admissible() {
+				if d.preferred[c.Node] {
 					return true
 				}
 			}
@@ -577,16 +608,18 @@ func hasPreferred(f *fastPath) bool {
 	return false
 }
 
-// TestFastPathTablesMatchReference is the "dump and cmp" of the table build:
-// on every instance, the tables built from EvalDelay and MeetsDeadline alone
-// (newFastPathEvalReference) equal, field for field, both the
-// comparison-sorted serial builder's (newFastPathReference) and the
-// key-sorted builder's at one, two and eight workers — so every decision
-// priced off them, and every WAL and trace byte, is what it was. The bench's recovery instance runs at 30, 500
-// and 2 000 nodes (2 000 compute-node positions take more of each key's low
-// bits than 500 do), the forecast engine marks preferred sites, one
-// hand-built instance ties delays exactly and another sets them an ulp
-// apart against node order.
+// TestFastPathTablesMatchReference is the "dump and cmp" of the engine's
+// tables: on every instance, the tables built from EvalDelay and
+// MeetsDeadline alone (newFastPathEvalReference) equal, field for field, the
+// engine's over the Problem's candidate tables built at one, two and eight
+// workers, each on a Problem of its own — so every decision priced off them,
+// and every WAL and trace byte, is what it was. The bench's recovery instance
+// runs at 30, 500 and 2 000 nodes (2 000 compute-node positions take more of
+// each key's low bits than 500 do), the forecast engine marks preferred
+// sites, one hand-built instance ties delays exactly and sets a deadline
+// inside the classification epsilon, and another sets them an ulp apart
+// against node order. (The table build's own oracle is placement's
+// TestCandidateTablesMatchEvalDelay.)
 func TestFastPathTablesMatchReference(t *testing.T) {
 	defaultP, _ := NewTestProblem(t, 5, 120)
 	forecastP, forecastW := NewTestProblem(t, 9, 80)
@@ -605,49 +638,48 @@ func TestFastPathTablesMatchReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-			e := NewEngine(tc.p, len(tc.p.Queries), tc.opt)
-			want := newFastPathEvalReference(e)
-			requireSameTables(t, newFastPathReference(e), want)
+			want := newFastPathEvalReference(NewEngine(tc.p, len(tc.p.Queries), tc.opt))
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
-				requireSameTables(t, newFastPath(e), want)
-			}
-			if tc.opt.Forecast != nil && !hasPreferred(e.fast) {
-				t.Fatal("the forecast marked no candidate preferred; the field is not exercised")
+				e := NewEngine(freshProblem(t, tc.p), len(tc.p.Queries), tc.opt)
+				requireSameTables(t, e, want)
+				if tc.opt.Forecast != nil && !hasPreferred(e.fast) {
+					t.Fatal("the forecast marked no candidate preferred; the field is not exercised")
+				}
 			}
 		})
 	}
 	t.Run("what the hand-built instance pins", func(t *testing.T) {
+		order := func(cs []placement.Candidate) []graph.NodeID {
+			var out []graph.NodeID
+			for _, c := range cs {
+				out = append(out, graph.NodeID(c.Node))
+			}
+			return out
+		}
 		f := NewEngine(edgeProblem(t), 3, Options{}).fast
-		var order []graph.NodeID
-		for _, c := range f.perQuery[0][0].cands {
-			order = append(order, c.node)
+		if got, want := order(f.perQuery[0][0].Admissible()), []graph.NodeID{1, 2, 3, 5, 6, 4, 7}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("admission order %v, want %v (2, 3, 5 and 6 tie on delay)", got, want)
 		}
-		if want := []graph.NodeID{1, 2, 3, 5, 6, 4, 7}; !reflect.DeepEqual(order, want) {
-			t.Fatalf("admission order %v, want %v (2, 3, 5 and 6 tie on delay)", order, want)
-		}
-		if d := f.perQuery[1][0]; len(d.cands) != 1 || len(d.class) != 5 {
+		if d := f.perQuery[1][0]; d.Strict != 1 || len(d.Feasible) != 5 {
 			t.Fatalf("deadline one ulp under the tie: %d candidates, %d classification entries; want 1 and 5 (the +1e-12)",
-				len(d.cands), len(d.class))
+				d.Strict, len(d.Feasible))
 		}
-		if d := f.perQuery[2][0]; len(d.cands) != 1 || len(d.class) != 1 {
+		if d := f.perQuery[2][0]; d.Strict != 1 || len(d.Feasible) != 1 {
 			t.Fatalf("deadline 1e-9 under the tie: %d candidates, %d classification entries; want 1 and 1",
-				len(d.cands), len(d.class))
+				d.Strict, len(d.Feasible))
 		}
-		order = order[:0]
-		for _, c := range NewEngine(ulpProblem(t), 1, Options{}).fast.perQuery[0][0].cands {
-			order = append(order, c.node)
-		}
-		if want := []graph.NodeID{4, 3, 2, 1}; !reflect.DeepEqual(order, want) {
-			t.Fatalf("admission order %v, want %v (delays 1.25 + 0, 1, 2 and 3 ulps)", order, want)
+		if got, want := order(NewEngine(ulpProblem(t), 1, Options{}).fast.perQuery[0][0].Admissible()), []graph.NodeID{4, 3, 2, 1}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("admission order %v, want %v (delays 1.25 + 0, 1, 2 and 3 ulps)", got, want)
 		}
 	})
 }
 
 // TestCandidateTablesAreDelayOrdered checks, table by table, what pickFast's
-// early exit stands on: every admission candidate's delay is finite, each
-// table is strictly ascending by (delay, node), and delayCost never decreases
-// along it. On the bench's 500-node instance and on a forecast instance.
+// early exit stands on: every admission candidate's delay (EvalDelay's) is
+// finite, each table is strictly ascending by (delay, node), and the delay
+// term sizeW·slack never decreases along it. On the bench's 500-node instance
+// and on a forecast instance.
 func TestCandidateTablesAreDelayOrdered(t *testing.T) {
 	forecastP, forecastW := NewTestProblem(t, 9, 80)
 	for _, tc := range []struct {
@@ -659,24 +691,29 @@ func TestCandidateTablesAreDelayOrdered(t *testing.T) {
 		{"forecast", forecastP, Options{Forecast: forecastW.Queries[:40], MaxUtilization: 0.8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := NewEngine(tc.p, len(tc.p.Queries), tc.opt).fast
-			for qi, demands := range f.perQuery {
+			e := NewEngine(tc.p, len(tc.p.Queries), tc.opt)
+			for qi, demands := range e.fast.perQuery {
 				for di := range demands {
-					cands := demands[di].cands
+					d := &demands[di]
+					prevDelay := 0.0
+					cands := d.Admissible()
 					for i, c := range cands {
-						if math.IsNaN(c.delay) || math.IsInf(c.delay, 0) {
-							t.Fatalf("query %d demand %d: candidate %d has delay %v", qi, di, i, c.delay)
+						delay, _ := tc.p.EvalDelay(workload.QueryID(qi), d.dataset, graph.NodeID(c.Node))
+						if math.IsNaN(delay) || math.IsInf(delay, 0) {
+							t.Fatalf("query %d demand %d: candidate %d has delay %v", qi, di, i, delay)
 						}
-						if i == 0 {
-							continue
+						if i > 0 {
+							prev := cands[i-1]
+							if !(prevDelay < delay || prevDelay == delay && prev.Node < c.Node) {
+								t.Fatalf("query %d demand %d: candidate %d %+v (delay %v) does not follow %+v (delay %v) by (delay, node)",
+									qi, di, i, c, delay, prev, prevDelay)
+							}
+							if !(d.sizeW*prev.Slack <= d.sizeW*c.Slack) {
+								t.Fatalf("query %d demand %d: the delay term falls from %v to %v at candidate %d",
+									qi, di, d.sizeW*prev.Slack, d.sizeW*c.Slack, i)
+							}
 						}
-						prev := cands[i-1]
-						if !(prev.delay < c.delay || prev.delay == c.delay && prev.node < c.node) {
-							t.Fatalf("query %d demand %d: candidate %d %+v does not follow %+v by (delay, node)", qi, di, i, c, prev)
-						}
-						if !(prev.delayCost <= c.delayCost) {
-							t.Fatalf("query %d demand %d: delayCost falls from %v to %v at candidate %d", qi, di, prev.delayCost, c.delayCost, i)
-						}
+						prevDelay = delay
 					}
 				}
 			}
@@ -702,38 +739,143 @@ func TestPickFastExitKeepsTies(t *testing.T) {
 		}
 		d0 = up(d0)
 	}
-	d := fpDemand{dataset: 0, need: 1, size25: 0.25 * size, cands: []fpCand{
-		{node: 5, delay: d0, delayCost: delayCost(d0), preferred: true},
-		{node: 2, delay: up(d0), delayCost: delayCost(up(d0)), preferred: true},
-	}}
+	preferred := make([]bool, 8)
+	preferred[5], preferred[2] = true, true
+	d := fpDemand{dataset: 0, need: 1, size25: 0.25 * size, sizeW: delayPriceWeight * size, preferred: preferred,
+		CandidateTable: &placement.CandidateTable{Strict: 2, Feasible: []placement.Candidate{
+			{Index: 4, Node: 5, Slack: d0 / deadline},
+			{Index: 1, Node: 2, Slack: up(d0) / deadline},
+		}}}
+	d.cands = d.Admissible()
 	e.fast.scr.reset()
 	if v, ok := e.pickFast(&d, nil, e.fast.capEps, &e.fast.scr); !ok || v != 2 {
-		t.Fatalf("picked node %d (ok=%v) from two candidates that tie at %v; want node 2, the lower ID", v, ok, d.cands[0].delayCost)
+		t.Fatalf("picked node %d (ok=%v) from two candidates that tie at %v; want node 2, the lower ID", v, ok, delayCost(d0))
 	}
 }
 
-// fastPathBuildAllocs bounds what building the bench instance's tables
-// allocates at one worker (testing.AllocsPerRun measures at GOMAXPROCS=1):
-// 1 098 measured — per query its slice of tables and one array each for its
-// admission and classification entries (none for a query with no entries),
-// the worker's scratch, and a few objects for the fastPath. Nothing per table
-// or per candidate: appending to each table's two slices made it 12 955, the
-// two-loop builder's ranking and reflection-based sort per table 16 834.
+// fastPathBuildAllocs bounds what newFastPath allocates on a fresh copy of
+// the bench instance at one worker, the Problem's candidate tables included:
+// per query its tables and one array for their entries, a slab of the
+// engine's records, the worker's scratch, the preferred-site sets and a few
+// objects for the fastPath — 813 measured. Nothing per table or per
+// candidate.
 const fastPathBuildAllocs = 1100
 
-// BenchmarkFastPathBuild times newFastPath on the bench's 500-node instance
-// (1 151 tables, 221 181 candidates) and fails if one build allocates more
-// than fastPathBuildAllocs objects.
+// BenchmarkFastPathBuild times newFastPath on fresh copies of the bench's
+// 500-node instance (1 151 tables, 221 181 candidates), each op building the
+// copy's candidate tables too, and fails if one build allocates more than
+// fastPathBuildAllocs objects.
 func BenchmarkFastPathBuild(b *testing.B) {
 	b.Run("v500", func(b *testing.B) {
-		e := NewEngine(benchProblem(b), 10000, Options{})
-		if got := testing.AllocsPerRun(1, func() { newFastPath(e) }); got > fastPathBuildAllocs {
-			b.Fatalf("one build allocates %v objects, want at most %d", got, fastPathBuildAllocs)
+		p := benchProblem(b)
+		e := NewEngine(p, 10000, Options{})
+		e.p = freshProblem(b, p)
+		procs := runtime.GOMAXPROCS(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		newFastPath(e)
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		if got := after.Mallocs - before.Mallocs; got > fastPathBuildAllocs {
+			b.Fatalf("one build allocates %d objects, want at most %d", got, fastPathBuildAllocs)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e.p = freshProblem(b, p)
+			b.StartTimer()
 			newFastPath(e)
 		}
 	})
+}
+
+// TestCandidateTablesBuiltOncePerProblem: the engine and the solver read one
+// set of candidate tables. NewEngine builds them; Appro-G, twice on the same
+// Problem, builds none.
+func TestCandidateTablesBuiltOncePerProblem(t *testing.T) {
+	instrument.Enable()
+	defer instrument.Disable()
+	p, _ := NewTestProblem(t, 5, 120)
+	before := instrument.Snapshot()["placement.candidate_table_builds"]
+	e := NewEngine(p, len(p.Queries), Options{})
+	for i := 0; i < 2; i++ {
+		if _, err := core.ApproG(p, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds := instrument.Snapshot()["placement.candidate_table_builds"] - before; builds != 1 {
+		t.Fatalf("%d candidate table builds for an engine and two solves of one Problem, want 1", builds)
+	}
+	for qi, tables := range p.CandidateTables() {
+		for di := range tables {
+			if class := e.fast.perQuery[qi][di].Feasible; len(class) > 0 && &class[0] != &tables[di].Feasible[0] {
+				t.Fatalf("query %d demand %d: the engine's table is not the Problem's", qi, di)
+			}
+		}
+	}
+}
+
+// TestClassifyFastLociInNodeOrder pins the loci classifyFast reads off a
+// delay-ordered table where delay order is the reverse of node order: four
+// cloudlets whose delays fall as their IDs rise, equal in capacity. A query
+// that fits on none is a capacity rejection at the lowest of the four tied
+// for room; with all four down, the same arrival that fit is a crash
+// rejection at the lowest crashed node — both where the node-ascending
+// generic scan puts them, not at the first node of the table.
+func TestClassifyFastLociInNodeOrder(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"nodes": [{"id": 0, "kind": "basestation"}`)
+	for v := 1; v <= 4; v++ {
+		fmt.Fprintf(&b, `, {"id": %d, "kind": "cloudlet", "capacity_ghz": 4, "proc_delay_per_gb": 0.5}`, v)
+	}
+	b.WriteString(`], "links": [`)
+	for v := 1; v <= 4; v++ {
+		if v > 1 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, `{"from": 0, "to": %d, "delay_per_gb": %g}`, v, 0.5-0.1*float64(v))
+	}
+	b.WriteString(`]}`)
+	top, err := topology.Load(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &workload.Workload{
+		Datasets: []workload.Dataset{{ID: 0, SizeGB: 2, Origin: 1}},
+		Queries: []workload.Query{
+			{ID: 0, Home: 0, ComputePerGB: 1, DeadlineSec: 10, Demands: []workload.Demand{{Dataset: 0, Selectivity: 0.5}}},
+			{ID: 1, Home: 0, ComputePerGB: 3, DeadlineSec: 10, Demands: []workload.Demand{{Dataset: 0, Selectivity: 0.5}}},
+		},
+	}
+	p, err := placement.NewProblem(cluster.New(top), w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(p, 2, Options{})
+	var order []graph.NodeID
+	for _, c := range e.fast.perQuery[0][0].Feasible {
+		order = append(order, graph.NodeID(c.Node))
+	}
+	if want := []graph.NodeID{4, 3, 2, 1}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("table order %v, want %v", order, want)
+	}
+	classify := func(q workload.QueryID, reason instrument.Reason, node graph.NodeID) {
+		t.Helper()
+		gr, gds, gn := e.classifyFast(q)
+		wr, wds, wn := e.classifyReference(q)
+		if gr != wr || gds != wds || gn != wn {
+			t.Fatalf("query %d: classifyFast %v/%d/%d, reference %v/%d/%d", q, gr, gds, gn, wr, wds, wn)
+		}
+		if gr != reason || gn != node {
+			t.Fatalf("query %d: %v at node %d, want %v at node %d", q, gr, gn, reason, node)
+		}
+	}
+	classify(1, instrument.ReasonCapacity, 1) // needs 6 GHz of 4 everywhere
+	for v := graph.NodeID(1); v <= 4; v++ {
+		if _, err := e.Crash(0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	classify(0, instrument.ReasonNodeCrashed, 1)
 }

@@ -14,16 +14,13 @@
 // mixed-journal recovery tests recover. And the JSON snapshot encoder the
 // binary codec of snapshot.go replaced, snapshotJSON: what
 // TestSnapshotCodecMatchesJSON decodes against and what V0Journal and the
-// cross-era recovery test snapshot in. And two table builders:
+// cross-era recovery test snapshot in. And a table builder,
 // newFastPathEvalReference, which prices through EvalDelay and MeetsDeadline
-// alone, and newFastPathReference, the per-table builder the key-sorted one
-// replaced; TestFastPathTablesMatchReference holds the latter and newFastPath
-// to the former.
+// alone; TestFastPathTablesMatchReference holds newFastPath to it.
 
 package online
 
 import (
-	"cmp"
 	"encoding/json"
 	"math"
 	"slices"
@@ -383,38 +380,44 @@ func rankTargets(c *graph.DistanceCache, src graph.NodeID, targets []graph.NodeI
 	return out
 }
 
+// refCand and refDemand are a table as newFastPathEvalReference builds it:
+// every float the engine prices with spelled out, the classification set in
+// ascending node order.
+type refCand struct {
+	node      graph.NodeID
+	delay     float64
+	delayCost float64
+	preferred bool
+}
+
+type refDemand struct {
+	dataset         workload.DatasetID
+	need, size25    float64
+	cands           []refCand // by (delay, node)
+	class           []refCand // by node; delay only
+	bestFinite      graph.NodeID
+	bestFiniteDelay float64
+}
+
 // newFastPathEvalReference builds the tables from the delay model's own
-// predicates, independent of DemandDelays and of any builder's inline
-// deadline test: per demand, one loop over the home's distance ranking
-// through EvalDelay for the admission set (sorted with sort.Slice), then a
-// second loop over the compute nodes through EvalDelay and MeetsDeadline for
-// the closest finite-delay node and the classification set; queries one
-// after another. TestFastPathTablesMatchReference holds newFastPath and
-// newFastPathReference to it field for field.
-func newFastPathEvalReference(e *Engine) *fastPath {
-	t := e.p.Cloud.Topology()
-	n := t.Graph.NumNodes()
-	f := &fastPath{
-		perQuery: make([][]fpDemand, len(e.p.Queries)),
-		capEps:   make([]float64, n),
-		capMaxU:  make([]float64, n),
-		down:     make([]bool, n),
-	}
-	maxU := e.opt.maxUtil()
+// predicates, independent of the Problem's candidate tables and of any
+// builder's inline deadline test: per demand, one loop over the home's
+// distance ranking through EvalDelay for the admission set (sorted with
+// sort.Slice), then a second loop over the compute nodes through EvalDelay
+// and MeetsDeadline for the closest finite-delay node and the classification
+// set; queries one after another. TestFastPathTablesMatchReference holds
+// newFastPath to it field for field.
+func newFastPathEvalReference(e *Engine) [][]refDemand {
 	compute := e.p.Cloud.ComputeNodes()
-	for _, v := range compute {
-		capGHz := e.p.Cloud.Capacity(v)
-		f.capMaxU[v] = capGHz * maxU
-		f.capEps[v] = capGHz*maxU + 1e-9
-	}
-	cache := t.DistanceCache()
+	cache := e.p.Cloud.Topology().DistanceCache()
+	perQuery := make([][]refDemand, len(e.p.Queries))
 	for qi := range e.p.Queries {
 		q := &e.p.Queries[qi]
 		qid := workload.QueryID(qi)
 		ranked := rankTargets(cache, q.Home, compute)
-		demands := make([]fpDemand, len(q.Demands))
+		demands := make([]refDemand, len(q.Demands))
 		for di, dm := range q.Demands {
-			d := fpDemand{
+			d := refDemand{
 				dataset:         dm.Dataset,
 				need:            e.p.ComputeNeed(qid, dm.Dataset),
 				size25:          0.25 * e.p.Datasets[dm.Dataset].SizeGB,
@@ -429,7 +432,7 @@ func newFastPathEvalReference(e *Engine) *fastPath {
 				if !ok || delay > deadline {
 					continue
 				}
-				d.cands = append(d.cands, fpCand{
+				d.cands = append(d.cands, refCand{
 					node:      v,
 					delay:     delay,
 					delayCost: delayPriceWeight * size * (delay / deadline),
@@ -451,110 +454,12 @@ func newFastPathEvalReference(e *Engine) *fastPath {
 					d.bestFinite, d.bestFiniteDelay = v, delay
 				}
 				if e.p.MeetsDeadline(qid, dm.Dataset, v) {
-					d.class = append(d.class, fpClassCand{node: v, delay: delay})
+					d.class = append(d.class, refCand{node: v, delay: delay})
 				}
 			}
 			demands[di] = d
-			f.tables++
-			f.candidates += len(d.cands)
 		}
-		f.perQuery[qi] = demands
+		perQuery[qi] = demands
 	}
-	return f
-}
-
-// newFastPathReference is newFastPath with the table builder it replaced,
-// referenceDemandTable, run serially: one table per (query, demand), each
-// appending to its two sets as it finds their entries and sorting the
-// admission set with a comparison closure. TestFastPathTablesMatchReference
-// holds it, like the key-sorted, arena-cut builder, to
-// newFastPathEvalReference field for field.
-func newFastPathReference(e *Engine) *fastPath {
-	t := e.p.Cloud.Topology()
-	n := t.Graph.NumNodes()
-	f := &fastPath{
-		perQuery: make([][]fpDemand, len(e.p.Queries)),
-		capEps:   make([]float64, n),
-		capMaxU:  make([]float64, n),
-		uncapped: make([]float64, n),
-		down:     make([]bool, n),
-	}
-	for v := range f.uncapped {
-		f.uncapped[v] = math.Inf(1)
-	}
-	maxU := e.opt.maxUtil()
-	compute := e.p.Cloud.ComputeNodes()
-	procDelay := make([]float64, len(compute))
-	for i, v := range compute {
-		capGHz := e.p.Cloud.Capacity(v)
-		f.capMaxU[v] = capGHz * maxU
-		f.capEps[v] = capGHz*maxU + 1e-9
-		procDelay[i] = e.p.Cloud.ProcDelayPerGB(v)
-	}
-	maxDemands := 0
-	for qi := range e.p.Queries {
-		q := &e.p.Queries[qi]
-		demands := make([]fpDemand, len(q.Demands))
-		for di, dm := range q.Demands {
-			demands[di] = e.referenceDemandTable(workload.QueryID(qi), dm.Dataset, procDelay)
-			f.candidates += len(demands[di].cands)
-		}
-		f.perQuery[qi] = demands
-		f.tables += len(demands)
-		maxDemands = max(maxDemands, len(demands))
-	}
-	f.scr = fpScratch{
-		tentNode: make([]graph.NodeID, 0, maxDemands),
-		tentAmt:  make([]float64, 0, maxDemands),
-		openDs:   make([]workload.DatasetID, 0, maxDemands),
-		openNode: make([]graph.NodeID, 0, maxDemands),
-		assign:   make([]placement.Assignment, 0, maxDemands),
-	}
-	return f
-}
-
-// referenceDemandTable is the per-table builder queryTables and fillTable
-// replaced, verbatim: one pass over the compute nodes, ascending, appending
-// to the classification and admission sets, then slices.SortFunc on
-// (delay, node).
-func (e *Engine) referenceDemandTable(qid workload.QueryID, ds workload.DatasetID, procDelay []float64) fpDemand {
-	size := e.p.Datasets[ds].SizeGB
-	deadline := e.p.Queries[qid].DeadlineSec
-	delays := e.p.DemandDelays(qid, ds, procDelay)
-	preferred := e.preferredSites[ds]
-	d := fpDemand{
-		dataset:         ds,
-		need:            e.p.ComputeNeed(qid, ds),
-		size25:          0.25 * size,
-		bestFinite:      -1,
-		bestFiniteDelay: math.Inf(1),
-	}
-	for i, v := range e.p.Cloud.ComputeNodes() {
-		delay := delays.At(i)
-		if !math.IsInf(delay, 1) && delay < d.bestFiniteDelay {
-			d.bestFinite, d.bestFiniteDelay = v, delay
-		}
-		if delay <= deadline+1e-12 {
-			d.class = append(d.class, fpClassCand{node: v, delay: delay})
-		}
-		if !(delay <= deadline) { // NaN fails too: the sort below needs comparable delays
-			continue
-		}
-		d.cands = append(d.cands, fpCand{
-			node:      v,
-			delay:     delay,
-			delayCost: delayPriceWeight * size * (delay / deadline),
-			preferred: slices.Contains(preferred, v),
-		})
-	}
-	slices.SortFunc(d.cands, func(a, b fpCand) int {
-		switch {
-		case a.delay < b.delay:
-			return -1
-		case a.delay > b.delay:
-			return 1
-		}
-		return cmp.Compare(a.node, b.node)
-	})
-	return d
+	return perQuery
 }

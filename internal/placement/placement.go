@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"edgerep/internal/cluster"
 	"edgerep/internal/graph"
@@ -18,12 +19,20 @@ import (
 
 // Problem is one instance of the proactive data replication and placement
 // problem (paper §2.4).
+//
+// A Problem is immutable once read: what readers derive from it, the shared
+// candidate tables above all, is derived once, so an edit after the first
+// read reaches some readers and not others. To vary an instance, assemble a
+// new Problem; never copy one by value.
 type Problem struct {
 	Cloud    *cluster.EdgeCloud
 	Datasets []workload.Dataset
 	Queries  []workload.Query
 	// MaxReplicas is K ≥ 1, the per-dataset replica bound.
 	MaxReplicas int
+
+	tablesOnce sync.Once
+	tables     [][]CandidateTable
 }
 
 // NewProblem assembles a Problem and validates its shape. It builds the
@@ -57,6 +66,10 @@ func NewProblem(ec *cluster.EdgeCloud, w *workload.Workload, k int) (*Problem, e
 	for _, q := range w.Queries {
 		if q.Home < 0 || int(q.Home) >= n {
 			return nil, fmt.Errorf("placement: query %d is homed at node %d, outside the topology's %d", q.ID, q.Home, n)
+		}
+		// The candidate tables' slack, delay/deadline, orders as the delay.
+		if !(q.DeadlineSec > 0) || math.IsInf(q.DeadlineSec, 1) {
+			return nil, fmt.Errorf("placement: query %d has deadline %v, need a positive, finite one", q.ID, q.DeadlineSec)
 		}
 		target[q.Home] = true
 	}
@@ -99,41 +112,11 @@ func (p *Problem) EvalDelay(q workload.QueryID, n workload.DatasetID, v graph.No
 }
 
 // evalDelay is the delay model's arithmetic. Everything that prices a delay
-// goes through it, so a table built off DemandDelays holds EvalDelay's bits.
+// goes through it, so the candidate tables hold EvalDelay's bits.
 func evalDelay(size, selectivity, procPerGB, transferPerGB float64) float64 {
 	proc := size * procPerGB
 	trans := size * selectivity * transferPerGB
 	return proc + trans
-}
-
-// DemandDelays is EvalDelay for one (query, dataset) pair with everything but
-// the node hoisted — the demand scan, the dataset size, the home's delay row,
-// the compute-node check — for builders that price the pair at every compute
-// node (the ascent's candidate lists, the engine's tables).
-type DemandDelays struct {
-	size, selectivity float64
-	toHome            []float64 // dt(p_{v,home}), indexed by node
-	nodes             []graph.NodeID
-	procDelay         []float64
-}
-
-// DemandDelays prepares the delays of dataset n for query q, which must demand
-// it. procDelay[i] is d(v) of the i-th compute node, in ComputeNodes order.
-func (p *Problem) DemandDelays(q workload.QueryID, n workload.DatasetID, procDelay []float64) DemandDelays {
-	d, _ := p.Demand(q, n) // the demand EvalDelay prices n by
-	return DemandDelays{
-		size:        p.Datasets[n].SizeGB,
-		selectivity: d.Selectivity,
-		toHome:      p.Cloud.DelayTo(p.Queries[q].Home),
-		nodes:       p.Cloud.ComputeNodes(),
-		procDelay:   procDelay,
-	}
-}
-
-// At returns the delay at the i-th compute node: EvalDelay's value, bit for
-// bit.
-func (d *DemandDelays) At(i int) float64 {
-	return evalDelay(d.size, d.selectivity, d.procDelay[i], d.toHome[d.nodes[i]])
 }
 
 // ComputeNeed returns |S_n|·r_m: the computing resource consumed on the node

@@ -69,6 +69,13 @@ func TestNewProblemValidation(t *testing.T) {
 	if _, err := NewProblem(ec, stray, 1); err == nil {
 		t.Fatal("dataset originating outside the topology accepted")
 	}
+	for _, deadline := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		late := &workload.Workload{Datasets: w.Datasets, Queries: slices.Clone(w.Queries)}
+		late.Queries[0].DeadlineSec = deadline
+		if _, err := NewProblem(ec, late, 1); err == nil {
+			t.Fatalf("deadline %v accepted", deadline)
+		}
+	}
 	if _, err := NewProblem(ec, w, 3); err != nil {
 		t.Fatalf("valid problem rejected: %v", err)
 	}
@@ -138,7 +145,8 @@ func TestDemandDelaysMatchEvalDelay(t *testing.T) {
 		for qi := range p.Queries {
 			q := &p.Queries[qi]
 			for _, dm := range q.Demands {
-				delays := p.DemandDelays(q.ID, dm.Dataset, procDelay)
+				row := make([]float64, len(nodes))
+				p.delayRow(q.ID, dm.Dataset, procDelay, row)
 				first, _ := p.Demand(q.ID, dm.Dataset)
 				size := p.Datasets[dm.Dataset].SizeGB
 				for i, v := range nodes {
@@ -151,8 +159,8 @@ func TestDemandDelaysMatchEvalDelay(t *testing.T) {
 					if spelled := proc + trans; math.Float64bits(spelled) != math.Float64bits(want) {
 						t.Fatalf("query %d dataset %d node %d: EvalDelay = %v, the model spelled out %v", q.ID, dm.Dataset, v, want, spelled)
 					}
-					if got := delays.At(i); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("query %d dataset %d node %d: DemandDelays.At = %v, EvalDelay %v", q.ID, dm.Dataset, v, got, want)
+					if got := row[i]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("query %d dataset %d node %d: delayRow = %v, EvalDelay %v", q.ID, dm.Dataset, v, got, want)
 					}
 					cells++
 				}
