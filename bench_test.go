@@ -466,8 +466,10 @@ func BenchmarkScalabilityQueries(b *testing.B) {
 }
 
 // BenchmarkScalabilityResolve is BenchmarkScalabilityQueries solving one
-// Problem again and again, as re-planning a live instance does: every timed
-// solve reads the candidate tables an untimed first solve built.
+// unchanged Problem again and again, as the bench's batch-solve does nine
+// solves in ten: every timed solve reads the candidate tables an untimed
+// first solve built. Re-planning a drifting workload solves new Problems,
+// which BenchmarkScalabilityQueries times.
 func BenchmarkScalabilityResolve(b *testing.B) {
 	for _, nq := range []int{400, 1000, 2000, 4000} {
 		b.Run(fmt.Sprintf("Q=%d", nq), func(b *testing.B) { benchScalability(b, 500, 40, nq, true) })

@@ -68,9 +68,8 @@ type fpDemand struct {
 	size25 float64
 	sizeW  float64
 	// The Problem's table: classification reads its Feasible set, pricing
-	// cands, its Admissible prefix (exactly the reference scan's gate).
+	// its Admissible prefix (exactly the reference scan's gate).
 	*placement.CandidateTable
-	cands []placement.Candidate
 	// preferred marks, by node, the sites core's proactive phase chose for
 	// the dataset from the forecast (NewEngine): a replica opens there at
 	// zero µ price, in admission and in repair alike.
@@ -254,7 +253,6 @@ func newFastPath(e *Engine) *fastPath {
 				size25:         0.25 * size,
 				sizeW:          delayPriceWeight * size,
 				CandidateTable: tab,
-				cands:          tab.Admissible(),
 				preferred:      preferred[dm.Dataset],
 			}
 			f.candidates += tab.Strict
@@ -369,8 +367,9 @@ func (e *Engine) pickFast(d *fpDemand, reps []graph.NodeID, capBound []float64, 
 	kBound := e.p.MaxReplicas
 	var best graph.NodeID = -1
 	bestCost := math.Inf(1)
-	for i := range d.cands {
-		c := &d.cands[i]
+	cands := d.Admissible()
+	for i := range cands {
+		c := &cands[i]
 		delayCost := d.sizeW * c.Slack
 		if delayCost > bestCost {
 			break

@@ -498,9 +498,7 @@ func edgeProblem(t *testing.T) *placement.Problem {
 
 // ulpProblem is a star whose cloudlets 1 to 4 give the one query's demand
 // the delays 1.25 + k ulps for k = 3, 2, 1, 0: ascending delay is descending
-// node ID, and the four delays differ only in their last two bits, which the
-// table build's sort keys replace with node positions. Only its insertion
-// pass puts them in delay order.
+// node ID, and a table in node order prices them in the wrong order.
 func ulpProblem(t *testing.T) *placement.Problem {
 	t.Helper()
 	var b strings.Builder
@@ -746,7 +744,6 @@ func TestPickFastExitKeepsTies(t *testing.T) {
 			{Index: 4, Node: 5, Slack: d0 / deadline},
 			{Index: 1, Node: 2, Slack: up(d0) / deadline},
 		}}}
-	d.cands = d.Admissible()
 	e.fast.scr.reset()
 	if v, ok := e.pickFast(&d, nil, e.fast.capEps, &e.fast.scr); !ok || v != 2 {
 		t.Fatalf("picked node %d (ok=%v) from two candidates that tie at %v; want node 2, the lower ID", v, ok, delayCost(d0))

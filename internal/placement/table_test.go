@@ -77,15 +77,17 @@ func star(tb testing.TB, proc, links []float64, queries []workload.Query) *Probl
 }
 
 // ulpProblem gives the one query's demand, at cloudlets 1 to 4, the delays
-// 1.25 + k ulps for k = 3, 2, 1, 0: ascending delay is descending node ID,
-// and the four delays differ only in their last two bits, which the sort keys
-// replace with node positions. Only the insertion pass puts them in order.
+// 1.25 + k ulps for k = 3, 2, 1, 0: ascending delay is descending node ID.
+// Cloudlet 5, at 5 s, stretches the set's delay range so that the four share
+// the build's first bucket, in node order: only the insertion pass puts them
+// in delay order.
 func ulpProblem(tb testing.TB) *Problem {
-	links := make([]float64, 4)
-	for i := range links {
+	links := make([]float64, 5)
+	for i := range 4 {
 		links[i] = 0.25 + float64(3-i)*0x1p-52 // 2 GB at 0.5 s/GB plus 1 GB of link
 	}
-	return star(tb, []float64{0.5, 0.5, 0.5, 0.5}, links, []workload.Query{{DeadlineSec: 10}})
+	links[4] = 4
+	return star(tb, []float64{0.5, 0.5, 0.5, 0.5, 0.5}, links, []workload.Query{{DeadlineSec: 10}})
 }
 
 // tiedProblem: four cloudlets (2, 3, 5, 6) tie on delay, 1 is nearer, 4
@@ -204,8 +206,8 @@ func TestCandidateTablesMatchEvalDelay(t *testing.T) {
 			}
 			return out
 		}
-		if got, want := order(ulpProblem(t).CandidateTables()[0][0].Admissible()), []graph.NodeID{4, 3, 2, 1}; !slices.Equal(got, want) {
-			t.Fatalf("admission order %v, want %v (delays 1.25 + 0, 1, 2 and 3 ulps)", got, want)
+		if got, want := order(ulpProblem(t).CandidateTables()[0][0].Admissible()), []graph.NodeID{4, 3, 2, 1, 5}; !slices.Equal(got, want) {
+			t.Fatalf("admission order %v, want %v (delays 1.25 + 0, 1, 2 and 3 ulps, then 5)", got, want)
 		}
 		tabs := tiedProblem(t).CandidateTables()
 		if got, want := order(tabs[0][0].Admissible()), []graph.NodeID{1, 2, 3, 5, 6, 4, 7}; !slices.Equal(got, want) {
